@@ -9,9 +9,10 @@ the build when either driver drops below :data:`FLOOR_EVENTS_PER_S`,
 the guard that instrumentation hooks (telemetry, the decision audit)
 stay zero-cost on the uninstrumented hot path.
 
-The floor is deliberately conservative: a quiet workstation clears
-~9000 dispatch events/s, so even a busy two-core CI runner keeps an
-order-of-magnitude margin.
+The floor sits at about a third of observed: a 2-vCPU shared VM clears
+~15k dispatch events/s with cached entry attributes and the indexed
+queue backend (~5.7k before them), so a busy CI runner keeps a wide
+margin.
 """
 
 import json
@@ -26,7 +27,7 @@ REPORT_PATH = (
 )
 
 #: CI-enforced minimum engine throughput, dispatch events per second.
-FLOOR_EVENTS_PER_S = 1_000.0
+FLOOR_EVENTS_PER_S = 4_000.0
 
 WORKLOAD = "heavy"
 POLICY = "simty"

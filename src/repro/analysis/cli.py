@@ -130,8 +130,8 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "scheduling-kernel queue backend (default: the policy's own, "
-            "i.e. the paper-faithful 'list'); 'indexed' keeps the alignment "
-            "hot path sub-linear without changing any decision"
+            "i.e. 'indexed', which keeps the alignment hot path sub-linear); "
+            "'list' is the full-scan reference and makes the same decisions"
         ),
     )
 

@@ -57,7 +57,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.alarm import Alarm, RepeatKind
-from ..core.backend import DEFAULT_BACKEND
 from ..core.hardware import (
     EMPTY_HARDWARE,
     SPEAKER_VIBRATOR_ONLY,
@@ -77,7 +76,9 @@ POLICY_NAMES = ("native", "simty")
 
 #: Queue backends each policy run is differentially compared across: the
 #: first entry is the reference whose outcome feeds the other detectors.
-BACKEND_AXIS = (DEFAULT_BACKEND, "indexed")
+#: Pinned to the full-scan ``list`` oracle rather than the default backend,
+#: so the axis keeps comparing two implementations whatever the default.
+BACKEND_AXIS = ("list", "indexed")
 
 #: Engine drivers each policy run is differentially compared across: the
 #: batch ``run()`` is the reference; ``step`` drives the incremental core.
@@ -345,7 +346,7 @@ def _drive(simulator: Simulator, driver: str):
 def _run_policy(
     case: FuzzCase,
     policy_name: str,
-    queue_backend: str = DEFAULT_BACKEND,
+    queue_backend: str = BACKEND_AXIS[0],
     driver: str = "run",
 ) -> PolicyOutcome:
     outcome = PolicyOutcome(policy=policy_name)
@@ -762,7 +763,7 @@ def generate_scenario_case(seed: int) -> ScenarioCase:
 def _run_scenario_policy(
     case: ScenarioCase,
     policy_name: str,
-    queue_backend: str = DEFAULT_BACKEND,
+    queue_backend: str = BACKEND_AXIS[0],
     driver: str = "run",
 ) -> PolicyOutcome:
     """Compile and run one scenario under one policy/backend/driver.

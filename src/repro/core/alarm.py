@@ -60,6 +60,7 @@ class Alarm:
         "true_hardware",
         "observed_hardware",
         "hardware_known",
+        "_perceptible",
         "delivery_count",
         "last_delivery",
         "claimed_by",
@@ -139,6 +140,7 @@ class Alarm:
         #: What the alarm manager currently believes (footnote 4).
         self.observed_hardware = hardware if hardware_known else EMPTY_HARDWARE
         self.hardware_known = hardware_known
+        self._perceptible = self._classify_perceptible()
         self.delivery_count = 0
         self.last_delivery: Optional[int] = None
         #: Identity token of the Simulator that consumed this alarm.
@@ -163,8 +165,13 @@ class Alarm:
 
         One-shot alarms and alarms whose hardware usage is still unknown are
         deemed perceptible; otherwise perceptibility follows from the
-        observed hardware set.
+        observed hardware set.  The answer only changes when the hardware
+        is learned, so it is cached and refreshed by
+        :meth:`record_delivery`.
         """
+        return self._perceptible
+
+    def _classify_perceptible(self) -> bool:
         if self.repeat_kind is RepeatKind.ONE_SHOT:
             return True
         if not self.hardware_known:
@@ -205,6 +212,9 @@ class Alarm:
         self.last_delivery = delivered_at
         self.observed_hardware = self.true_hardware
         self.hardware_known = True
+        # Footnote 5: a repeating alarm stops being perceptible by default
+        # once its hardware usage is known.
+        self._perceptible = self._classify_perceptible()
 
     def next_nominal_after(self, delivered_at: int) -> Optional[int]:
         """Nominal time of the next occurrence, or ``None`` for one-shots.

@@ -24,7 +24,7 @@ from ..obs.audit import DecisionRecord
 from .alarm import Alarm
 from .entry import QueueEntry
 from .queue import AlarmQueue
-from .simty import SimtyPolicy
+from .simty import Probe, SimtyPolicy
 from .similarity import preference
 
 
@@ -64,12 +64,13 @@ class DurationAwareSimtyPolicy(SimtyPolicy):
         rejections: dict = {}
         # Same exact pre-filter as SIMTY: applicability implies grace
         # overlap, so only grace candidates can win.
-        for entry in queue.grace_candidates(alarm.grace_interval()):
+        probe = Probe.of(alarm)
+        for entry in queue.grace_candidates(probe.grace):
             scanned += 1
-            applicable, time_sim = self._applicability(alarm, entry)
+            applicable, time_sim = self._applicability(probe, entry)
             if not applicable:
                 if sampled:
-                    if alarm.is_perceptible() or entry.is_perceptible():
+                    if probe.perceptible or entry.perceptible:
                         reason = f"perceptible-time-{time_sim.name.lower()}"
                     else:
                         reason = "time-low"

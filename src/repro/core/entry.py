@@ -14,15 +14,23 @@ delivery time as a function of a ``grace_mode`` flag chosen by the policy.
 An invariant maintained by both policies: a *perceptible* entry always has a
 non-empty window intersection, because perceptible alarms may only join (or
 be joined by) entries with high time similarity.
+
+These attributes change only when membership does, so the entry updates
+window, grace, hardware and perceptibility in :meth:`QueueEntry.add` and
+rebuilds them on removal; queries read them instead of rescanning members.
+Member perceptibility is stable while an alarm is queued: it only flips
+when the alarm is delivered (footnote 5), and a delivered alarm has
+already left its entry.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional
+import math
+from typing import Iterable, List, Optional, Set
 
 from .alarm import Alarm
-from .hardware import EMPTY_HARDWARE, HardwareSet
+from .hardware import EMPTY_HARDWARE, Component, HardwareSet
 from .intervals import Interval
 
 _ENTRY_IDS = itertools.count(1)
@@ -37,6 +45,7 @@ class QueueEntry:
         "window",
         "grace",
         "hardware",
+        "perceptible",
     )
 
     def __init__(self, alarms: Iterable[Alarm] = ()) -> None:
@@ -45,6 +54,8 @@ class QueueEntry:
         self.window: Optional[Interval] = None
         self.grace: Optional[Interval] = None
         self.hardware: HardwareSet = EMPTY_HARDWARE
+        #: True when any member is perceptible (Sec. 3.2.1).
+        self.perceptible = False
         for alarm in alarms:
             self.add(alarm)
 
@@ -71,6 +82,8 @@ class QueueEntry:
             if self.grace is not None:
                 self.grace = self.grace.intersect(grace)
         self.hardware = self.hardware.union(alarm.hardware)
+        if alarm.is_perceptible():
+            self.perceptible = True
 
     def remove(self, alarm: Alarm) -> None:
         """Remove ``alarm`` and rebuild the entry attributes from scratch."""
@@ -78,21 +91,35 @@ class QueueEntry:
         self._recompute()
 
     def _recompute(self) -> None:
-        self.window = None
-        self.grace = None
-        self.hardware = EMPTY_HARDWARE
-        for index, alarm in enumerate(self.alarms):
-            window = alarm.window_interval()
-            grace = alarm.grace_interval()
-            if index == 0:
-                self.window = window
-                self.grace = grace
-            else:
-                if self.window is not None:
-                    self.window = self.window.intersect(window)
-                if self.grace is not None:
-                    self.grace = self.grace.intersect(grace)
-            self.hardware = self.hardware.union(alarm.hardware)
+        """Rebuild every attribute from the members in one pass.
+
+        An intersection of closed intervals is ``[max of starts, min of
+        ends]``, empty when those cross, so the members' integer bounds
+        stand in for pairwise interval intersections.
+        """
+        if not self.alarms:
+            self.window = self.grace = None
+            self.hardware = EMPTY_HARDWARE
+            self.perceptible = False
+            return
+        start = -math.inf
+        window_end = grace_end = math.inf
+        components: Set[Component] = set()
+        perceptible = False
+        for alarm in self.alarms:
+            nominal = alarm.nominal_time
+            if nominal > start:
+                start = nominal
+            if nominal + alarm.window_length < window_end:
+                window_end = nominal + alarm.window_length
+            if nominal + alarm.grace_length < grace_end:
+                grace_end = nominal + alarm.grace_length
+            components |= alarm.hardware.components
+            perceptible = perceptible or alarm.is_perceptible()
+        self.window = _bounded(start, window_end)
+        self.grace = _bounded(start, grace_end)
+        self.hardware = HardwareSet(components)
+        self.perceptible = perceptible
 
     # ------------------------------------------------------------------
     # Attributes (Sec. 3.2.1)
@@ -102,7 +129,7 @@ class QueueEntry:
 
     def is_perceptible(self) -> bool:
         """True when the entry contains any perceptible alarm."""
-        return any(alarm.is_perceptible() for alarm in self.alarms)
+        return self.perceptible
 
     def delivery_time(self, grace_mode: bool) -> int:
         """When the entry should be delivered.
@@ -114,7 +141,7 @@ class QueueEntry:
         """
         if self.is_empty():
             raise ValueError("empty entry has no delivery time")
-        if grace_mode and not self.is_perceptible():
+        if grace_mode and not self.perceptible:
             assert self.grace is not None, "grace intersection vanished"
             return self.grace.start
         if self.window is None:
@@ -140,3 +167,8 @@ class QueueEntry:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         labels = ", ".join(alarm.label for alarm in self.alarms)
         return f"QueueEntry#{self.entry_id}[{labels}]"
+
+
+def _bounded(start: int, end: int) -> Optional[Interval]:
+    """``[start, end]``, or ``None`` when the bounds cross."""
+    return Interval(start, end) if start <= end else None

@@ -336,7 +336,9 @@ def _check_entry_algebra(entry: QueueEntry, now: int) -> List[Violation]:
     window = None
     grace = None
     hardware = EMPTY_HARDWARE
+    perceptible = False
     for index, alarm in enumerate(entry.alarms):
+        perceptible = perceptible or alarm.is_perceptible()
         alarm_window = alarm.window_interval()
         alarm_grace = alarm.grace_interval()
         if index == 0:
@@ -348,7 +350,12 @@ def _check_entry_algebra(entry: QueueEntry, now: int) -> List[Violation]:
             if grace is not None:
                 grace = grace.intersect(alarm_grace)
         hardware = hardware.union(alarm.hardware)
-    if entry.window != window or entry.grace != grace or entry.hardware != hardware:
+    if (
+        entry.window != window
+        or entry.grace != grace
+        or entry.hardware != hardware
+        or entry.perceptible != perceptible
+    ):
         violations.append(
             Violation(
                 kind=ENTRY_ALGEBRA,
@@ -357,11 +364,12 @@ def _check_entry_algebra(entry: QueueEntry, now: int) -> List[Violation]:
                     f"entry #{entry.entry_id} attributes drifted from its "
                     f"members: window {entry.window} vs recomputed {window}, "
                     f"grace {entry.grace} vs {grace}, hardware "
-                    f"{entry.hardware} vs {hardware}"
+                    f"{entry.hardware} vs {hardware}, perceptible "
+                    f"{entry.perceptible} vs {perceptible}"
                 ),
             )
         )
-    if entry.is_perceptible() and window is None:
+    if perceptible and window is None:
         violations.append(
             Violation(
                 kind=PERCEPTIBLE_NO_WINDOW,

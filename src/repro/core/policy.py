@@ -10,7 +10,7 @@ alarms *separately* (Sec. 2.1, 3.2.1); the alarm manager owns one queue per
 class and calls the same policy object on each.
 
 Every policy carries a ``queue_backend`` selection (default: the
-paper-faithful ``"list"`` backend) that :meth:`make_queue` threads into the
+``"indexed"`` backend) that :meth:`make_queue` threads into the
 queues it creates; the simulator can override it per run through
 ``SimulatorConfig.queue_backend``.  Backend choice never changes a policy
 decision — only the cost of reaching it (see :mod:`repro.core.backend`).
@@ -50,7 +50,7 @@ class AlignmentPolicy(ABC):
 
     #: Queue-backend selection for queues this policy creates.  A class
     #: attribute so subclasses that define their own ``__init__`` without
-    #: chaining to ``super()`` still get the paper-faithful default.
+    #: chaining to ``super()`` still get the default.
     queue_backend: str = DEFAULT_BACKEND
 
     def __init__(self, queue_backend: Optional[str] = None) -> None:

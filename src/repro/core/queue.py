@@ -7,13 +7,14 @@ time, with entry id as a deterministic tie-breaker, and exposes the in-order
 scan both policies rely on.
 
 Storage and indexing live in a :class:`~repro.core.backend.QueueBackend`
-(see that module): ``"list"`` is the paper-faithful reference, ``"indexed"``
-keeps the hot path sub-linear at large queue sizes.  The facade owns the
-*mutation discipline* the backends rely on: an entry's delivery time and
-intervals only ever change while the entry is outside the backend, so
-callers mutate entries through :meth:`add_to_entry` / :meth:`update_entry`
-instead of touching them directly and re-sorting (the seed-era public
-``resort()`` hook is gone — re-indexing is an internal backend concern).
+(see that module): ``"indexed"`` (the default) keeps the hot path
+sub-linear at large queue sizes, ``"list"`` is the full-scan reference it
+is tested against.  The facade owns the *mutation discipline* the
+backends rely on: an entry's delivery time and intervals only ever change
+while the entry is outside the backend, so callers mutate entries through
+:meth:`add_to_entry` / :meth:`update_entry` instead of touching them
+directly and re-sorting (the seed-era public ``resort()`` hook is gone —
+re-indexing is an internal backend concern).
 """
 
 from __future__ import annotations

@@ -22,11 +22,12 @@ The hardware-similarity granularity is pluggable (Sec. 3.1.1 sketches 2- and
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..obs.audit import DecisionRecord
 from .alarm import Alarm
 from .entry import QueueEntry
+from .intervals import Interval
 from .policy import AlignmentPolicy
 from .queue import AlarmQueue
 from .similarity import (
@@ -36,6 +37,23 @@ from .similarity import (
     classify_time,
     preference,
 )
+
+
+class Probe(NamedTuple):
+    """The incoming alarm's side of every applicability test.
+
+    Built once per insert rather than once per candidate entry.
+    """
+
+    window: Interval
+    grace: Interval
+    perceptible: bool
+
+    @classmethod
+    def of(cls, alarm: Alarm) -> "Probe":
+        return cls(
+            alarm.window_interval(), alarm.grace_interval(), alarm.is_perceptible()
+        )
 
 
 class SimtyPolicy(AlignmentPolicy):
@@ -83,16 +101,17 @@ class SimtyPolicy(AlignmentPolicy):
             return self._search_and_select_instrumented(queue, alarm, now)
         best_entry: Optional[QueueEntry] = None
         best_score = math.inf
+        probe = Probe.of(alarm)
+        hardware = alarm.hardware
+        rank = self.hardware_classifier.rank
         # Applicability needs at least MEDIUM time similarity, i.e. grace
         # overlap (window overlap implies it, since window ⊆ grace), so the
         # grace-candidate query is an exact search-phase pre-filter.
-        for entry in queue.grace_candidates(alarm.grace_interval()):
-            applicable, time_sim = self._applicability(alarm, entry)
+        for entry in queue.grace_candidates(probe.grace):
+            applicable, time_sim = self._applicability(probe, entry)
             if not applicable:
                 continue
-            hardware_rank = self.hardware_classifier.rank(
-                alarm.hardware, entry.hardware
-            )
+            hardware_rank = rank(hardware, entry.hardware)
             score = preference(hardware_rank, time_sim)
             if score < best_score:
                 best_score = score
@@ -118,16 +137,17 @@ class SimtyPolicy(AlignmentPolicy):
         rank_names = self.hardware_classifier.rank_names
         tel.count("simty.searches")
         rejections: dict = {}
+        probe = Probe.of(alarm)
         with tel.span("simty.search", alarm=alarm.label):
             scanned = 0
             applicable = []
-            for entry in queue.grace_candidates(alarm.grace_interval()):
+            for entry in queue.grace_candidates(probe.grace):
                 scanned += 1
-                ok, time_sim = self._applicability(alarm, entry)
+                ok, time_sim = self._applicability(probe, entry)
                 if ok:
                     applicable.append((entry, time_sim))
                 elif sampled:
-                    if alarm.is_perceptible() or entry.is_perceptible():
+                    if probe.perceptible or entry.perceptible:
                         reason = f"perceptible-time-{time_sim.name.lower()}"
                     else:
                         reason = "time-low"
@@ -185,16 +205,13 @@ class SimtyPolicy(AlignmentPolicy):
             )
         return best_entry
 
+    @staticmethod
     def _applicability(
-        self, alarm: Alarm, entry: QueueEntry
+        probe: Probe, entry: QueueEntry
     ) -> Tuple[bool, TimeSimilarity]:
         """Search-phase rule (Sec. 3.2.1)."""
-        time_sim = classify_time(
-            alarm.window_interval(),
-            alarm.grace_interval(),
-            entry.window,
-            entry.grace,
-        )
-        if alarm.is_perceptible() or entry.is_perceptible():
+        window, grace, perceptible = probe
+        time_sim = classify_time(window, grace, entry.window, entry.grace)
+        if perceptible or entry.perceptible:
             return time_sim is TimeSimilarity.HIGH, time_sim
         return time_sim is not TimeSimilarity.LOW, time_sim

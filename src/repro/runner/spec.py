@@ -35,7 +35,10 @@ from ..workloads.scenarios import ScenarioConfig
 #: Schema 3: the scenario source registry landed — ``BackgroundConfig``
 #: became ``BackgroundLoad`` (dataclasses encode by type name) and the
 #: ``"scenario"`` workload embeds a ``ScenarioSpec`` in its kwargs.
-DIGEST_SCHEMA = 3
+#: Schema 4: the default queue backend became ``"indexed"``; a spec that
+#: leaves the backend unset no longer names the run it did under schema 3,
+#: so list-era cache entries must not be reused for it.
+DIGEST_SCHEMA = 4
 
 KwargsLike = Union[Mapping[str, Any], Tuple[Tuple[str, Any], ...]]
 

@@ -59,8 +59,8 @@ class SimulatorConfig:
 
     ``queue_backend`` selects the scheduling-kernel storage backend for
     the run's alarm queues (:data:`~repro.core.backend.BACKEND_NAMES`):
-    ``None`` (default) defers to the policy, which defaults to the
-    paper-faithful ``"list"``.  Backend choice never changes alignment
+    ``None`` (default) defers to the policy, which defaults to
+    ``"indexed"``.  Backend choice never changes alignment
     decisions — only their cost — and is part of the RunSpec digest so
     cached results are keyed by it.
 

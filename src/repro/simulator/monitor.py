@@ -74,6 +74,9 @@ class InvariantMonitor:
         self._registered_ids: Set[int] = set()
         self._registered_at: Dict[int, int] = {}
         self._delivered_occurrences: Set[Tuple[int, int]] = set()
+        #: Nominal times delivered per alarm id, so a re-registration can
+        #: forget that alarm's occurrences without scanning every delivery.
+        self._delivered_nominals: Dict[int, List[int]] = {}
         self._last_delivery: Dict[int, object] = {}
         self._checks = 0
 
@@ -104,11 +107,8 @@ class InvariantMonitor:
         # any pre-churn delivery is no longer governed by the bound, and a
         # re-set one-shot (same nominal time) may legally fire again.
         self._last_delivery.pop(alarm.alarm_id, None)
-        self._delivered_occurrences = {
-            key
-            for key in self._delivered_occurrences
-            if key[0] != alarm.alarm_id
-        }
+        for nominal in self._delivered_nominals.pop(alarm.alarm_id, ()):
+            self._delivered_occurrences.discard((alarm.alarm_id, nominal))
         self._audit_queues(now)
 
     def on_cancel(self, alarm: Alarm, now: int, removed: bool) -> None:
@@ -132,6 +132,9 @@ class InvariantMonitor:
         ):
             self._emit(violation)
         self._delivered_occurrences.add((record.alarm_id, record.nominal_time))
+        self._delivered_nominals.setdefault(record.alarm_id, []).append(
+            record.nominal_time
+        )
         previous = self._last_delivery.get(record.alarm_id)
         if previous is not None:
             for violation in check_delivery_gap(

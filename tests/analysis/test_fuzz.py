@@ -1,13 +1,18 @@
 """The differential fuzz harness: generation, detection, shrinking."""
 
+import inspect
+
 import pytest
 
 from repro.analysis.fuzz import (
+    BACKEND_AXIS,
     POLICY_NAMES,
     AlarmSpec,
     ChurnOp,
     ExternalSpec,
     FuzzCase,
+    _run_policy,
+    _run_scenario_policy,
     fuzz,
     generate_case,
     render_case,
@@ -111,6 +116,22 @@ class TestRunCase:
         outcome = run_case(case)
         assert not outcome.ok
         assert {f.kind for f in outcome.failures} == {"crash"}
+
+
+class TestBackendAxis:
+    def test_list_oracle_is_the_reference(self):
+        assert BACKEND_AXIS[0] == "list"
+        assert BACKEND_AXIS[1:]
+        assert "list" not in BACKEND_AXIS[1:]
+
+    @pytest.mark.parametrize(
+        "runner", [_run_policy, _run_scenario_policy]
+    )
+    def test_reference_runs_use_the_list_oracle(self, runner):
+        # The reference run omits queue_backend; it must not follow the
+        # package default, or the axis would compare a backend with itself.
+        parameter = inspect.signature(runner).parameters["queue_backend"]
+        assert parameter.default == "list"
 
 
 class TestShrinking:

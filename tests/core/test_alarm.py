@@ -101,8 +101,11 @@ class TestIntervals:
 
 class TestPerceptibility:
     def test_one_shot_always_perceptible(self):
-        # Footnote 5.
-        assert oneshot().is_perceptible()
+        # Footnote 5, before and after the hardware is learned.
+        alarm = oneshot()
+        assert alarm.is_perceptible()
+        alarm.record_delivery(5_000)
+        assert alarm.is_perceptible()
 
     def test_unknown_hardware_perceptible(self):
         alarm = make_alarm(known=False)
@@ -115,9 +118,11 @@ class TestPerceptibility:
         assert make_alarm(hardware=SPEAKER_VIBRATOR_ONLY).is_perceptible()
 
     def test_learning_on_delivery(self):
-        # Footnote 4: the hardware set is observed at first delivery.
+        # Footnote 4: the hardware set is observed at first delivery, and
+        # with it (footnote 5) the cached perceptibility flips.
         alarm = make_alarm(known=False)
         assert alarm.hardware.is_empty()
+        assert alarm.is_perceptible()
         alarm.record_delivery(5_000)
         assert alarm.hardware == WIFI_ONLY
         assert not alarm.is_perceptible()

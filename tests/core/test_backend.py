@@ -25,9 +25,9 @@ class TestRegistry:
     def test_names_cover_both_backends(self):
         assert set(BACKEND_NAMES) == {"list", "indexed"}
 
-    def test_default_is_paper_faithful_list(self):
-        assert DEFAULT_BACKEND == "list"
-        assert AlarmQueue(grace_mode=False).backend_name == "list"
+    def test_default_is_indexed(self):
+        assert DEFAULT_BACKEND == "indexed"
+        assert AlarmQueue(grace_mode=False).backend_name == "indexed"
 
     def test_make_backend_builds_each(self):
         assert isinstance(make_backend("list", False), ListBackend)

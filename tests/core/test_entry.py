@@ -53,6 +53,14 @@ class TestAttributes:
         entry.add(make_alarm(hardware=SPEAKER_VIBRATOR_ONLY, nominal=1_010))
         assert entry.is_perceptible()
 
+    def test_removal_recomputes_perceptibility(self):
+        wifi = make_alarm(hardware=WIFI_ONLY)
+        speaker = make_alarm(hardware=SPEAKER_VIBRATOR_ONLY, nominal=1_010)
+        entry = QueueEntry([wifi, speaker])
+        assert entry.is_perceptible()
+        entry.remove(speaker)
+        assert not entry.is_perceptible()
+
     def test_duplicate_member_rejected(self):
         alarm = make_alarm()
         entry = QueueEntry([alarm])

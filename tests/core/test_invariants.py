@@ -165,7 +165,9 @@ class TestCheckExactlyOnce:
 class TestCheckQueue:
     def fill(self, *alarms):
         policy = ExactPolicy()
-        queue = AlarmQueue(grace_mode=policy.grace_mode)
+        # The list backend: the corruption tests below reach into its
+        # storage directly.
+        queue = AlarmQueue(grace_mode=policy.grace_mode, backend="list")
         for alarm in alarms:
             policy.insert(queue, alarm, 0)
         return queue
@@ -181,7 +183,7 @@ class TestCheckQueue:
         # A broken policy queues the alarm in two entries at once; the
         # real insert() implementations self-heal, so corrupt directly.
         alarm = make_alarm(nominal=50_000, label="dup")
-        queue = AlarmQueue(grace_mode=False)
+        queue = AlarmQueue(grace_mode=False, backend="list")
         # Reach through the facade into the list backend's storage.
         queue._backend._entries.append(QueueEntry([alarm]))
         queue._backend._entries.append(QueueEntry([alarm]))
@@ -206,6 +208,15 @@ class TestCheckQueue:
         entry = next(iter(queue.entries()))
         entry.window = Interval(0, 1)  # drifted from its members
         assert ENTRY_ALGEBRA in kinds(check_queue(queue, 0))
+
+    def test_cached_perceptibility_drift_flagged(self):
+        queue = self.fill(make_alarm(nominal=50_000, window=10_000))
+        entry = next(iter(queue.entries()))
+        assert not entry.perceptible
+        entry.perceptible = True  # drifted from its (imperceptible) member
+        violations = check_queue(queue, 0)
+        assert ENTRY_ALGEBRA in kinds(violations)
+        assert "perceptible True vs False" in violations[0].detail
 
     def test_unregistered_alarm_lingering_flagged(self):
         alarm = make_alarm(nominal=50_000, label="ghost")
