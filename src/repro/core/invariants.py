@@ -18,12 +18,14 @@ record) belongs to the monitor, not to the predicates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .alarm import RepeatKind
-from .entry import QueueEntry
-from .hardware import EMPTY_HARDWARE
+from .entry import _bounded
+from .hardware import Component, HardwareSet
+from .intervals import Interval
 from .queue import AlarmQueue
 
 # ---------------------------------------------------------------------------
@@ -259,12 +261,20 @@ def check_queue(
     iteration, so an overdue resident entry is an orphaned batch.  Leave it
     ``None`` for queues that may legally hold overdue entries (non-wakeup
     alarms while the device sleeps).
+
+    The monitor runs this after every mutation, so it is one pass over the
+    members per entry on integer bounds (an intersection of closed
+    intervals is ``[max of starts, min of ends]``), compared field by field
+    with the entry's attributes.  A healthy queue allocates no intervals or
+    hardware sets; violations and their details are built only on failure.
     """
     violations: List[Violation] = []
-    seen: Dict[int, str] = {}
+    seen: Dict[int, int] = {}
+    grace_mode = queue.grace_mode
     previous_delivery: Optional[int] = None
     for entry in queue.entries():
-        if entry.is_empty():
+        alarms = entry.alarms
+        if not alarms:
             violations.append(
                 Violation(
                     kind=EMPTY_ENTRY,
@@ -273,7 +283,7 @@ def check_queue(
                 )
             )
             continue
-        delivery = entry.delivery_time(queue.grace_mode)
+        delivery = entry.delivery_time(grace_mode)
         if previous_delivery is not None and delivery < previous_delivery:
             violations.append(
                 Violation(
@@ -297,90 +307,112 @@ def check_queue(
                     ),
                 )
             )
-        for alarm in entry:
-            if alarm.alarm_id in seen:
+        entry_id = entry.entry_id
+        start = -math.inf
+        window_end = grace_end = math.inf
+        components = _NO_COMPONENTS
+        perceptible = False
+        for alarm in alarms:
+            alarm_id = alarm.alarm_id
+            if alarm_id in seen:
                 violations.append(
                     Violation(
                         kind=DUPLICATE_QUEUED,
                         time=now,
-                        alarm_id=alarm.alarm_id,
+                        alarm_id=alarm_id,
                         label=alarm.label,
                         detail=(
-                            f"alarm queued in entry #{entry.entry_id} and "
-                            f"again in entry {seen[alarm.alarm_id]}"
+                            f"alarm queued in entry #{entry_id} and "
+                            f"again in entry #{seen[alarm_id]}"
                         ),
                     )
                 )
             else:
-                seen[alarm.alarm_id] = f"#{entry.entry_id}"
-            if registered_ids is not None and alarm.alarm_id not in registered_ids:
+                seen[alarm_id] = entry_id
+            if registered_ids is not None and alarm_id not in registered_ids:
                 violations.append(
                     Violation(
                         kind=UNREGISTERED_QUEUED,
                         time=now,
-                        alarm_id=alarm.alarm_id,
+                        alarm_id=alarm_id,
                         label=alarm.label,
                         detail=(
-                            f"alarm still queued in entry #{entry.entry_id} "
+                            f"alarm still queued in entry #{entry_id} "
                             "after cancellation"
                         ),
                     )
                 )
-        violations.extend(_check_entry_algebra(entry, now))
+            nominal = alarm.nominal_time
+            if nominal > start:
+                start = nominal
+            end = nominal + alarm.window_length
+            if end < window_end:
+                window_end = end
+            end = nominal + alarm.grace_length
+            if end < grace_end:
+                grace_end = end
+            member = alarm.observed_hardware._components
+            if not member <= components:
+                components = components | member
+            perceptible = perceptible or alarm._perceptible
+        window = entry.window
+        grace = entry.grace
+        hardware = entry.hardware
+        if (
+            not _interval_matches(window, start, window_end)
+            or not _interval_matches(grace, start, grace_end)
+            or (
+                # Like the intervals: a foreign type meets plain equality.
+                hardware._components != components
+                if type(hardware) is HardwareSet
+                else hardware != HardwareSet(components)
+            )
+            or entry.perceptible != perceptible
+        ):
+            violations.append(
+                Violation(
+                    kind=ENTRY_ALGEBRA,
+                    time=now,
+                    detail=(
+                        f"entry #{entry_id} attributes drifted from its "
+                        f"members: window {window} vs recomputed "
+                        f"{_bounded(start, window_end)}, grace {grace} "
+                        f"vs {_bounded(start, grace_end)}, hardware "
+                        f"{hardware} vs {HardwareSet(components)}, "
+                        f"perceptible {entry.perceptible} vs {perceptible}"
+                    ),
+                )
+            )
+        if perceptible and start > window_end:
+            violations.append(
+                Violation(
+                    kind=PERCEPTIBLE_NO_WINDOW,
+                    time=now,
+                    detail=(
+                        f"perceptible entry #{entry_id} has an empty "
+                        "window intersection"
+                    ),
+                )
+            )
     return violations
 
 
-def _check_entry_algebra(entry: QueueEntry, now: int) -> List[Violation]:
-    """Recompute an entry's attribute algebra and compare (Sec. 3.2.1)."""
-    violations: List[Violation] = []
-    window = None
-    grace = None
-    hardware = EMPTY_HARDWARE
-    perceptible = False
-    for index, alarm in enumerate(entry.alarms):
-        perceptible = perceptible or alarm.is_perceptible()
-        alarm_window = alarm.window_interval()
-        alarm_grace = alarm.grace_interval()
-        if index == 0:
-            window = alarm_window
-            grace = alarm_grace
-        else:
-            if window is not None:
-                window = window.intersect(alarm_window)
-            if grace is not None:
-                grace = grace.intersect(alarm_grace)
-        hardware = hardware.union(alarm.hardware)
-    if (
-        entry.window != window
-        or entry.grace != grace
-        or entry.hardware != hardware
-        or entry.perceptible != perceptible
-    ):
-        violations.append(
-            Violation(
-                kind=ENTRY_ALGEBRA,
-                time=now,
-                detail=(
-                    f"entry #{entry.entry_id} attributes drifted from its "
-                    f"members: window {entry.window} vs recomputed {window}, "
-                    f"grace {entry.grace} vs {grace}, hardware "
-                    f"{entry.hardware} vs {hardware}, perceptible "
-                    f"{entry.perceptible} vs {perceptible}"
-                ),
-            )
-        )
-    if perceptible and window is None:
-        violations.append(
-            Violation(
-                kind=PERCEPTIBLE_NO_WINDOW,
-                time=now,
-                detail=(
-                    f"perceptible entry #{entry.entry_id} has an empty "
-                    "window intersection"
-                ),
-            )
-        )
-    return violations
+#: The union seed for an entry's hardware recompute (no component).
+_NO_COMPONENTS: FrozenSet[Component] = frozenset()
+
+
+def _interval_matches(interval: object, start: int, end: int) -> bool:
+    """``interval == _bounded(start, end)``, without building the right side.
+
+    A value that is neither an exact :class:`Interval` nor ``None`` (a
+    subclass, a tuple) is judged by that comparison itself, so a
+    wrong-typed attribute is flagged exactly when equality would flag it.
+    """
+    if type(interval) is Interval:
+        return start <= end and interval.start == start and interval.end == end
+    if interval is None:
+        return start > end
+    return not interval != _bounded(start, end)
 
 
 @dataclass

@@ -92,32 +92,35 @@ class AlarmQueue:
         queued.  Entries emptied by the removal are dropped; entries that
         shrink have their intervals rebuilt and are re-indexed.
         """
-        removed, _ = self.remove_alarm_with_entry(alarm)
-        return removed
-
-    def remove_alarm_with_entry(
-        self, alarm: Alarm
-    ) -> Tuple[Optional[Alarm], Optional[QueueEntry]]:
-        """Like :meth:`remove_alarm`, but also report the shrunken entry.
-
-        Returns ``(removed, survivor_entry)``: ``survivor_entry`` is the
-        entry that still holds the removed alarm's former batch-mates, or
-        ``None`` when the entry emptied (or the alarm was not queued).
-        Callers that re-anchor survivors after a mid-flight cancellation
-        need the entry to pull its members back out.
-        """
-        entry = self._alarms.get(alarm.alarm_id)
+        entry = self._alarms.pop(alarm.alarm_id, None)
         if entry is None:
-            return None, None
+            return None
         found = entry.contains_alarm_id(alarm.alarm_id)
         assert found is not None, "alarm map out of sync with entry members"
         self._backend.discard(entry)
         entry.remove(found)
-        del self._alarms[alarm.alarm_id]
-        if entry.is_empty():
-            return found, None
-        self._backend.add(entry)
-        return found, entry
+        if not entry.is_empty():
+            self._backend.add(entry)
+        return found
+
+    def detach_batch(self, alarm: Alarm) -> Tuple[Optional[Alarm], List[Alarm]]:
+        """Remove ``alarm`` together with the rest of its entry.
+
+        Returns ``(removed, batch_mates)``: the removed instance (``None``
+        when the alarm was not queued) and the alarms that shared its
+        entry, now unqueued for the caller to re-align.  The entry is
+        dropped without being rebuilt or re-indexed: its attributes were
+        derived with the removed alarm in the mix, and the members of a
+        forced-alignment (BUCKET) entry need not overlap at all, so the
+        batch-mates' own intersection may be empty.
+        """
+        entry = self._alarms.get(alarm.alarm_id)
+        if entry is None:
+            return None, []
+        found = entry.contains_alarm_id(alarm.alarm_id)
+        assert found is not None, "alarm map out of sync with entry members"
+        self.remove_entry(entry)
+        return found, [member for member in entry if member is not found]
 
     def rebuild(self, entries: List[QueueEntry]) -> None:
         """Replace the queue contents wholesale (NATIVE's rebatch path).

@@ -79,15 +79,10 @@ class AlarmManager:
     def _cancel(self, alarm: Alarm, now: int) -> Tuple[bool, int]:
         """Core cancel; returns (removed, re-anchored survivor count)."""
         queue = self.queue_for(alarm)
-        removed, survivor_entry = queue.remove_alarm_with_entry(alarm)
+        removed, batch_mates = queue.detach_batch(alarm)
         if removed is None:
             return False, 0
-        if survivor_entry is None:
-            return True, 0
-        queue.remove_entry(survivor_entry)
-        survivors = sorted(
-            survivor_entry, key=lambda a: (a.nominal_time, a.alarm_id)
-        )
+        survivors = sorted(batch_mates, key=lambda a: (a.nominal_time, a.alarm_id))
         for follower in survivors:
             self.policy.insert(queue, follower, now)
         return True, len(survivors)

@@ -109,13 +109,13 @@ class InvariantMonitor:
         self._last_delivery.pop(alarm.alarm_id, None)
         for nominal in self._delivered_nominals.pop(alarm.alarm_id, ()):
             self._delivered_occurrences.discard((alarm.alarm_id, nominal))
-        self._audit_queues(now)
+        self._audit(now)
 
     def on_cancel(self, alarm: Alarm, now: int, removed: bool) -> None:
         self._registered_ids.discard(alarm.alarm_id)
         self._registered_at.pop(alarm.alarm_id, None)
         self._last_delivery.pop(alarm.alarm_id, None)
-        self._audit_queues(now)
+        self._audit(now)
 
     def on_delivery(self, record, now: int) -> None:
         """Check one sealed delivery record against Sec. 3.2.2."""
@@ -148,7 +148,7 @@ class InvariantMonitor:
             self._registered_ids.discard(record.alarm_id)
 
     def on_reinsert(self, alarm: Alarm, now: int) -> None:
-        self._audit_queues(now)
+        self._audit(now)
 
     def on_step_end(self, now: int) -> None:
         """Audit at the end of one main-loop iteration (a quiescent point).
@@ -159,22 +159,7 @@ class InvariantMonitor:
         registration or mid-delivery the queue legally holds entries that
         are about to be popped in the same iteration.
         """
-        if self._manager is None:
-            return
-        self._checks += 1
-        for violation in check_queue(
-            self._manager.wakeup_queue,
-            now,
-            registered_ids=self._registered_ids,
-            overdue_tolerance_ms=0,
-        ):
-            self._emit(violation)
-        for violation in check_queue(
-            self._manager.nonwakeup_queue,
-            now,
-            registered_ids=self._registered_ids,
-        ):
-            self._emit(violation)
+        self._audit(now, overdue_tolerance_ms=0)
 
     def on_run_end(self, horizon: int) -> None:
         """Final audit: nothing deliverable may be left behind.
@@ -183,35 +168,27 @@ class InvariantMonitor:
         never popped is an orphaned batch — exactly the failure mode a
         botched mid-run cancellation produces.
         """
+        self._audit(horizon, overdue_tolerance_ms=0)
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _audit(self, now: int, overdue_tolerance_ms: Optional[int] = None) -> None:
+        """Structural audit of both queues.
+
+        The overdue check (wakeup queue only) belongs to quiescent points;
+        after a mutation leave ``overdue_tolerance_ms`` at ``None``: a
+        just-registered late alarm legally sits overdue until the delivery
+        phase of the same iteration pops it.
+        """
         if self._manager is None:
             return
         self._checks += 1
         for violation in check_queue(
             self._manager.wakeup_queue,
-            horizon,
+            now,
             registered_ids=self._registered_ids,
-            overdue_tolerance_ms=0,
-        ):
-            self._emit(violation)
-        for violation in check_queue(
-            self._manager.nonwakeup_queue,
-            horizon,
-            registered_ids=self._registered_ids,
-        ):
-            self._emit(violation)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _audit_queues(self, now: int) -> None:
-        """Structural audit after a mutation (no overdue check here: a
-        just-registered late alarm legally sits overdue until the delivery
-        phase of the same iteration pops it)."""
-        if self._manager is None:
-            return
-        self._checks += 1
-        for violation in check_queue(
-            self._manager.wakeup_queue, now, registered_ids=self._registered_ids
+            overdue_tolerance_ms=overdue_tolerance_ms,
         ):
             self._emit(violation)
         for violation in check_queue(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.bucket import FixedIntervalPolicy
 from repro.core.exact import ExactPolicy
 from repro.core.native import NativePolicy
 from repro.core.simty import SimtyPolicy
@@ -159,6 +160,31 @@ class TestReAnchoring:
             assert max(times) > 150_000  # survivors keep delivering
             # Exactly once per 120 s interval over 600 s.
             assert 4 <= len(times) <= 6
+
+    def test_cancel_in_bucket_of_disjoint_windows_reanchors_survivors(self):
+        # BUCKET groups alarms by boundary, not by overlap: the two
+        # survivors' zero-width windows are disjoint, so their own
+        # intersection is empty.  Cancelling their batch-mate must
+        # re-align them into the bucket again, not re-index the shrunken
+        # entry (which has no delivery time left).
+        simulator = Simulator(
+            FixedIntervalPolicy(bucket_interval=300_000),
+            config=config(horizon=900_000),
+        )
+        victim = make_alarm(nominal=10_000, repeat=600_000, label="victim")
+        survivors = [
+            make_alarm(nominal=nominal, repeat=600_000, label=label)
+            for nominal, label in ((100_000, "s1"), (200_000, "s2"))
+        ]
+        for alarm in (victim, *survivors):
+            simulator.add_alarm(alarm)
+        simulator.cancel_alarm(victim, at=50_000)
+        trace = simulator.run()
+        by_label = {}
+        for record in trace.deliveries():
+            by_label.setdefault(record.label, []).append(record.delivered_at)
+        assert "victim" not in by_label
+        assert by_label["s1"] == by_label["s2"] == [300_000]
 
 
 class TestStormBuilders:
