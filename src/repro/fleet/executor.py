@@ -24,10 +24,10 @@ process, built robustness-first:
   against the median of completed shards; a shard exceeding
   ``straggler_factor`` x median (with a floor) is terminated and
   reassigned, consuming one of its ``shard_retries``.
-* **Constant memory.**  Completed :class:`RunRecord`\\ s buffer at most
-  ``memory_watermark`` deep before an early reduction folds them into
-  the shard summary and frees them — never more than a shard's worth of
-  records is live anywhere, and the observed peak is reported.
+* **Constant memory.**  Completed devices' supervision outcomes buffer
+  at most ``memory_watermark`` deep before an early reduction folds them
+  into the shard summary and frees them — never more than a shard's
+  worth of results is live anywhere, and the observed peak is reported.
 * **Honest partial results.**  A fleet report always states devices
   attempted / completed / quarantined, counts failed shards, and refuses
   to print percentiles when coverage falls below the configured
@@ -51,8 +51,7 @@ from ..analysis.report import format_table
 from ..obs.stream import SpoolSink, TelemetryStream
 from ..obs.summary import TelemetrySummary
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
-from ..runner.record import RunRecord
-from ..runner.supervision import run_supervised_serial
+from ..runner.supervision import Outcome, run_supervised_serial
 from .chaos import FLEET_CHAOS_WORKLOAD, FleetChaos, install_chaos_workload
 from .population import DeviceSpec, PopulationSpec
 from .reduce import (
@@ -84,8 +83,8 @@ class FleetConfig:
     ``workers=0`` runs every shard in-process (deterministic unit-test
     mode; incompatible with kill chaos).  ``device_timeout_s`` bounds one
     device attempt; ``device_retries`` extra attempts precede quarantine.
-    ``memory_watermark`` caps buffered RunRecords per shard before an
-    early reduction.  ``coverage_threshold`` is the completed-device
+    ``memory_watermark`` caps buffered completed outcomes per shard before
+    an early reduction.  ``coverage_threshold`` is the completed-device
     fraction below which the report withholds percentiles.
     """
 
@@ -363,7 +362,7 @@ def run_shard(
         if config.quarantine_dir is not None
         else Path(fleet_dir) / "quarantine"
     )
-    buffer: List[Tuple[DeviceSpec, RunRecord]] = []
+    buffer: List[Tuple[DeviceSpec, Outcome]] = []
     peak = 0
     reduce_ms = 0.0
     reductions = 0
@@ -374,10 +373,10 @@ def run_shard(
         if not buffer:
             return
         reduce_started = time.perf_counter()
-        for device, record in buffer:
+        for device, outcome in buffer:
             summary.observe(
-                DeviceSummary.from_record(
-                    record, device.index, device.archetype, device.rank
+                DeviceSummary.from_outcome(
+                    outcome, device.index, device.archetype, device.rank
                 )
             )
         buffer.clear()
@@ -398,16 +397,7 @@ def run_shard(
             )
             processed += 1
             if outcome.ok:
-                record = RunRecord(
-                    spec=device.run,
-                    digest=device.digest,
-                    result=outcome.result,
-                    wall_time_s=outcome.wall_time_s,
-                    cache_hit=False,
-                    status=outcome.status,
-                    attempts=outcome.attempts,
-                )
-                buffer.append((device, record))
+                buffer.append((device, outcome))
                 peak = max(peak, len(buffer))
                 journal.device(device.index, outcome.status.value)
                 if hub.enabled:
@@ -424,7 +414,7 @@ def run_shard(
                     )
                 if len(buffer) >= config.memory_watermark:
                     # The hard memory watermark: reduce early instead of
-                    # letting records pile toward an OOM kill.
+                    # letting results pile toward an OOM kill.
                     flush()
             else:
                 record = QuarantineRecord(
@@ -436,7 +426,7 @@ def run_shard(
                     attempts=outcome.attempts,
                 )
                 _write_quarantine_file(
-                    quarantine_dir, population, device, outcome
+                    quarantine_dir, population, device, record, outcome
                 )
                 summary.observe_quarantine(record)
                 journal.quarantine(record)
@@ -472,7 +462,8 @@ def _write_quarantine_file(
     quarantine_dir: Path,
     population: PopulationSpec,
     device: DeviceSpec,
-    outcome,
+    record: QuarantineRecord,
+    outcome: Outcome,
 ) -> None:
     """Persist a reproducer for a quarantined device (never raises)."""
     try:
@@ -482,7 +473,7 @@ def _write_quarantine_file(
             "population": population.digest(),
             "device": device.index,
             "archetype": device.archetype,
-            "spec_digest": device.digest,
+            "spec_digest": record.digest,
             "workload": device.run.workload,
             "policy": device.run.policy,
             "seed": device.run.seed,

@@ -1,7 +1,7 @@
 """Constant-memory fleet aggregation: summaries that merge, never grow.
 
-A million-device sweep cannot hold a million :class:`RunRecord`\\ s — each
-carries a full trace.  The fleet therefore reduces *streamingly*: every
+A million-device sweep cannot hold a million run results — each carries
+a full trace.  The fleet therefore reduces *streamingly*: every
 completed device collapses into a tiny :class:`DeviceSummary`, device
 summaries fold into a per-shard :class:`ShardSummary`, and shard summaries
 merge into the fleet report.  Everything here is plain data (dict
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.summary import TelemetrySummary, merge_summaries
-from ..runner.record import RunRecord
+from ..runner.supervision import Outcome
 
 __all__ = [
     "DeviceSummary",
@@ -152,7 +152,7 @@ DELAY_SCALE = 1_000_000
 @dataclass(frozen=True)
 class DeviceSummary:
     """Everything the fleet keeps about one completed device (~100 bytes,
-    vs. megabytes for the RunRecord it reduces)."""
+    vs. megabytes for the outcome it reduces)."""
 
     device: int
     archetype: str
@@ -165,18 +165,18 @@ class DeviceSummary:
     violations: int
 
     @classmethod
-    def from_record(
-        cls, record: RunRecord, device: int, archetype: str, rank: str
+    def from_outcome(
+        cls, outcome: Outcome, device: int, archetype: str, rank: str
     ) -> "DeviceSummary":
-        """Reduce a RunRecord, carrying status and violation_count along
-        (dropping either here would silently zero the fleet's
+        """Reduce a supervision outcome, carrying status and the violation
+        count along (dropping either here would silently zero the fleet's
         per-archetype failure and violation rates)."""
-        result = record.result
+        result = outcome.result
         return cls(
             device=device,
             archetype=archetype,
             rank=rank,
-            status=record.status.value,
+            status=outcome.status.value,
             wakeups=result.wakeups.cpu.delivered if result else 0,
             energy_mj=result.energy.total_mj if result else 0.0,
             imperceptible_delay=(
@@ -185,7 +185,7 @@ class DeviceSummary:
             perceptible_delay=(
                 result.delays.perceptible.mean if result else 0.0
             ),
-            violations=record.violation_count,
+            violations=len(result.trace.violations) if result else 0,
         )
 
     def to_dict(self) -> Dict:

@@ -48,13 +48,17 @@ class RunJournal:
     # Persistence
     # ------------------------------------------------------------------
     def load(self) -> None:
-        """(Re)read the journal from disk, skipping torn trailing lines."""
+        """(Re)read the journal from disk, skipping torn trailing lines
+        (and remembering a missing final newline for :meth:`record`)."""
         self._completed.clear()
         self._seen.clear()
+        self._needs_newline = False
         if not self.path.exists():
             return
         with self.path.open("r", encoding="utf-8") as handle:
             for line in handle:
+                # Only the last line can lack one: a torn tail.
+                self._needs_newline = not line.endswith("\n")
                 line = line.strip()
                 if not line:
                     continue
@@ -75,6 +79,9 @@ class RunJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         entry = {"digest": digest, "status": status.value}
         with self.path.open("a", encoding="utf-8") as handle:
+            if self._needs_newline:
+                handle.write("\n")  # seal a torn tail onto its own line
+                self._needs_newline = False
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
@@ -86,6 +93,7 @@ class RunJournal:
         """Start a fresh journal (used by non-resume invocations)."""
         self._completed.clear()
         self._seen.clear()
+        self._needs_newline = False
         if self.path.exists():
             self.path.unlink()
 

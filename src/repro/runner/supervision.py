@@ -175,7 +175,8 @@ def _attempt_with_timeout(
     box: List[Tuple] = []
     thread = threading.Thread(
         target=lambda: box.append(attempt_spec(spec, registry, telemetry)),
-        name=f"run-attempt-{spec.digest()[:12]}",
+        # Cheap fields only: a digest would re-encode the whole spec.
+        name=f"run-attempt-{spec.workload}/{spec.policy}",
         daemon=True,
     )
     thread.start()

@@ -23,6 +23,8 @@ from repro.fleet import (
 )
 from repro.fleet.executor import load_sealed_summary, run_shard, ShardPlan
 from repro.obs import Telemetry
+from repro.runner import RunSpec
+from repro.runner.executor import execute_spec
 
 CFG = FleetConfig(
     shards=4,
@@ -143,6 +145,35 @@ class TestQuarantine:
             device = population.device(record.device)
             assert device.digest == record.digest
 
+    def test_only_quarantined_devices_compute_their_digest(
+        self, tmp_path, monkeypatch
+    ):
+        """Completed devices reduce straight from their outcome; the spec
+        digest is derived once per quarantined device, for its reproducer."""
+        digest = RunSpec.digest
+        calls = []
+
+        def counting_digest(spec):
+            calls.append(spec)
+            return digest(spec)
+
+        monkeypatch.setattr(RunSpec, "digest", counting_digest)
+        population = poisoned()
+        report = run_fleet(population, CFG, fleet_dir=tmp_path)
+        monkeypatch.undo()
+
+        quarantined = report.summary.quarantined
+        assert report.quarantined > 0 and report.completed > 0
+        assert sorted(digest(spec) for spec in calls) == sorted(
+            record.digest for record in quarantined
+        )
+        for record in quarantined:
+            assert record.digest == population.device(record.device).run.digest()
+        for path in (tmp_path / "quarantine").glob("device-*.json"):
+            payload = json.loads(path.read_text())
+            device = population.device(payload["device"])
+            assert payload["spec_digest"] == device.run.digest()
+
     def test_reproducer_files_written(self, tmp_path):
         population = poisoned()
         report = run_fleet(population, CFG, fleet_dir=tmp_path)
@@ -160,6 +191,33 @@ class TestQuarantine:
         )
         run_fleet(poisoned(), config, fleet_dir=tmp_path / "fleet")
         assert list((tmp_path / "poison-box").glob("device-*.json"))
+
+
+class TestViolationCarryThrough:
+    def test_archetype_violations_sum_device_traces(self, tmp_path):
+        """BUCKET micro devices trip the recording monitor; the report's
+        per-archetype violation tallies must be the sum over the devices'
+        own traces, not zeros lost in the reduction."""
+        population = PopulationSpec(
+            size=16,
+            archetypes=tuple(
+                dataclasses.replace(archetype, policy="bucket")
+                for archetype in MICRO_ARCHETYPES
+            ),
+            seed=3,
+            name="bucket",
+        )
+        report = run_fleet(population, CFG, fleet_dir=tmp_path)
+        assert report.completed == population.size
+
+        expected = {}
+        for device in population.devices():
+            violations = len(execute_spec(device.run).trace.violations)
+            expected[device.archetype] = (
+                expected.get(device.archetype, 0) + violations
+            )
+        assert sum(expected.values()) > 0
+        assert report.summary.archetype_violations == expected
 
 
 class TestMemoryWatermark:

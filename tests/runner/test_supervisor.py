@@ -15,6 +15,7 @@ from repro.runner import (
     run_many,
     summary_table,
 )
+from repro.runner.supervision import run_supervised_serial
 from repro.workloads.scenarios import ScenarioConfig
 
 from .chaos import chaos_spec
@@ -123,6 +124,23 @@ class TestOnErrorRaise:
             run_many([], resume=True)
 
 
+class TestTimeoutAttempt:
+    def test_timed_attempt_computes_no_digest(self, monkeypatch):
+        """A timed serial attempt never re-derives the spec digest: callers
+        that need it (``run_many``, fleet quarantine) already hold it."""
+        calls = []
+        digest = RunSpec.digest
+
+        def counting_digest(spec):
+            calls.append(spec)
+            return digest(spec)
+
+        monkeypatch.setattr(RunSpec, "digest", counting_digest)
+        outcome = run_supervised_serial(OK, timeout_s=30.0)
+        assert outcome.ok
+        assert calls == []
+
+
 class TestRetries:
     @pytest.mark.parametrize("max_workers", [1, 2])
     def test_flaky_spec_becomes_retried_ok(self, tmp_path, max_workers):
@@ -223,6 +241,18 @@ class TestCheckpointResume:
         assert BAD.digest() not in journal  # not completed...
         reloaded = RunJournal(journal.path)
         assert BAD.digest() not in reloaded  # ...and stays re-runnable
+
+    def test_record_after_torn_tail_survives_reload(self, tmp_path):
+        """A record appended after a torn tail starts its own line: it must
+        not be glued onto the fragment and forgotten on the next resume."""
+        journal = RunJournal.at(tmp_path)
+        journal.record("aaa")
+        journal.record("bbb")
+        with journal.path.open("a", encoding="utf-8") as handle:
+            handle.write('{"digest": "to')  # torn mid-write
+        reopened = RunJournal(journal.path)
+        reopened.record("ccc")
+        assert RunJournal(journal.path).completed() == {"aaa", "bbb", "ccc"}
 
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         journal = RunJournal.at(tmp_path)
