@@ -1,80 +1,124 @@
 """OBS — disabled telemetry must stay (near) free on the hot path.
 
-The telemetry layer promises zero cost when no hub is attached: the engine
-hoists one boolean per loop iteration and every other gate is a single
-``enabled`` check.  This bench reconstructs the pre-instrumentation run
-loop (the exact plain branch of ``Simulator._run_loop``, without the gate)
-as a baseline, runs the heavy workload through both, and asserts the
-shipping no-op path stays within 5% of it.  A failure here means someone
-left un-gated instrumentation on the hot path.
+The engine has one dispatch sequence: every phase runs inside its
+``telemetry.span`` and is followed by its ``telemetry.count``, which go to
+the null hub when no telemetry is attached; only the gauges are gated.
+This bench keeps a frozen copy of the ungated step — the phase order with
+no span, count or gate at all — as the baseline (under SIMTY, with an
+insert that has no search span and no explain-pass gate either), runs the
+heavy workload through both under SIMTY and NATIVE, and asserts the
+shipping no-op path stays within 5% of it.  A failure here means the
+null-hub calls (or some other instrumentation) cost real time on the hot
+path.
 
 An enabled run is also timed and emitted for eyeballing — instrumentation
 that is *on* is allowed to cost real time (spans allocate), it just has to
 be opt-in.
 
-Each run builds a fresh workload (alarms are single-use), and every
-configuration takes the minimum of several interleaved reps so a noisy CI
-neighbour cannot fail the bound.
+Each run builds a fresh workload (alarms are single-use) and starts from a
+collected heap.  Each rep times the baseline and the no-op path back to
+back (alternating which goes first), and the gate is the median of the
+per-rep ratios: a host that changes speed between reps moves both runs
+of a rep, so a noisy CI neighbour shifts the estimate far less than it
+shifts a ratio of per-configuration minima.
 """
 
+import gc
+import statistics
 import time
+from typing import Optional
 
+import pytest
+
+from repro.core.native import NativePolicy
 from repro.core.simty import SimtyPolicy
 from repro.obs.telemetry import Telemetry
 from repro.simulator.engine import Simulator
 from repro.workloads.scenarios import build_heavy
 
-REPS = 5
+REPS = 25
+
+
+class UninstrumentedSimty(SimtyPolicy):
+    """SIMTY's insert with no search span and no explain-pass gate."""
+
+    def insert(self, queue, alarm, now):
+        queue.remove_alarm(alarm)
+        best = self._search_and_select(queue, alarm, now)
+        if best is not None:
+            return self._place_in_entry(queue, best, alarm)
+        return self._place_in_new_entry(queue, alarm)
+
+
+#: policy -> (shipping class, class the ungated baseline runs).
+POLICIES = {
+    "simty": (SimtyPolicy, UninstrumentedSimty),
+    "native": (NativePolicy, NativePolicy),
+}
 
 
 class UninstrumentedSimulator(Simulator):
-    """The seed engine loop: no telemetry gate, no instrumented branch.
+    """The engine step with no telemetry at all: the bench's reference.
 
-    Keep this in sync with the plain branch of ``Simulator._run_loop`` —
-    it exists only to give the overhead bench a true baseline.
+    A frozen copy of the step before the engine had a single dispatch
+    sequence — the same phases in the same order, each called directly.
+    Do not route it through ``_dispatch``: it exists to measure that.
     """
 
-    def _run_loop(self, horizon: int) -> None:
-        while True:
-            instant = self._next_event_time()
-            if instant is None or instant >= horizon:
-                break
-            self._watchdog_tick(instant)
-            self.clock.advance_to(instant)
-            self._process_registrations()
-            self._process_cancellations()
-            self._process_reregistrations()
-            self._process_externals()
-            self._deliver_due_wakeups()
-            if self.device.awake:
-                self._deliver_due_nonwakeups()
-                self.device.try_sleep(self.clock.now)
-            if self.monitor is not None:
-                self.monitor.on_step_end(self.clock.now)
+    def step(self) -> Optional[int]:
+        if not self._started:
+            raise RuntimeError("call start() before step()")
+        if self._finished:
+            raise RuntimeError("the run already finished; build a new Simulator")
+        instant = self._next_event_time()
+        if instant is None or instant >= self.config.horizon:
+            return None
+        self._watchdog_tick(instant)
+        self.clock.advance_to(instant)
+        self._process_registrations()
+        self._process_cancellations()
+        self._process_reregistrations()
+        self._process_externals()
+        self._deliver_due_wakeups()
+        if self.device.awake:
+            self._deliver_due_nonwakeups()
+            self.device.try_sleep(self.clock.now)
+        if self.monitor is not None:
+            self.monitor.on_step_end(self.clock.now)
+        return instant
 
 
-def _run_once(simulator_cls, telemetry=None):
+def _run_once(simulator_cls, policy_cls, telemetry=None):
     workload = build_heavy()
-    simulator = simulator_cls(SimtyPolicy(), telemetry=telemetry)
+    simulator = simulator_cls(policy_cls(), telemetry=telemetry)
     workload.apply(simulator)
+    # Collect the previous run's garbage first, so no configuration pays
+    # for the one timed before it.
+    gc.collect()
     started = time.perf_counter()
     trace = simulator.run()
     return time.perf_counter() - started, trace
 
 
-def test_bench_telemetry_noop_overhead(emit):
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_bench_telemetry_noop_overhead(emit, policy):
+    policy_cls, baseline_policy_cls = POLICIES[policy]
     baseline_s = []
     noop_s = []
     enabled_s = []
     deliveries = set()
-    for _ in range(REPS):
-        elapsed, trace = _run_once(UninstrumentedSimulator)
-        baseline_s.append(elapsed)
-        deliveries.add(trace.delivery_count())
-        elapsed, trace = _run_once(Simulator)
-        noop_s.append(elapsed)
-        deliveries.add(trace.delivery_count())
-        elapsed, trace = _run_once(Simulator, telemetry=Telemetry())
+    for rep in range(REPS):
+        pair = [
+            (UninstrumentedSimulator, baseline_policy_cls, baseline_s),
+            (Simulator, policy_cls, noop_s),
+        ]
+        if rep % 2:
+            pair.reverse()  # alternate which gated configuration goes first
+        for simulator_cls, run_policy_cls, times in pair:
+            elapsed, trace = _run_once(simulator_cls, run_policy_cls)
+            times.append(elapsed)
+            deliveries.add(trace.delivery_count())
+        elapsed, trace = _run_once(Simulator, policy_cls, Telemetry())
         enabled_s.append(elapsed)
         deliveries.add(trace.delivery_count())
         assert trace.telemetry is not None
@@ -83,21 +127,21 @@ def test_bench_telemetry_noop_overhead(emit):
     # All three paths simulate the same system.
     assert len(deliveries) == 1
 
+    noop_overhead = statistics.median(
+        noop / baseline for baseline, noop in zip(baseline_s, noop_s)
+    ) - 1.0
     baseline = min(baseline_s)
     noop = min(noop_s)
     enabled = min(enabled_s)
-    noop_overhead = noop / baseline - 1.0
-    enabled_ratio = enabled / baseline
     emit(
-        "telemetry overhead (heavy workload, min of "
-        f"{REPS} reps)\n"
-        f"  ungated baseline loop:  {baseline * 1000.0:8.1f} ms\n"
-        f"  shipping no-op path:    {noop * 1000.0:8.1f} ms "
-        f"({noop_overhead:+.1%})\n"
-        f"  enabled instrumentation:{enabled * 1000.0:8.1f} ms "
-        f"({enabled_ratio:.2f}x baseline)"
+        f"telemetry overhead ({policy}, heavy workload, {REPS} reps)\n"
+        f"  ungated baseline step:  {baseline * 1000.0:8.1f} ms (min)\n"
+        f"  shipping no-op path:    {noop * 1000.0:8.1f} ms (min); "
+        f"median paired overhead {noop_overhead:+.1%}\n"
+        f"  enabled instrumentation:{enabled * 1000.0:8.1f} ms (min, "
+        f"{enabled / baseline:.2f}x baseline)"
     )
     assert noop_overhead < 0.05, (
         f"disabled telemetry costs {noop_overhead:.1%} over the ungated "
-        "loop; the no-op path must stay under 5%"
+        f"step under {policy}; the no-op path must stay under 5%"
     )

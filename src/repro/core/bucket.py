@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..obs.audit import DecisionRecord
 from .alarm import Alarm
 from .entry import QueueEntry
 from .intervals import Interval
@@ -50,12 +49,6 @@ class FixedIntervalPolicy(AlignmentPolicy):
     def insert(self, queue: AlarmQueue, alarm: Alarm, now: int) -> QueueEntry:
         queue.remove_alarm(alarm)
         boundary = self.bucket_time(alarm.nominal_time)
-        audit = self.audit
-        sampled = False
-        seq = 0
-        if audit.enabled:
-            seq = audit.next_seq()
-            sampled = audit.should_sample()
         # Bucket entries carry the zero-width window [boundary, boundary],
         # so the zero-width probe finds exactly the entries anchored at (or
         # spanning) the boundary; the start == boundary check then picks
@@ -68,32 +61,22 @@ class FixedIntervalPolicy(AlignmentPolicy):
             if entry.window is not None and entry.window.start == boundary:
                 chosen = entry
                 break
-        if sampled:
-            audit.append(
-                DecisionRecord(
-                    seq=seq,
-                    policy=self.name,
-                    kind="insert",
-                    time=now,
-                    alarm_id=alarm.alarm_id,
-                    label=alarm.label,
-                    app=alarm.app,
-                    wakeup=alarm.wakeup,
-                    perceptible=alarm.is_perceptible(),
-                    nominal_time=alarm.nominal_time,
-                    scanned=scanned,
-                    applicable=1 if chosen is not None else 0,
-                    rejections=(
-                        (("bucket-mismatch", scanned - 1),)
-                        if chosen is not None and scanned > 1
-                        else (("bucket-mismatch", scanned),)
-                        if chosen is None and scanned
-                        else ()
-                    ),
-                    chosen_entry=chosen.entry_id if chosen is not None else None,
-                    new_entry=chosen is None,
-                    deferral_ms=boundary - alarm.nominal_time,
-                )
+        seq = self._sampled_seq()
+        if seq is not None:
+            mismatches = scanned - 1 if chosen is not None else scanned
+            self._append_decision(
+                seq,
+                "insert",
+                now,
+                alarm,
+                scanned=scanned,
+                applicable=1 if chosen is not None else 0,
+                rejections=(
+                    (("bucket-mismatch", mismatches),) if mismatches else ()
+                ),
+                chosen_entry=chosen.entry_id if chosen is not None else None,
+                new_entry=chosen is None,
+                deferral_ms=boundary - alarm.nominal_time,
             )
         if chosen is not None:
             return self._place_in_bucket(queue, chosen, alarm, boundary)

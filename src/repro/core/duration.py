@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..obs.audit import DecisionRecord
 from .alarm import Alarm
 from .entry import QueueEntry
 from .queue import AlarmQueue
@@ -50,73 +49,25 @@ class DurationAwareSimtyPolicy(SimtyPolicy):
     def _search_and_select(
         self, queue: AlarmQueue, alarm: Alarm, now: int
     ) -> Optional[QueueEntry]:
-        audit = self.audit
-        sampled = False
-        seq = 0
-        if audit.enabled:
-            seq = audit.next_seq()
-            sampled = audit.should_sample()
+        """SIMTY's search with ``(preference, duration dissimilarity)``
+        as the selection key; telemetry and the audit come from the
+        inherited explain pass."""
         best_entry: Optional[QueueEntry] = None
         best_key = (math.inf, math.inf)
-        best_ranks = None
-        scanned = 0
-        applicable_count = 0
-        rejections: dict = {}
+        probe = Probe.of(alarm)
+        hardware = alarm.hardware
+        rank = self.hardware_classifier.rank
         # Same exact pre-filter as SIMTY: applicability implies grace
         # overlap, so only grace candidates can win.
-        probe = Probe.of(alarm)
         for entry in queue.grace_candidates(probe.grace):
-            scanned += 1
             applicable, time_sim = self._applicability(probe, entry)
             if not applicable:
-                if sampled:
-                    if probe.perceptible or entry.perceptible:
-                        reason = f"perceptible-time-{time_sim.name.lower()}"
-                    else:
-                        reason = "time-low"
-                    rejections[reason] = rejections.get(reason, 0) + 1
                 continue
-            applicable_count += 1
-            hardware_rank = self.hardware_classifier.rank(
-                alarm.hardware, entry.hardware
-            )
             key = (
-                preference(hardware_rank, time_sim),
+                preference(rank(hardware, entry.hardware), time_sim),
                 duration_dissimilarity(alarm, entry),
             )
             if key < best_key:
                 best_key = key
                 best_entry = entry
-                best_ranks = (hardware_rank, time_sim)
-        if sampled:
-            won = best_entry is not None
-            rank_names = self.hardware_classifier.rank_names
-            audit.append(
-                DecisionRecord(
-                    seq=seq,
-                    policy=self.name,
-                    kind="insert",
-                    time=now,
-                    alarm_id=alarm.alarm_id,
-                    label=alarm.label,
-                    app=alarm.app,
-                    wakeup=alarm.wakeup,
-                    perceptible=alarm.is_perceptible(),
-                    nominal_time=alarm.nominal_time,
-                    scanned=scanned,
-                    applicable=applicable_count,
-                    rejections=tuple(sorted(rejections.items())),
-                    chosen_entry=best_entry.entry_id if won else None,
-                    new_entry=not won,
-                    hw=rank_names[best_ranks[0]] if won else None,
-                    time_sim=best_ranks[1].name.lower() if won else None,
-                    table1_rank=int(best_key[0]) if won else None,
-                    deferral_ms=(
-                        best_entry.delivery_time(self.grace_mode)
-                        - alarm.nominal_time
-                        if won
-                        else 0
-                    ),
-                )
-            )
         return best_entry

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..obs.audit import DecisionRecord
 from .alarm import Alarm
 from .entry import QueueEntry
 from .policy import AlignmentPolicy
@@ -49,14 +48,9 @@ class NativePolicy(AlignmentPolicy):
     def _basic_insert(
         self, queue: AlarmQueue, alarm: Alarm, now: int
     ) -> QueueEntry:
-        audit = self.audit
-        sampled = False
-        seq = 0
-        if audit.enabled:
-            seq = audit.next_seq()
-            sampled = audit.should_sample()
         entry = self._find_overlapping_entry(queue, alarm)
-        if sampled:
+        seq = self._sampled_seq()
+        if seq is not None:
             # Re-derive the scan the finder just did; only the sampled
             # fraction of decisions pays this second pass.
             window = alarm.window_interval()
@@ -69,32 +63,21 @@ class NativePolicy(AlignmentPolicy):
                 and cand is not entry
             ) + (1 if entry is not None else 0)
             disjoint = len(candidates) - overlapping
-            audit.append(
-                DecisionRecord(
-                    seq=seq,
-                    policy=self.name,
-                    kind="insert",
-                    time=now,
-                    alarm_id=alarm.alarm_id,
-                    label=alarm.label,
-                    app=alarm.app,
-                    wakeup=alarm.wakeup,
-                    perceptible=alarm.is_perceptible(),
-                    nominal_time=alarm.nominal_time,
-                    scanned=len(candidates),
-                    applicable=overlapping,
-                    rejections=(
-                        (("window-disjoint", disjoint),) if disjoint else ()
-                    ),
-                    chosen_entry=entry.entry_id if entry is not None else None,
-                    new_entry=entry is None,
-                    deferral_ms=(
-                        entry.delivery_time(self.grace_mode)
-                        - alarm.nominal_time
-                        if entry is not None
-                        else 0
-                    ),
-                )
+            self._append_decision(
+                seq,
+                "insert",
+                now,
+                alarm,
+                scanned=len(candidates),
+                applicable=overlapping,
+                rejections=(("window-disjoint", disjoint),) if disjoint else (),
+                chosen_entry=entry.entry_id if entry is not None else None,
+                new_entry=entry is None,
+                deferral_ms=(
+                    entry.delivery_time(self.grace_mode) - alarm.nominal_time
+                    if entry is not None
+                    else 0
+                ),
             )
         if entry is not None:
             return self._place_in_entry(queue, entry, alarm)
@@ -157,30 +140,18 @@ class NativePolicy(AlignmentPolicy):
             self.telemetry.count("native.rebatches")
             self.telemetry.observe("native.rebatch_alarms", len(alarms))
         assert target is not None
-        audit = self.audit
-        if audit.enabled:
-            seq = audit.next_seq()
-            if audit.should_sample():
-                audit.append(
-                    DecisionRecord(
-                        seq=seq,
-                        policy=self.name,
-                        kind="rebatch",
-                        time=now,
-                        alarm_id=alarm.alarm_id,
-                        label=alarm.label,
-                        app=alarm.app,
-                        wakeup=alarm.wakeup,
-                        perceptible=alarm.is_perceptible(),
-                        nominal_time=alarm.nominal_time,
-                        scanned=len(alarms),
-                        applicable=len(entries),
-                        chosen_entry=target.entry_id,
-                        new_entry=len(target) == 1,
-                        deferral_ms=(
-                            target.delivery_time(self.grace_mode)
-                            - alarm.nominal_time
-                        ),
-                    )
-                )
+        seq = self._sampled_seq()
+        if seq is not None:
+            self._append_decision(
+                seq,
+                "rebatch",
+                now,
+                alarm,
+                scanned=len(alarms),
+                applicable=len(entries),
+                chosen_entry=target.entry_id,
+                new_entry=len(target) == 1,
+                deferral_ms=target.delivery_time(self.grace_mode)
+                - alarm.nominal_time,
+            )
         return target

@@ -21,7 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Optional
 
-from ..obs.audit import NULL_AUDIT
+from ..obs.audit import NULL_AUDIT, DecisionRecord
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .alarm import Alarm
 from .backend import BACKEND_NAMES, DEFAULT_BACKEND
@@ -97,6 +97,43 @@ class AlignmentPolicy(ABC):
         still queued (Sec. 2.1).
         """
         return self.insert(queue, alarm, now)
+
+    def _sampled_seq(self) -> Optional[int]:
+        """Draw one decision from the audit: its ``seq`` if sampled, else None.
+
+        Call it exactly once per decision.  With the audit enabled it reads
+        ``next_seq()`` and calls ``should_sample()`` once; disabled, it
+        draws nothing.
+        """
+        audit = self.audit
+        if not audit.enabled:
+            return None
+        seq = audit.next_seq()
+        return seq if audit.should_sample() else None
+
+    def _append_decision(
+        self, seq: int, kind: str, now: int, alarm: Alarm, **outcome
+    ) -> None:
+        """Buffer a sampled decision; the alarm-side fields are filled here.
+
+        ``outcome`` carries the policy-specific fields (``scanned``,
+        ``applicable``, ``rejections``, the winner, ``deferral_ms``).
+        """
+        self.audit.append(
+            DecisionRecord(
+                seq=seq,
+                policy=self.name,
+                kind=kind,
+                time=now,
+                alarm_id=alarm.alarm_id,
+                label=alarm.label,
+                app=alarm.app,
+                wakeup=alarm.wakeup,
+                perceptible=alarm.is_perceptible(),
+                nominal_time=alarm.nominal_time,
+                **outcome,
+            )
+        )
 
     def _place_in_new_entry(
         self, queue: AlarmQueue, alarm: Alarm

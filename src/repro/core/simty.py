@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Tuple
 
-from ..obs.audit import DecisionRecord
 from .alarm import Alarm
 from .entry import QueueEntry
 from .intervals import Interval
@@ -73,7 +72,15 @@ class SimtyPolicy(AlignmentPolicy):
     def insert(self, queue: AlarmQueue, alarm: Alarm, now: int) -> QueueEntry:
         # "we first remove the same alarm if it is still in the queue"
         queue.remove_alarm(alarm)
-        best = self._search_and_select(queue, alarm, now)
+        # Observed or not, the decision is the same search; only the span
+        # is kept off the unobserved path (a null span per insert costs
+        # about 1% of a heavy run).
+        if self.telemetry.enabled or self.audit.enabled:
+            with self.telemetry.span("simty.search", alarm=alarm.label):
+                best = self._search_and_select(queue, alarm, now)
+            self._explain(queue, alarm, now, best)
+        else:
+            best = self._search_and_select(queue, alarm, now)
         if best is not None:
             return self._place_in_entry(queue, best, alarm)
         return self._place_in_new_entry(queue, alarm)
@@ -89,16 +96,7 @@ class SimtyPolicy(AlignmentPolicy):
         The scan keeps the best (lowest) preferability seen so far; because
         entries are examined in queue order, ties resolve to the first-found
         entry as the paper specifies.
-
-        With telemetry (or the decision audit) enabled the two phases run
-        separately (search collects every applicable entry, selection then
-        ranks them) so each gets its own span; the fused single-pass below
-        is the production path.  Both orderings resolve ties to the
-        first-found entry — the ranking uses a strict ``<`` — so the chosen
-        entry is identical.
         """
-        if self.telemetry.enabled or self.audit.enabled:
-            return self._search_and_select_instrumented(queue, alarm, now)
         best_entry: Optional[QueueEntry] = None
         best_score = math.inf
         probe = Probe.of(alarm)
@@ -118,92 +116,76 @@ class SimtyPolicy(AlignmentPolicy):
                 best_entry = entry
         return best_entry
 
-    def _search_and_select_instrumented(
-        self, queue: AlarmQueue, alarm: Alarm, now: int
-    ) -> Optional[QueueEntry]:
-        """Telemetry/audit variant: explicit search then selection phases.
+    def _explain(
+        self,
+        queue: AlarmQueue,
+        alarm: Alarm,
+        now: int,
+        best: Optional[QueueEntry],
+    ) -> None:
+        """Telemetry and decision audit for one finished search.
 
-        Records the Table 1 decision breakdown — per hardware×time
-        similarity cell, how many candidates were applicable and which one
-        won — plus search/selection timing and scan-width histograms.  When
-        the decision audit sampled this insert, also captures the full
-        selection path (rejection reasons, winner's ranks, deferral) as a
-        :class:`~repro.obs.audit.DecisionRecord`.
+        Runs only when either is enabled, after the search and before the
+        alarm is placed, so it re-derives from the same queue state what
+        the fused loop does not keep: how many candidates were scanned,
+        the applicable ones per hardware×time similarity cell (the Table 1
+        breakdown), rejections by reason, and the winner's labels and
+        Table 1 rank.  Which candidate won comes from the search, so
+        subclasses that select differently (SIMTY+DUR) share this pass.
         """
         tel = self.telemetry
-        audit = self.audit
-        seq = audit.next_seq()
-        sampled = audit.enabled and audit.should_sample()
+        seq = self._sampled_seq()
+        probe = Probe.of(alarm)
+        hardware = alarm.hardware
+        rank = self.hardware_classifier.rank
         rank_names = self.hardware_classifier.rank_names
         tel.count("simty.searches")
+        scanned = 0
+        applicable = 0
         rejections: dict = {}
-        probe = Probe.of(alarm)
-        with tel.span("simty.search", alarm=alarm.label):
-            scanned = 0
-            applicable = []
-            for entry in queue.grace_candidates(probe.grace):
-                scanned += 1
-                ok, time_sim = self._applicability(probe, entry)
-                if ok:
-                    applicable.append((entry, time_sim))
-                elif sampled:
-                    if probe.perceptible or entry.perceptible:
-                        reason = f"perceptible-time-{time_sim.name.lower()}"
-                    else:
-                        reason = "time-low"
-                    rejections[reason] = rejections.get(reason, 0) + 1
+        winner: dict = {"new_entry": True}
+        for entry in queue.grace_candidates(probe.grace):
+            scanned += 1
+            ok, time_sim = self._applicability(probe, entry)
+            if not ok:
+                if probe.perceptible or entry.perceptible:
+                    reason = f"perceptible-time-{time_sim.name.lower()}"
+                else:
+                    reason = "time-low"
+                rejections[reason] = rejections.get(reason, 0) + 1
+                continue
+            applicable += 1
+            hardware_rank = rank(hardware, entry.hardware)
+            hw, time_label = rank_names[hardware_rank], time_sim.name.lower()
+            tel.count("simty.applicable", hw=hw, time=time_label)
+            if entry is best:
+                winner = {
+                    "chosen_entry": entry.entry_id,
+                    "hw": hw,
+                    "time_sim": time_label,
+                    "table1_rank": int(preference(hardware_rank, time_sim)),
+                    "deferral_ms": entry.delivery_time(self.grace_mode)
+                    - alarm.nominal_time,
+                }
         tel.observe("simty.candidates_scanned", scanned)
         tel.observe("simty.candidates_pruned", len(queue) - scanned)
-        with tel.span("simty.select", candidates=len(applicable)):
-            best_entry: Optional[QueueEntry] = None
-            best_score = math.inf
-            best_labels = None
-            for entry, time_sim in applicable:
-                hardware_rank = self.hardware_classifier.rank(
-                    alarm.hardware, entry.hardware
-                )
-                labels = (rank_names[hardware_rank], time_sim.name.lower())
-                tel.count("simty.applicable", hw=labels[0], time=labels[1])
-                score = preference(hardware_rank, time_sim)
-                if score < best_score:
-                    best_score = score
-                    best_entry = entry
-                    best_labels = labels
-        if best_entry is not None:
-            tel.count("simty.selected", hw=best_labels[0], time=best_labels[1])
-        else:
+        if best is None:
             tel.count("simty.new_entry")
-        if sampled:
-            won = best_entry is not None
-            audit.append(
-                DecisionRecord(
-                    seq=seq,
-                    policy=self.name,
-                    kind="insert",
-                    time=now,
-                    alarm_id=alarm.alarm_id,
-                    label=alarm.label,
-                    app=alarm.app,
-                    wakeup=alarm.wakeup,
-                    perceptible=alarm.is_perceptible(),
-                    nominal_time=alarm.nominal_time,
-                    scanned=scanned,
-                    applicable=len(applicable),
-                    rejections=tuple(sorted(rejections.items())),
-                    chosen_entry=best_entry.entry_id if won else None,
-                    new_entry=not won,
-                    hw=best_labels[0] if won else None,
-                    time_sim=best_labels[1] if won else None,
-                    table1_rank=int(best_score) if won else None,
-                    deferral_ms=(
-                        best_entry.delivery_time(self.grace_mode)
-                        - alarm.nominal_time
-                        if won
-                        else 0
-                    ),
-                )
+        else:
+            tel.count(
+                "simty.selected", hw=winner["hw"], time=winner["time_sim"]
             )
-        return best_entry
+        if seq is not None:
+            self._append_decision(
+                seq,
+                "insert",
+                now,
+                alarm,
+                scanned=scanned,
+                applicable=applicable,
+                rejections=tuple(sorted(rejections.items())),
+                **winner,
+            )
 
     @staticmethod
     def _applicability(

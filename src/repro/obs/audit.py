@@ -141,16 +141,19 @@ class DecisionRecord:
 class DecisionAudit:
     """Digest-seeded, sampled, ring-buffered decision recorder.
 
-    Call :meth:`should_sample` exactly once per decision (it advances
-    both the sequence counter and the sampling LCG), and :meth:`emit`
-    only when it returned True.  The typical policy-side shape::
+    Every policy follows one contract per decision: read :meth:`next_seq`
+    (the decision's sequence number), call :meth:`should_sample` exactly
+    once (it advances both the counter and the sampling LCG, whether or
+    not the caller records), and :meth:`append` the finished record only
+    when it returned True::
 
-        if self.audit.enabled and self.audit.should_sample():
-            self.audit.emit(...)
-        elif self.audit.enabled:
-            pass  # should_sample() already advanced the sequence
+        seq = audit.next_seq()
+        if audit.should_sample():
+            audit.append(DecisionRecord(seq=seq, ...))
 
-    is folded into :meth:`record`, which the policies use directly.
+    :class:`~repro.core.policy.AlignmentPolicy` wraps the two halves as
+    ``_sampled_seq`` (which draws nothing while ``enabled`` is False) and
+    ``_append_decision``.
     """
 
     enabled = True
@@ -213,22 +216,8 @@ class DecisionAudit:
             return True
         return (self._state >> 11) / float(1 << 53) < self.sample_rate
 
-    def record(self, **fields) -> Optional[DecisionRecord]:
-        """One-shot per-decision entry point: sample, build, buffer.
-
-        ``fields`` are :class:`DecisionRecord` fields minus ``seq``.
-        Returns the record when sampled, else None.
-        """
-        seq = self._seq
-        if not self.should_sample():
-            return None
-        record = DecisionRecord(seq=seq, **fields)
-        self.append(record)
-        return record
-
     def append(self, record: DecisionRecord) -> None:
-        """Buffer a fully-built record (for callers that drew the sample
-        with :meth:`should_sample` before the record's fields existed)."""
+        """Buffer a record whose :meth:`should_sample` draw returned True."""
         self._ring.append(record)
         self._sampled += 1
 
@@ -257,9 +246,6 @@ class NullDecisionAudit:
 
     def should_sample(self) -> bool:
         return False
-
-    def record(self, **fields) -> None:
-        return None
 
     def append(self, record: DecisionRecord) -> None:
         pass

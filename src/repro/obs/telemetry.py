@@ -10,11 +10,12 @@ outcome.
 Design rules:
 
 * **Zero-cost when disabled.**  Instrumented code holds a hub reference
-  that defaults to :data:`NULL_TELEMETRY`, whose methods do nothing, and
-  hot paths gate their instrumentation on the hub's ``enabled`` flag so a
-  disabled run pays one boolean check, not a call chain.  The overhead
-  benchmark (``benchmarks/test_bench_telemetry_overhead.py``) enforces
-  this stays under ~5% on the heavy workload.
+  that defaults to :data:`NULL_TELEMETRY`, whose methods do nothing.
+  Per-dispatch code calls the hub unconditionally; only work that is
+  expensive to compute (a policy's explain pass, a queue-depth gauge) is
+  gated on the hub's ``enabled`` flag.  The overhead benchmark
+  (``benchmarks/test_bench_telemetry_overhead.py``) enforces this stays
+  under 5% of a frozen ungated step on the heavy workload.
 
 * **Injected time source.**  Span arithmetic never calls
   ``time.perf_counter()`` directly; the hub is constructed with a

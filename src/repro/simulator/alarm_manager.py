@@ -9,7 +9,7 @@ separate queues and are aligned separately (Sec. 2.1, 3.2.1).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..core.alarm import Alarm
 from ..core.entry import QueueEntry
@@ -29,7 +29,6 @@ class AlarmManager:
     ) -> None:
         self.policy = policy
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._tel_enabled = self.telemetry.enabled
         # ``queue_backend`` overrides the policy's own backend selection
         # (SimulatorConfig threads it here); None defers to the policy.
         self.wakeup_queue: AlarmQueue = policy.make_queue(backend=queue_backend)
@@ -46,12 +45,11 @@ class AlarmManager:
     # ------------------------------------------------------------------
     def register(self, alarm: Alarm, now: int) -> QueueEntry:
         """Insert a newly registered (or re-registered) alarm."""
-        if not self._tel_enabled:
-            return self.policy.insert(self.queue_for(alarm), alarm, now)
         tel = self.telemetry
         with tel.span("manager.register", alarm=alarm.label, t=now):
             entry = self.policy.insert(self.queue_for(alarm), alarm, now)
-        tel.count("manager.register", wakeup=str(alarm.wakeup).lower())
+        wakeup = "true" if alarm.wakeup else "false"
+        tel.count("manager.register", wakeup=wakeup)
         return entry
 
     def cancel(self, alarm: Alarm, now: int = 0) -> bool:
@@ -65,35 +63,28 @@ class AlarmManager:
         anchor that no longer exists.  Android does the same: a
         ``removeLocked`` triggers ``rebatchAllAlarmsLocked``.
         """
-        if not self._tel_enabled:
-            removed, _ = self._cancel(alarm, now)
-            return removed
         tel = self.telemetry
         with tel.span("manager.cancel", alarm=alarm.label, t=now):
-            removed, survivors = self._cancel(alarm, now)
-        tel.count("manager.cancel", removed=str(removed).lower())
+            queue = self.queue_for(alarm)
+            removed, batch_mates = queue.detach_batch(alarm)
+            survivors = sorted(
+                batch_mates, key=lambda a: (a.nominal_time, a.alarm_id)
+            )
+            for follower in survivors:
+                self.policy.insert(queue, follower, now)
+        tel.count(
+            "manager.cancel", removed="false" if removed is None else "true"
+        )
         if survivors:
-            tel.count("manager.reanchored", survivors)
-        return removed
-
-    def _cancel(self, alarm: Alarm, now: int) -> Tuple[bool, int]:
-        """Core cancel; returns (removed, re-anchored survivor count)."""
-        queue = self.queue_for(alarm)
-        removed, batch_mates = queue.detach_batch(alarm)
-        if removed is None:
-            return False, 0
-        survivors = sorted(batch_mates, key=lambda a: (a.nominal_time, a.alarm_id))
-        for follower in survivors:
-            self.policy.insert(queue, follower, now)
-        return True, len(survivors)
+            tel.count("manager.reanchored", len(survivors))
+        return removed is not None
 
     # ------------------------------------------------------------------
     # Engine-facing operations
     # ------------------------------------------------------------------
     def reinsert(self, alarm: Alarm, now: int) -> QueueEntry:
         """Re-queue a repeating alarm right after its delivery (Sec. 2.1)."""
-        if self._tel_enabled:
-            self.telemetry.count("manager.reinsert")
+        self.telemetry.count("manager.reinsert")
         return self.policy.reinsert(self.queue_for(alarm), alarm, now)
 
     def next_wakeup_time(self) -> Optional[int]:

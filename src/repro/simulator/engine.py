@@ -388,17 +388,7 @@ class Simulator:
         # where the outer loop alone would never notice.
         self._watchdog_tick(instant)
         self.clock.advance_to(instant)
-        if self._tel_enabled:
-            self._dispatch_instrumented()
-        else:
-            self._process_registrations()
-            self._process_cancellations()
-            self._process_reregistrations()
-            self._process_externals()
-            self._deliver_due_wakeups()
-            if self.device.awake:
-                self._deliver_due_nonwakeups()
-                self.device.try_sleep(self.clock.now)
+        self._dispatch()
         if self.monitor is not None:
             self.monitor.on_step_end(self.clock.now)
         return instant
@@ -473,33 +463,31 @@ class Simulator:
     def run(self) -> SimulationTrace:
         """Execute the run and return its trace. Single-use per instance."""
         self.start()
-        if self._tel_enabled:
-            with self.telemetry.span(
-                "engine.run", policy=self.policy.name, horizon=self.config.horizon
-            ):
-                while self.step() is not None:
-                    pass
-        else:
+        with self.telemetry.span(
+            "engine.run", policy=self.policy.name, horizon=self.config.horizon
+        ):
             while self.step() is not None:
                 pass
         return self.finish()
 
-    def _dispatch_instrumented(self) -> None:
-        """One scheduler step with per-event-type dispatch spans.
+    def _dispatch(self) -> None:
+        """Process every phase due at the current instant, in fixed order.
 
-        Mirrors the plain branch of :meth:`_run_loop` exactly — same phase
-        order, same behaviour — but wraps each phase that has due work in
-        a span and maintains the queue-depth/pending-registration gauges.
-        Spans are only opened for phases with something due, so the Chrome
-        trace shows real dispatches, not thousands of empty probes.
+        Each phase runs only when it has due work, inside its dispatch
+        span and followed by its ``engine.events`` count; with telemetry
+        off those go to the null hub.  Spans are only opened for phases
+        with something due, so the Chrome trace shows real dispatches, not
+        thousands of empty probes.  Only the gauges are gated: the queue
+        depth costs a count over both queues.
         """
         tel = self.telemetry
         now = self.clock.now
-        tel.gauge("engine.queue_depth", self.manager.pending_alarm_count())
-        tel.gauge(
-            "engine.pending_registrations",
-            len(self._registrations) - self._registration_index,
-        )
+        if self._tel_enabled:
+            tel.gauge("engine.queue_depth", self.manager.pending_alarm_count())
+            tel.gauge(
+                "engine.pending_registrations",
+                len(self._registrations) - self._registration_index,
+            )
         if (
             self._registration_index < len(self._registrations)
             and self._registrations[self._registration_index].time <= now

@@ -1,10 +1,15 @@
 """The ``simty profile`` command and the ``--telemetry`` CLI surface."""
 
 import json
+import re
+from collections import Counter
 
 import pytest
 
 from repro.analysis.cli import main
+from repro.obs.audit import DecisionAudit
+from repro.runner import RunSpec
+from repro.runner.executor import execute_spec
 
 
 class TestProfile:
@@ -24,6 +29,43 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "NATIVE on light" in out
         assert "(no SIMTY decisions recorded)" in out
+
+    def test_profile_duration_aware_policy_has_table1_breakdown(self, capsys):
+        # SIMTY+DUR selects with its own key but shares SIMTY's explain
+        # pass, so its profile carries the same Table 1 breakdown.
+        assert (
+            main(["profile", "--workload", "light", "--policy", "simty+dur"])
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "SIMTY+DUR on light" in out
+        assert "(no SIMTY decisions recorded)" not in out
+        assert "similarity-class decisions" in out
+        assert re.search(r"^time=high\s+\d+/\d+", out, re.MULTILINE)
+        counters = {}
+        for name, labels, value in re.findall(
+            r"^\s+(simty\.\w+)(\{[^}]*\})?\s+(\d+)$", out, re.MULTILINE
+        ):
+            counters[name + labels] = int(value)
+        selected = {
+            tuple(re.findall(r"=(\w+)", key)): value
+            for key, value in counters.items()
+            if key.startswith("simty.selected{")
+        }
+        assert (
+            sum(selected.values()) + counters["simty.new_entry"]
+            == counters["simty.searches"]
+        )
+        audit = DecisionAudit(seed=0, sample_rate=1.0, capacity=1 << 16)
+        result = execute_spec(
+            RunSpec(workload="light", policy="simty+dur"), audit=audit
+        )
+        tally = Counter(
+            (record.hw, record.time_sim)
+            for record in result.trace.decisions
+            if not record.new_entry
+        )
+        assert selected == dict(tally)
 
     def test_profile_writes_chrome_trace(self, capsys, tmp_path):
         path = tmp_path / "trace.json"

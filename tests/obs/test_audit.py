@@ -92,18 +92,6 @@ def test_clear_replays_the_same_sample_sequence():
     assert [audit.should_sample() for _ in range(100)] == before
 
 
-def test_record_stamps_the_pre_draw_seq():
-    audit = DecisionAudit(seed=1, sample_rate=1.0)
-    fields = _record(0).to_dict()
-    fields.pop("seq")
-    fields["rejections"] = ()
-    first = audit.record(**fields)
-    second = audit.record(**fields)
-    assert first.seq == 0
-    assert second.seq == 1
-    assert audit.records() == [first, second]
-
-
 def test_validation():
     with pytest.raises(ValueError):
         DecisionAudit(sample_rate=1.5)
@@ -156,7 +144,6 @@ def test_null_audit_is_inert():
     assert NULL_AUDIT.enabled is False
     assert isinstance(NULL_AUDIT, NullDecisionAudit)
     assert NULL_AUDIT.should_sample() is False
-    assert NULL_AUDIT.record(anything="ignored") is None
     NULL_AUDIT.append(_record(0))
     assert NULL_AUDIT.records() == []
     assert NULL_AUDIT.decisions_seen == 0
