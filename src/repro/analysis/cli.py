@@ -1135,11 +1135,11 @@ def _command_serve(args: argparse.Namespace) -> int:
     import signal
 
     from ..core.units import THREE_HOURS_MS
+    from ..obs.stream import MetricsEndpoint
     from ..obs.telemetry import Telemetry
     from ..service import (
         AlarmService,
         FaultyJournal,
-        MetricsServer,
         ServiceConfig,
         SkewedWallClock,
         SlowRequestWatchdog,
@@ -1234,9 +1234,8 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     metrics = None
     if args.metrics_port is not None:
-        metrics = MetricsServer(service, port=args.metrics_port).start()
-        host, port = metrics.address
-        print(f"metrics at http://{host}:{port}/metrics", file=sys.stderr)
+        metrics = MetricsEndpoint(service.render_metrics, port=args.metrics_port)
+        print(f"metrics at {metrics.url}", file=sys.stderr)
 
     ticker = None
     if config.clock != "manual":

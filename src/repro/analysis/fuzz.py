@@ -63,7 +63,7 @@ from ..core.hardware import (
     WIFI_ONLY,
     HardwareSet,
 )
-from ..core.invariants import Violation, ViolationSummary
+from ..core.invariants import Violation
 from ..core.native import NativePolicy
 from ..core.oracle import minimum_wakeups
 from ..core.simty import SimtyPolicy
@@ -1049,16 +1049,3 @@ def fuzz(
             )
     report.elapsed_s = clock() - started
     return report
-
-
-def violation_summary(report: FuzzReport) -> ViolationSummary:
-    """Aggregate invariant-violation counts across a report's failures."""
-    violations: List[Violation] = []
-    for failure in report.failures:
-        if isinstance(failure.case, ScenarioCase):
-            rerun = run_scenario_case(failure.case)
-        else:
-            rerun = run_case(failure.case)
-        for outcome in rerun.outcomes.values():
-            violations.extend(outcome.violations)
-    return ViolationSummary.of(violations)

@@ -48,6 +48,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..analysis.report import format_table
+from ..durable import AppendLog, read_jsonl
 from ..obs.stream import SpoolSink, TelemetryStream
 from ..obs.summary import TelemetrySummary
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -99,7 +100,6 @@ class FleetConfig:
     memory_watermark: int = 256
     reservoir_size: int = 32
     coverage_threshold: float = 0.95
-    fsync_every: int = 64
     poll_interval_s: float = 0.01
     quarantine_dir: Optional[str] = None
     chaos: Optional[FleetChaos] = None
@@ -169,26 +169,29 @@ def shard_journal_path(fleet_dir: Union[str, Path], shard: int) -> Path:
 # ----------------------------------------------------------------------
 # Shard journal
 # ----------------------------------------------------------------------
+#: Lines between fsyncs of a shard journal's device lines; the header,
+#: quarantine and seal lines always fsync.
+SHARD_FSYNC_EVERY = 64
+
+
 class ShardJournal:
     """Append-only, fsync'd journal of one shard attempt.
 
-    Re-running a shard rewrites its journal from scratch (mode ``"w"``):
-    shard-level resume granularity means a partial attempt is worthless
-    and must never be half-trusted.  Torn tails are tolerated on load —
-    a journal without a valid seal is simply an incomplete shard.
+    Re-running a shard restarts its journal from scratch (:meth:`begin`
+    resets the log): shard-level resume granularity means a partial
+    attempt is worthless and must never be half-trusted.  Torn tails are
+    tolerated on load — a journal without a valid seal is simply an
+    incomplete shard.
     """
 
-    def __init__(self, path: Path, fsync_every: int = 64) -> None:
+    def __init__(self, path: Path) -> None:
         self.path = path
-        self.fsync_every = max(1, fsync_every)
-        self._handle = None
-        self._since_sync = 0
+        self._log = AppendLog(path, SHARD_FSYNC_EVERY)
 
     def begin(
         self, population: str, plan: ShardPlan, attempt: int
     ) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("w", encoding="utf-8")
+        self._log.reset()
         self._write(
             {
                 "kind": "header",
@@ -200,16 +203,6 @@ class ShardJournal:
             },
             sync=True,
         )
-        # Make the (re)created journal durable against a parent-dir loss,
-        # same as the service journal does on create.
-        try:
-            dir_fd = os.open(str(self.path.parent), os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
 
     def device(self, index: int, status: str) -> None:
         self._write({"kind": "device", "device": index, "status": status})
@@ -219,44 +212,13 @@ class ShardJournal:
 
     def seal(self, summary: Dict) -> None:
         self._write({"kind": "seal", "summary": summary}, sync=True)
-        self._handle.close()
-        self._handle = None
+        self._log.close()
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
     def _write(self, entry: Dict, sync: bool = False) -> None:
-        assert self._handle is not None, "journal not begun"
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
-        self._since_sync += 1
-        if sync or self._since_sync >= self.fsync_every:
-            os.fsync(self._handle.fileno())
-            self._since_sync = 0
-
-
-def _journal_entries(path: Path) -> List[Dict]:
-    """Parse a journal tolerantly: skip torn, garbled or foreign lines."""
-    entries: List[Dict] = []
-    try:
-        # errors="replace": a corrupted journal must parse as *empty*,
-        # not crash the resume scan.
-        with path.open("r", encoding="utf-8", errors="replace") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(entry, dict) and "kind" in entry:
-                    entries.append(entry)
-    except OSError:
-        return []
-    return entries
+        self._log.append(json.dumps(entry, sort_keys=True), sync)
 
 
 def load_sealed_summary(
@@ -270,7 +232,7 @@ def load_sealed_summary(
     error rather than silently re-run — resuming someone else's fleet
     directory is a user mistake worth surfacing.
     """
-    entries = _journal_entries(path)
+    entries = read_jsonl(path)
     header = next((e for e in entries if e.get("kind") == "header"), None)
     seal = next((e for e in reversed(entries) if e.get("kind") == "seal"), None)
     if header is None or seal is None:
@@ -293,7 +255,7 @@ def load_sealed_summary(
 
 def journal_population(path: Path) -> Optional[str]:
     """The population digest a journal claims, or None."""
-    for entry in _journal_entries(path):
+    for entry in read_jsonl(path):
         if entry.get("kind") == "header":
             return entry.get("population")
     return None
@@ -303,7 +265,7 @@ def scan_attempted(path: Path) -> int:
     """Devices attempted by the journal's (latest) shard attempt."""
     return sum(
         1
-        for entry in _journal_entries(path)
+        for entry in read_jsonl(path)
         if entry.get("kind") in ("device", "quarantine")
     )
 
@@ -346,9 +308,7 @@ def run_shard(
                 "hi": plan.hi,
             }
         )
-    journal = ShardJournal(
-        shard_journal_path(fleet_dir, plan.shard), config.fsync_every
-    )
+    journal = ShardJournal(shard_journal_path(fleet_dir, plan.shard))
     journal.begin(digest, plan, attempt)
     summary = ShardSummary(
         population=digest,

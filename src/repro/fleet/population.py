@@ -29,7 +29,6 @@ material.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -277,12 +276,6 @@ class PopulationSpec:
             if threshold < running:
                 return archetype
         return self.archetypes[-1]
-
-    def archetype_names(self) -> Tuple[str, ...]:
-        return tuple(archetype.name for archetype in self.archetypes)
-
-    def with_size(self, size: int) -> "PopulationSpec":
-        return dataclasses.replace(self, size=size)
 
 
 # ----------------------------------------------------------------------

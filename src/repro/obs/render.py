@@ -196,7 +196,7 @@ def render_wake_table(trace) -> str:
     )
     attribution = "  ".join(
         f"{app}={count}"
-        for app, count in sorted(app_wakes.items(), key=lambda kv: -kv[1])
+        for app, count in sorted(app_wakes.items(), key=lambda kv: (-kv[1], kv[0]))
     )
     footer = (
         f"wakes: {len(wake_batches)}/{trace.batch_count()} batches  "

@@ -39,8 +39,9 @@ import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from ..durable import AppendLog
 from .render import _table, render_counters, render_similarity_breakdown
 from .summary import (
     EMPTY_SUMMARY,
@@ -75,40 +76,35 @@ def _spool_name(source: str) -> str:
 # Sinks
 # ----------------------------------------------------------------------
 class SpoolSink:
-    """Append stream lines to ``directory/<source>.jsonl``, flushed per
-    line so a tailing :class:`Collector` sees them promptly."""
+    """Append stream lines to ``directory/<source>.jsonl``, one flush-only
+    :class:`~repro.durable.AppendLog` per source, so a tailing
+    :class:`Collector` sees every line promptly.
+
+    Opening a source's file seals a torn tail left by a previous
+    incarnation that died mid-write, so that fragment corrupts its own
+    line, not our first one (the begin marker).
+    """
 
     def __init__(self, directory) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._files: Dict[str, TextIO] = {}
+        self._logs: Dict[str, AppendLog] = {}
         self.dropped = 0
 
     def emit(self, source: str, line: str) -> None:
+        log = self._logs.get(source)
+        if log is None:
+            path = self.directory / f"{_spool_name(source)}.jsonl"
+            log = self._logs[source] = AppendLog(path, fsync_every=0)
         try:
-            handle = self._files.get(source)
-            if handle is None:
-                path = self.directory / f"{_spool_name(source)}.jsonl"
-                resumed = path.exists() and path.stat().st_size > 0
-                handle = path.open("a", encoding="utf-8")
-                if resumed:
-                    # Defensive newline: if a previous incarnation of this
-                    # source died mid-write, its torn tail must corrupt its
-                    # own line, not our first one (the begin marker).
-                    handle.write("\n")
-                self._files[source] = handle
-            handle.write(line + "\n")
-            handle.flush()
+            log.append(line)
         except OSError:
             self.dropped += 1
 
     def close(self) -> None:
-        for handle in self._files.values():
-            try:
-                handle.close()
-            except OSError:
-                pass
-        self._files.clear()
+        for log in self._logs.values():
+            log.close()
+        self._logs.clear()
 
 
 class SocketSink:
@@ -469,6 +465,10 @@ class Collector:
         return "\n".join(sections)
 
 
+#: How long the listener's accept loop blocks before re-checking close.
+_ACCEPT_POLL_S = 0.1
+
+
 class CollectorListener:
     """TCP/Unix socket server feeding a :class:`Collector`.
 
@@ -493,6 +493,9 @@ class CollectorListener:
         else:
             raise ValueError(f"listener address must be tcp:// or unix://: {address}")
         self._server.listen()
+        # Closing a socket does not wake a thread blocked in accept(), so
+        # the loop polls: close() stops it, then releases the socket.
+        self._server.settimeout(_ACCEPT_POLL_S)
         self._closing = threading.Event()
         self._thread = threading.Thread(
             target=self._accept_loop, name="collector-listener", daemon=True
@@ -503,6 +506,8 @@ class CollectorListener:
         while not self._closing.is_set():
             try:
                 conn, _ = self._server.accept()
+            except socket.timeout:
+                continue
             except OSError:
                 return
             threading.Thread(
@@ -518,11 +523,12 @@ class CollectorListener:
             pass
 
     def close(self) -> None:
+        """Stop accepting and release the socket; idempotent."""
+        if self._closing.is_set():
+            return
         self._closing.set()
-        try:
-            self._server.close()
-        except OSError:
-            pass
+        self._thread.join()
+        self._server.close()
 
 
 # ----------------------------------------------------------------------
@@ -532,6 +538,9 @@ class _MetricsHandler(BaseHTTPRequestHandler):
     server: "_MetricsServer"
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        if self.path.split("?", 1)[0] not in ("/metrics", "/"):
+            self.send_error(404, "only /metrics is served here")
+            return
         try:
             body = self.server.render().encode("utf-8")
         except Exception as exc:  # render must never kill the server
@@ -555,11 +564,15 @@ class _MetricsServer(ThreadingHTTPServer):
 
 
 class MetricsEndpoint:
-    """Serve any render callable over HTTP (``/metrics``-style).
+    """Serve any render callable over HTTP at ``GET /metrics``.
 
-    Generalizes the service daemon's metrics server: the fleet CLI
-    points it at ``lambda: prometheus-rendered collector rolling view``;
-    port 0 picks an ephemeral port (see :attr:`port`).
+    The one metrics server: ``simty serve --metrics-port`` points it at
+    :meth:`AlarmService.render_metrics <repro.service.daemon.AlarmService.
+    render_metrics>` (a snapshot taken under the service lock, so a
+    scrape never observes a half-applied request), the fleet CLI at the
+    Prometheus-rendered collector rolling view.  It binds and serves on
+    construction; port 0 picks an ephemeral port (see :attr:`port`).
+    ``close`` is idempotent.
     """
 
     def __init__(
@@ -571,6 +584,7 @@ class MetricsEndpoint:
         self._server = _MetricsServer((host, port), _MetricsHandler)
         self._server.render = render
         self.host, self.port = self._server.server_address[:2]
+        self._closed = False
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             name="metrics-endpoint",
@@ -583,5 +597,15 @@ class MetricsEndpoint:
         return f"http://{self.host}:{self.port}/metrics"
 
     def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
         self._server.shutdown()
         self._server.server_close()
+        self._thread.join()
+
+    def __enter__(self) -> "MetricsEndpoint":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

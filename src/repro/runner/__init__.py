@@ -24,7 +24,7 @@ recorded when one is passed, and per-run summaries ride on
 
 from .cache import CacheStats, ResultCache
 from .executor import execute_spec, run_built, run_many, run_spec
-from .journal import RunJournal, journal_for
+from .journal import RunJournal
 from .record import (
     ExperimentResult,
     RunRecord,
@@ -53,7 +53,6 @@ __all__ = [
     "RunRecord",
     "RunStatus",
     "RunJournal",
-    "journal_for",
     "summary_table",
     "failure_table",
     "DEFAULT_REGISTRY",

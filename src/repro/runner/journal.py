@@ -8,17 +8,18 @@ JSON line per *completed* digest — after the result is committed to the
 cache — so on ``--resume`` only journaled digests are trusted to the cache
 and everything else is re-executed, however the previous invocation died.
 
-The journal is deliberately append-only and line-oriented: a crash mid-write
-corrupts at most the final line, which :meth:`RunJournal.load` skips.
+The journal is an :class:`~repro.durable.AppendLog` fsync'd per line: a
+crash mid-write corrupts at most the final line, which :meth:`RunJournal.load`
+skips and the next append seals onto its own line.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import FrozenSet, Optional, Union
+from typing import FrozenSet, Union
 
+from ..durable import AppendLog, read_jsonl
 from .record import RunStatus
 
 #: File name used when a journal is derived from a cache directory.
@@ -35,6 +36,7 @@ class RunJournal:
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        self._log = AppendLog(self.path, fsync_every=1)
         self._completed: set = set()
         self._seen: set = set()
         self.load()
@@ -48,43 +50,30 @@ class RunJournal:
     # Persistence
     # ------------------------------------------------------------------
     def load(self) -> None:
-        """(Re)read the journal from disk, skipping torn trailing lines
-        (and remembering a missing final newline for :meth:`record`)."""
+        """(Re)read the journal from disk, skipping torn or foreign lines.
+
+        The log is closed first, so the next :meth:`record` reopens it
+        and seals a torn tail written since.
+        """
+        self._log.close()
         self._completed.clear()
         self._seen.clear()
-        self._needs_newline = False
-        if not self.path.exists():
-            return
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                # Only the last line can lack one: a torn tail.
-                self._needs_newline = not line.endswith("\n")
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    digest = entry["digest"]
-                    status = RunStatus(entry.get("status", "ok"))
-                except (ValueError, KeyError, TypeError):
-                    continue  # torn or foreign line; not a completion
-                self._seen.add(digest)
-                if status.is_ok:
-                    self._completed.add(digest)
+        for entry in read_jsonl(self.path):
+            try:
+                digest = entry["digest"]
+                status = RunStatus(entry.get("status", "ok"))
+            except (ValueError, KeyError, TypeError):
+                continue  # not a completion
+            self._seen.add(digest)
+            if status.is_ok:
+                self._completed.add(digest)
 
     def record(self, digest: str, status: RunStatus = RunStatus.OK) -> None:
         """Append one completion; idempotent for already-journaled digests."""
         if digest in self._completed:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         entry = {"digest": digest, "status": status.value}
-        with self.path.open("a", encoding="utf-8") as handle:
-            if self._needs_newline:
-                handle.write("\n")  # seal a torn tail onto its own line
-                self._needs_newline = False
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        self._log.append(json.dumps(entry, sort_keys=True))
         self._seen.add(digest)
         if status.is_ok:
             self._completed.add(digest)
@@ -93,9 +82,11 @@ class RunJournal:
         """Start a fresh journal (used by non-resume invocations)."""
         self._completed.clear()
         self._seen.clear()
-        self._needs_newline = False
-        if self.path.exists():
-            self.path.unlink()
+        self._log.reset()
+
+    def close(self) -> None:
+        """Release the held append handle (a later record reopens it)."""
+        self._log.close()
 
     # ------------------------------------------------------------------
     # Queries
@@ -112,11 +103,3 @@ class RunJournal:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RunJournal({str(self.path)!r}, completed={len(self._completed)})"
 
-
-def journal_for(
-    cache_dir: Optional[Union[str, Path]]
-) -> Optional[RunJournal]:
-    """A journal for ``cache_dir``, or None when no directory is configured."""
-    if cache_dir is None:
-        return None
-    return RunJournal.at(cache_dir)

@@ -114,9 +114,6 @@ class RunSpec:
     def __hash__(self) -> int:
         return hash(self.digest())
 
-    def with_scenario(self, scenario: ScenarioConfig) -> "RunSpec":
-        return dataclasses.replace(self, scenario=scenario)
-
 
 def encode_value(value: Any) -> Any:
     """Recursively encode ``value`` into a canonical JSON-able structure.

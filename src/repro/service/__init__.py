@@ -5,7 +5,8 @@ fact; this package runs the same engine *online*.  ``simty serve`` boots
 an :class:`AlarmService` — a started :class:`~repro.simulator.engine.
 Simulator` plus a wall clock, a crash/resume journal and a telemetry
 hub — and exposes it through line-delimited JSON over stdio, TCP or a
-Unix socket, with Prometheus metrics scrapeable over HTTP.
+Unix socket, with Prometheus metrics scrapeable over HTTP through
+:class:`repro.obs.stream.MetricsEndpoint`.
 
 Hardening layers (see ``docs/robustness.md``):
 
@@ -51,7 +52,6 @@ from .client import (
 )
 from .daemon import AlarmService, ServiceConfig
 from .journal import MUTATION_KINDS, SERVICE_JOURNAL_NAME, ServiceJournal
-from .metrics import MetricsServer
 from .protocol import (
     ERROR_CODES,
     IDEMPOTENT_OPS,
@@ -84,7 +84,6 @@ __all__ = [
     "ServiceJournal",
     "SERVICE_JOURNAL_NAME",
     "MUTATION_KINDS",
-    "MetricsServer",
     "SocketServer",
     "Ticker",
     "SlowRequestWatchdog",

@@ -8,7 +8,7 @@ run is reproducible:
 * :class:`FaultyJournal` — a :class:`~repro.service.journal.ServiceJournal`
   whose appends can stall (latency), silently double-write (the replay
   dedupe path), or fail fsync with ``OSError`` (the degraded read-only
-  path); :meth:`FaultyJournal.tear_tail` emulates a crash interrupting
+  path); the module-level :func:`tear_tail` emulates a crash interrupting
   the final append (a torn half-line that resume must skip);
 * :class:`FaultyTransport` — a line-aware TCP proxy between a client and
   the daemon that injects latency, swallows frames (drops), and cuts the
@@ -31,6 +31,7 @@ in front of a daemon (``scripts/chaos_smoke.py`` does both).
 
 from __future__ import annotations
 
+import json
 import random
 import socket
 import threading
@@ -52,7 +53,6 @@ CHAOS_KEYS = (
     "jlat",         # jlat=MS[:P]   — journal append delay
     "dup",          # dup=P         — duplicated journal write
     "fsync",        # fsync=P       — journal fsync failure (OSError)
-    "torn",         # torn=P        — tear the tail at a crash boundary
     "skew",         # skew=MS       — wall-clock skew amplitude
     "seed",         # seed=N        — RNG seed for all of the above
 )
@@ -70,14 +70,13 @@ class ChaosSpec:
     journal_latency_p: float = 0.0
     dup_p: float = 0.0
     fsync_p: float = 0.0
-    torn_p: float = 0.0
     skew_ms: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
         for name in (
             "latency_p", "drop_p", "disconnect_p", "journal_latency_p",
-            "dup_p", "fsync_p", "torn_p",
+            "dup_p", "fsync_p",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -99,7 +98,7 @@ class ChaosSpec:
         is given).  Example::
 
             latency=5:0.2,drop=0.05,disconnect=0.02,dup=0.1,fsync=0.01,
-            torn=0.5,skew=250,seed=7
+            skew=250,seed=7
         """
         spec = cls()
         text = text.strip()
@@ -221,39 +220,18 @@ class FaultyJournal(ServiceJournal):
         stays truthful, exactly like a torn-then-retried write where the
         first copy did land.  Replay dedupes it by ``seq``.
         """
-        import json as _json
-
-        entry = self._entries[-1]
-        with self.path.open("a", encoding="utf-8") as handle:
-            self._write_line(handle, _json.dumps(entry, sort_keys=True))
-
-    def tear_tail(self) -> bool:
-        """Emulate a crash interrupting an append: a torn half-entry.
-
-        Appends the first half of a plausible mutation line with no
-        newline — the bytes a dying process would leave if the kernel
-        flushed part of a write.  Returns True when a tear was written
-        (the spec's ``torn_p`` gates it, so torture loops can call this
-        every cycle and still get a mixed population of clean and torn
-        crashes).
-        """
-        if not self._chaos._roll(self.spec_torn_p()):
-            return False
-        self._chaos._inject("journal-torn")
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write('{"kind": "register", "t": 9999999, "alarm": {"al')
-            handle.flush()
-        return True
-
-    def spec_torn_p(self) -> float:
-        return self._chaos.spec.torn_p
+        self._log.append(json.dumps(self._entries[-1], sort_keys=True))
 
 
 def tear_tail(path: Union[str, Path]) -> None:
-    """Unconditionally append a torn half-entry to a journal file."""
+    """Emulate a crash interrupting an append: a torn half-entry.
+
+    Appends the first half of a plausible mutation line with no newline —
+    the bytes a dying process would leave if the kernel flushed part of a
+    write.  Resume must skip it and seal it off before the next append.
+    """
     with Path(path).open("a", encoding="utf-8") as handle:
         handle.write('{"kind": "register", "t": 9999999, "alarm": {"al')
-        handle.flush()
 
 
 # ----------------------------------------------------------------------

@@ -749,7 +749,7 @@ class AlarmService:
         if drain:
             self._drained_trace = self.simulator.drain()
         self._watermark()
-        self._closed = True
+        self._close()
         return {
             "sim_time_ms": self.simulator.now,
             "drained": drain,
@@ -768,7 +768,7 @@ class AlarmService:
             if self._closed:
                 return {"sim_time_ms": self.simulator.now, "already": True}
             self._watermark()
-            self._closed = True
+            self._close()
             self.telemetry.count("service.graceful_shutdowns")
             if self.stream is not None:
                 self.stream.flush(final=True)
@@ -778,6 +778,12 @@ class AlarmService:
                 "watermark_ms": self._last_watermark,
                 "already": False,
             }
+
+    def _close(self) -> None:
+        """Stop accepting requests and release the journal's handle."""
+        self._closed = True
+        if self.journal is not None:
+            self.journal.close()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,8 +1,11 @@
 """The service journal: crash/resume persistence for the live daemon.
 
-The daemon's durable state is an *event-sourced* log, following the same
-append-only, fsync-per-line, torn-tail-tolerant discipline as the sweep
-checkpoint journal (:class:`repro.runner.journal.RunJournal`).  Because
+The daemon's durable state is an *event-sourced* log on a
+:class:`repro.durable.AppendLog` fsync'd per line, the same crash
+discipline as every other JSONL writer: one held handle, a torn tail
+sealed on open, and the parent directory fsync'd when the file is created
+or reset — an fsync'd file whose directory entry was never made durable
+is as lost as an unwritten one.  Because
 the engine is deterministic, the journal does not need to snapshot queue
 internals: replaying the accepted mutations at their recorded simulation
 times through a fresh engine reproduces the exact engine + queue + policy
@@ -24,27 +27,19 @@ Entry kinds (one JSON object per line):
     mutations and advances the fresh engine to the last watermark.
 
 A crash mid-write corrupts at most the final line, which :meth:`load`
-skips — exactly the RunJournal guarantee.
-
-Two hardening properties beyond RunJournal:
-
-* every appended entry carries a monotone ``seq`` number, so a replay
-  can drop *duplicated* lines (a torn-then-retried write, or an
-  injected double write from the chaos layer) instead of applying a
-  mutation twice;
-* the *parent directory* is fsync'd after the journal file is first
-  created (and after :meth:`reset` unlinks it), so a freshly created
-  journal survives a crash of the containing directory entry — an
-  fsync'd file whose directory entry was never made durable is as lost
-  as an unwritten one.
+skips.  Every appended entry also carries a monotone ``seq`` number, so
+a replay can drop *duplicated* lines (a torn-then-retried write, or an
+injected double write from the chaos layer) instead of applying a
+mutation twice.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
+
+from ..durable import AppendLog, read_jsonl
 
 #: File name used when a journal is derived from a checkpoint directory.
 SERVICE_JOURNAL_NAME = "service.journal.jsonl"
@@ -58,6 +53,7 @@ class ServiceJournal:
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        self._log = AppendLog(self.path, fsync_every=1)
         self._entries: List[Dict] = []
         self._next_seq = 0
         self.load()
@@ -70,31 +66,18 @@ class ServiceJournal:
     # Persistence
     # ------------------------------------------------------------------
     def load(self) -> None:
-        """(Re)read the journal from disk, skipping torn trailing lines.
+        """(Re)read the journal from disk, skipping torn or foreign lines.
 
-        A torn tail also leaves the file without a trailing newline; the
-        next :meth:`append` must start a fresh line or its entry would be
-        glued onto the garbage and lost — ``_needs_newline`` remembers.
+        The log is closed first, so the next :meth:`append` reopens it and
+        seals a torn tail onto its own line instead of gluing an entry
+        onto the garbage.
         """
+        self._log.close()
         self._entries.clear()
         self._next_seq = 0
-        self._needs_newline = False
-        if not self.path.exists():
-            return
-        with self.path.open("r", encoding="utf-8") as handle:
-            text = handle.read()
-        self._needs_newline = bool(text) and not text.endswith("\n")
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                kind = entry["kind"]
-            except (ValueError, KeyError, TypeError):
-                continue  # torn or foreign line
-            if not isinstance(kind, str):
-                continue
+        for entry in read_jsonl(self.path):
+            if not isinstance(entry.get("kind"), str):
+                continue  # foreign line
             seq = entry.get("seq")
             if isinstance(seq, int):
                 self._next_seq = max(self._next_seq, seq + 1)
@@ -104,57 +87,23 @@ class ServiceJournal:
         """Durably append one entry (fsync before returning).
 
         Stamps a monotone ``seq`` number (unless the entry already has
-        one) so replay can recognise duplicated lines.  The first append
-        after the file is created also fsyncs the parent directory: the
-        file's own fsync makes the *bytes* durable, the directory fsync
-        makes the *name* durable.
+        one) so replay can recognise duplicated lines.
         """
         if "seq" not in entry:
             entry = dict(entry, seq=self._next_seq)
-        created = not self.path.exists()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            if self._needs_newline:
-                handle.write("\n")  # seal a torn tail onto its own line
-                self._needs_newline = False
-            self._write_line(handle, json.dumps(entry, sort_keys=True))
-        if created:
-            self._fsync_parent_dir()
+        self._log.append(json.dumps(entry, sort_keys=True))
         self._next_seq = max(self._next_seq, int(entry["seq"]) + 1)
         self._entries.append(entry)
-
-    def _write_line(self, handle, line: str) -> None:
-        """Write one serialized entry + fsync (the chaos layer's seam)."""
-        handle.write(line + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-
-    def _fsync_parent_dir(self) -> None:
-        """Make the journal's directory entry durable (best effort).
-
-        Some filesystems/platforms refuse to fsync a directory fd; the
-        durability upgrade is then simply unavailable, which is the
-        pre-existing behavior — never a crash.
-        """
-        try:
-            dir_fd = os.open(self.path.parent, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(dir_fd)
-        except OSError:
-            pass
-        finally:
-            os.close(dir_fd)
 
     def reset(self) -> None:
         """Start a fresh journal (non-resume daemon birth)."""
         self._entries.clear()
         self._next_seq = 0
-        self._needs_newline = False
-        if self.path.exists():
-            self.path.unlink()
-            self._fsync_parent_dir()
+        self._log.reset()
+
+    def close(self) -> None:
+        """Release the held append handle (a later append reopens it)."""
+        self._log.close()
 
     # ------------------------------------------------------------------
     # Queries

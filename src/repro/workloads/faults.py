@@ -155,8 +155,3 @@ def _deprecated(old: str, new_fn: Callable[..., Workload]) -> Callable[..., Work
 inject_no_sleep_bug = _deprecated("inject_no_sleep_bug", with_no_sleep_bug)
 inject_jitter = _deprecated("inject_jitter", with_jitter)
 inject_storm = _deprecated("inject_storm", with_storm)
-
-
-def fault_registrations(workload: Workload) -> List[Registration]:
-    """The workload's registrations (alias that reads well at call sites)."""
-    return workload.registrations

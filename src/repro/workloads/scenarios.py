@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.alarm import Alarm, RepeatKind
@@ -165,9 +165,6 @@ class ScenarioConfig:
     install_window_ms: int = 600_000
     phase_seed: int = 1
     background: BackgroundLoad = field(default_factory=BackgroundLoad)
-
-    def with_beta(self, beta: float) -> "ScenarioConfig":
-        return replace(self, beta=beta)
 
 
 def major_registrations(

@@ -92,15 +92,17 @@ class TestChaosSpec:
     def test_parses_the_full_token_set(self):
         spec = parse_chaos_spec(
             "latency=5:0.2,drop=0.05,disconnect=0.02,jlat=3:0.4,"
-            "dup=0.1,fsync=0.01,torn=0.5,skew=250,seed=7"
+            "dup=0.1,fsync=0.01,skew=250,seed=7"
         )
         assert spec.latency_ms == 5.0 and spec.latency_p == 0.2
         assert spec.drop_p == 0.05 and spec.disconnect_p == 0.02
         assert spec.journal_latency_ms == 3.0
         assert spec.journal_latency_p == 0.4
         assert spec.dup_p == 0.1 and spec.fsync_p == 0.01
-        assert spec.torn_p == 0.5
         assert spec.skew_ms == 250 and spec.seed == 7
+        # Torn tails come from tear_tail() at a crash boundary, not a knob.
+        with pytest.raises(ValueError):
+            parse_chaos_spec("torn=0.5")
 
     def test_latency_probability_defaults_to_always(self):
         assert parse_chaos_spec("latency=5").latency_p == 1.0

@@ -7,9 +7,9 @@ import urllib.request
 
 import pytest
 
+from repro.obs.stream import MetricsEndpoint
 from repro.service import (
     AlarmService,
-    MetricsServer,
     ServiceConfig,
     SocketServer,
     Ticker,
@@ -200,8 +200,8 @@ class TestMetricsEndpoint:
         send(service, op="register", alarm=spec())
         send(service, op="advance", to=1_000_000)
         send(service, op="register", alarm=spec(nominal=-1))  # rejected
-        with MetricsServer(service) as metrics:
-            host, port = metrics.address
+        with MetricsEndpoint(service.render_metrics) as metrics:
+            host, port = metrics.host, metrics.port
             with urllib.request.urlopen(
                 f"http://{host}:{port}/metrics", timeout=10
             ) as response:
@@ -215,8 +215,8 @@ class TestMetricsEndpoint:
 
     def test_unknown_path_is_404(self):
         service = manual_service()
-        with MetricsServer(service) as metrics:
-            host, port = metrics.address
+        with MetricsEndpoint(service.render_metrics) as metrics:
+            host, port = metrics.host, metrics.port
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(
                     f"http://{host}:{port}/nope", timeout=10
