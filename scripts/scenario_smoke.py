@@ -31,7 +31,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from repro.analysis.fuzz import ScenarioCase, run_scenario_case  # noqa: E402
+from repro.analysis.fuzz import ScenarioCase, run_case  # noqa: E402
 from repro.workloads.apps import heavy_apps, light_apps  # noqa: E402
 from repro.workloads.diurnal import DiurnalConfig, build_diurnal  # noqa: E402
 from repro.workloads.scenarios import ScenarioConfig, _build  # noqa: E402
@@ -138,7 +138,7 @@ def check_examples(log):
             continue
         started = time.perf_counter()
         spec = load_scenario(path)  # raises on any validation problem
-        outcome = run_scenario_case(ScenarioCase(seed=0, spec=spec))
+        outcome = run_case(ScenarioCase(seed=0, spec=spec))
         if not outcome.ok:
             log_line(log, f"FAIL: {path.name} tripped "
                           f"{len(outcome.failures)} detector(s):")

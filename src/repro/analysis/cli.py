@@ -1074,10 +1074,10 @@ def _command_validate(args: argparse.Namespace) -> int:
 
 def _command_fuzz(args: argparse.Namespace) -> int:
     if args.scenario is not None:
-        from .fuzz import ScenarioCase, run_scenario_case
+        from .fuzz import ScenarioCase, run_case
 
         spec = _load_scenario_spec(args.scenario)
-        outcome = run_scenario_case(ScenarioCase(seed=args.seed, spec=spec))
+        outcome = run_case(ScenarioCase(seed=args.seed, spec=spec))
         if outcome.ok:
             print(
                 f"{args.scenario}: ok — scenario {spec.name!r} "

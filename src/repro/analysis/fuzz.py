@@ -1,12 +1,24 @@
 """Differential fuzz harness for the alignment policies.
 
-Generates seeded random workloads — alarm populations crossed with mid-run
-churn scripts and external-wake injections — and runs each case under both
-NATIVE and SIMTY with the online invariant monitor armed
-(``on_violation="record"``).  Four independent detectors examine every
-case:
+The campaign fuzzes two kinds of case, both plain frozen data built from a
+single integer seed:
 
-* **invariants** — any :class:`~repro.core.invariants.Violation` the
+* :class:`FuzzCase` (``generate_case``) — a raw alarm population crossed
+  with a mid-run churn script, external wakes and no-sleep holds;
+* :class:`ScenarioCase` (``generate_scenario_case``) — a random mix of
+  registered scenario sources (synthetic populations, push storms,
+  calendar wakeups, churn waves, network-gated syncs, inline trace
+  replays, fault injectors) in a
+  :class:`~repro.workloads.sources.ScenarioSpec`.
+
+Each kind lowers itself to a fresh :class:`~repro.workloads.scenarios.Workload`
+with alarm ids 1..n (``case.workload()``), so one runner drives both:
+every case runs under NATIVE and SIMTY with the online invariant monitor
+armed (``on_violation="record"``), and :func:`run_case` reports six kinds
+of finding:
+
+* **crash** — building or running the case raised;
+* **invariant** — any :class:`~repro.core.invariants.Violation` the
   monitor recorded (Sec. 3.2.2 delivery guarantees, queue structure);
 * **oracle** — on clairvoyance-eligible cases (static/one-shot alarms
   only, no churn, no externals, no wakelock holds) a policy's distinct
@@ -27,25 +39,19 @@ case:
   to the reference batch ``run()``: how the engine is *driven* may never
   change what it computes.
 
-Any failing case is automatically *shrunk* — alarms, churn operations and
-externals are greedily removed while the failure reproduces — and rendered
-as a ready-to-paste test case, so a fuzz hit lands in the repo as a
-regression test, not a stack of random bytes.
+The oracle and differential detectors need churn- and external-free
+static populations, which scenario compositions rarely are, so a
+:class:`ScenarioCase` is never eligible for them; the raw kind keeps those
+covered.
 
-Cases are plain frozen dataclasses built from a single integer seed:
-``generate_case(seed)`` is a pure function, so every failure is replayable
-from ``(seed,)`` alone and the CI smoke run (``simty fuzz --budget 60
---seed 0``) is fully deterministic.
-
-Since the scenario source registry landed, the campaign also fuzzes
-*scenario compositions*: ``generate_scenario_case(seed)`` samples a random
-mix of registered sources (synthetic populations, push storms, calendar
-wakeups, churn waves, network-gated syncs, inline trace replays, fault
-injectors) into a :class:`~repro.workloads.sources.ScenarioSpec`, compiles
-it, and runs it through the same crash / invariant / backend / stepping
-detectors.  A failing composition is shrunk to a **minimal scenario
-config** — sources are greedily removed while the failure persists — and
-rendered as a pytest reproducer embedding the surviving config inline.
+Any failing case is automatically *shrunk* by :func:`shrink_case` — it
+walks ``case.reductions()`` (one alarm, churn op or external fewer; one
+scenario source fewer) while the failure reproduces — and rendered as a
+ready-to-paste pytest regression test, so a fuzz hit lands in the repo as
+a regression test, not a stack of random bytes.  ``generate_case`` and
+``generate_scenario_case`` are pure functions, so every failure is
+replayable from ``(seed,)`` alone and the CI smoke run (``simty fuzz
+--budget 60 --seed 0``) is fully deterministic.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.alarm import Alarm, RepeatKind
 from ..core.hardware import (
@@ -70,6 +76,14 @@ from ..core.simty import SimtyPolicy
 from ..simulator.engine import Simulator, SimulatorConfig
 from ..simulator.external import ExternalWake
 from ..simulator.serialize import trace_to_dict
+from ..workloads.churn import CancelAt, Directive, ReRegisterAt
+from ..workloads.scenarios import Registration, Workload
+from ..workloads.sources import (
+    ScenarioSpec,
+    SourceUse,
+    compile_scenario,
+    scenario_to_dict,
+)
 
 #: The policies every case is run under.
 POLICY_NAMES = ("native", "simty")
@@ -147,6 +161,17 @@ class ChurnOp:
     target: str
     nominal_offset: Optional[int] = None
 
+    def directive(self) -> Directive:
+        if self.op == "cancel":
+            return CancelAt(time=self.time, label=self.target)
+        if self.op == "reregister":
+            return ReRegisterAt(
+                time=self.time,
+                label=self.target,
+                nominal_offset=self.nominal_offset,
+            )
+        raise ValueError(f"unknown churn op {self.op!r}")
+
 
 @dataclass(frozen=True)
 class ExternalSpec:
@@ -187,6 +212,89 @@ class FuzzCase:
             for spec in self.alarms
             if spec.kind == "static" and spec.wakeup
         ]
+
+    def workload(self) -> Workload:
+        """A fresh single-use workload: every alarm registered at t=0."""
+        return Workload(
+            name=f"fuzz-{self.seed}",
+            # Deterministic ids (not the global counter) so the serialized
+            # traces of repeated runs of one case are byte-comparable.
+            registrations=[
+                Registration(time=0, alarm=spec.build(alarm_id=index + 1))
+                for index, spec in enumerate(self.alarms)
+            ],
+            horizon=self.horizon,
+            directives=[op.directive() for op in self.churn],
+            externals=[
+                ExternalWake(time=spec.time, hold_ms=spec.hold_ms)
+                for spec in self.externals
+            ],
+        )
+
+    def reductions(self) -> Iterator["FuzzCase"]:
+        """Cases one component smaller, in the order the shrinker tries.
+
+        One alarm (with the churn ops targeting it), then one churn op,
+        then one external; the last alarm is never dropped, since a case
+        without alarms reproduces nothing.
+        """
+        if len(self.alarms) > 1:
+            for index, spec in enumerate(self.alarms):
+                yield replace(
+                    self,
+                    alarms=_without(self.alarms, index),
+                    churn=tuple(
+                        op for op in self.churn if op.target != spec.label
+                    ),
+                )
+        for index in range(len(self.churn)):
+            yield replace(self, churn=_without(self.churn, index))
+        for index in range(len(self.externals)):
+            yield replace(self, externals=_without(self.externals, index))
+
+
+@dataclass(frozen=True)
+class ScenarioCase:
+    """One fuzzed scenario composition (plain data, like :class:`FuzzCase`)."""
+
+    seed: int
+    spec: ScenarioSpec
+
+    # Compositions rarely are churn- and external-free static populations,
+    # so the oracle and differential detectors leave them to raw cases.
+    def oracle_eligible(self) -> bool:
+        return False
+
+    def differential_eligible(self) -> bool:
+        return False
+
+    def workload(self) -> Workload:
+        """Compile the composition into a fresh workload, ids 1..n.
+
+        Compilation draws alarm ids from the process-global counter, which
+        would make repeated compiles byte-incomparable, so the
+        registrations are renumbered.
+        """
+        workload = compile_scenario(self.spec)
+        for index, registration in enumerate(workload.registrations):
+            registration.alarm.alarm_id = index + 1
+        return workload
+
+    def reductions(self) -> Iterator["ScenarioCase"]:
+        """Compositions one source smaller; the last source is never dropped."""
+        sources = self.spec.sources
+        if len(sources) > 1:
+            for index in range(len(sources)):
+                yield replace(
+                    self, spec=replace(self.spec, sources=_without(sources, index))
+                )
+
+
+Case = Union[FuzzCase, ScenarioCase]
+
+
+def _without(items: tuple, index: int) -> tuple:
+    return items[:index] + items[index + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +426,7 @@ class Failure:
 
 @dataclass
 class CaseOutcome:
-    case: FuzzCase
+    case: Case
     outcomes: Dict[str, PolicyOutcome]
     failures: List[Failure]
 
@@ -344,47 +452,35 @@ def _drive(simulator: Simulator, driver: str):
 
 
 def _run_policy(
-    case: FuzzCase,
+    case: Case,
     policy_name: str,
     queue_backend: str = BACKEND_AXIS[0],
     driver: str = "run",
 ) -> PolicyOutcome:
+    """Build the case's workload and run it under one policy × backend × driver.
+
+    The build sits inside the guard: a case that fails to build or to
+    compile is a crash finding like any other.
+    """
     outcome = PolicyOutcome(policy=policy_name)
-    config = SimulatorConfig(
-        horizon=case.horizon,
-        # Zero latency/tail makes one wake session per distinct delivery
-        # instant, so the session count is directly comparable to the
-        # oracle's stab count; it also removes all legitimate lateness,
-        # making the monitor's deadlines exact.
-        wake_latency_ms=0,
-        tail_ms=0,
-        monitor="record",
-        max_events=500_000,
-        queue_backend=queue_backend,
-    )
-    externals = [
-        ExternalWake(time=spec.time, hold_ms=spec.hold_ms)
-        for spec in case.externals
-    ]
-    simulator = Simulator(_make_policy(policy_name), config, externals)
-    alarms_by_label: Dict[str, Alarm] = {}
     try:
-        for index, spec in enumerate(case.alarms):
-            # Deterministic ids (not the global counter) so the serialized
-            # traces of repeated runs of one case are byte-comparable.
-            alarm = spec.build(alarm_id=index + 1)
-            alarms_by_label[spec.label] = alarm
-            simulator.add_alarm(alarm, 0)
-        for op in case.churn:
-            target = alarms_by_label[op.target]
-            if op.op == "cancel":
-                simulator.cancel_alarm(target, op.time)
-            elif op.op == "reregister":
-                simulator.reregister_alarm(
-                    target, op.time, nominal_offset=op.nominal_offset
-                )
-            else:
-                raise ValueError(f"unknown churn op {op.op!r}")
+        workload = case.workload()
+        config = SimulatorConfig(
+            horizon=workload.horizon,
+            # Zero latency/tail makes one wake session per distinct delivery
+            # instant, so the session count is directly comparable to the
+            # oracle's stab count; it also removes all legitimate lateness,
+            # making the monitor's deadlines exact.
+            wake_latency_ms=0,
+            tail_ms=0,
+            monitor="record",
+            max_events=500_000,
+            queue_backend=queue_backend,
+        )
+        simulator = Simulator(
+            _make_policy(policy_name), config, workload.externals
+        )
+        workload.apply(simulator)
         trace = _drive(simulator, driver)
     except Exception as error:  # noqa: BLE001 - a crash IS a finding
         outcome.error = f"{type(error).__name__}: {error}"
@@ -399,12 +495,21 @@ def _run_policy(
     return outcome
 
 
-def run_case(case: FuzzCase) -> CaseOutcome:
-    """Run one case under every policy × backend and apply all detectors.
+#: The differential axes: (finding kind, ``_run_policy`` keyword, noun,
+#: values with the reference first).
+_AXES = (
+    ("backend", "queue_backend", "backend", BACKEND_AXIS),
+    ("stepping", "driver", "driver", DRIVER_AXIS),
+)
 
-    The reference (``list``) backend outcome per policy feeds the
-    invariant/oracle/differential detectors; the ``indexed`` rerun only
-    has to reproduce the reference trace byte-for-byte.
+
+def run_case(case: Case) -> CaseOutcome:
+    """Run one case under every policy × backend × driver; apply all detectors.
+
+    The reference (``list`` backend, batch ``run()``) outcome per policy
+    feeds the invariant, oracle and differential detectors; each rerun on
+    another backend or driver only has to reproduce the reference trace
+    byte-for-byte.
     """
     outcomes = {name: _run_policy(case, name) for name in POLICY_NAMES}
     failures: List[Failure] = []
@@ -421,62 +526,30 @@ def run_case(case: FuzzCase) -> CaseOutcome:
                 )
             )
     for name, reference in outcomes.items():
-        for backend in BACKEND_AXIS[1:]:
-            rerun = _run_policy(case, name, queue_backend=backend)
-            if rerun.error is not None:
-                if reference.error is None:
-                    failures.append(
-                        Failure(
-                            kind="backend",
-                            detail=(
-                                f"{name}: {backend} backend crashed where "
-                                f"{BACKEND_AXIS[0]} did not: {rerun.error}"
-                            ),
-                        )
+        if reference.error is not None:
+            continue
+        for kind, keyword, noun, values in _AXES:
+            for value in values[1:]:
+                rerun = _run_policy(case, name, **{keyword: value})
+                if rerun.error is not None:
+                    detail = (
+                        f"{name}: {value} {noun} crashed where "
+                        f"{values[0]} did not: {rerun.error}"
                     )
-                continue
-            if reference.error is None and rerun.trace_json != reference.trace_json:
-                failures.append(
-                    Failure(
-                        kind="backend",
-                        detail=(
-                            f"{name}: serialized traces diverge between the "
-                            f"{BACKEND_AXIS[0]} and {backend} backends"
-                        ),
+                elif rerun.trace_json != reference.trace_json:
+                    detail = (
+                        f"{name}: serialized traces diverge between the "
+                        f"{values[0]} and {value} {noun}s"
                     )
-                )
-    for name, reference in outcomes.items():
-        for driver in DRIVER_AXIS[1:]:
-            rerun = _run_policy(case, name, driver=driver)
-            if rerun.error is not None:
-                if reference.error is None:
-                    failures.append(
-                        Failure(
-                            kind="stepping",
-                            detail=(
-                                f"{name}: {driver} driver crashed where "
-                                f"{DRIVER_AXIS[0]} did not: {rerun.error}"
-                            ),
-                        )
-                    )
-                continue
-            if reference.error is None and rerun.trace_json != reference.trace_json:
-                failures.append(
-                    Failure(
-                        kind="stepping",
-                        detail=(
-                            f"{name}: serialized traces diverge between the "
-                            f"{DRIVER_AXIS[0]} and {driver} drivers"
-                        ),
-                    )
-                )
-    if case.oracle_eligible() and not any(
-        outcome.error for outcome in outcomes.values()
-    ):
+                else:
+                    continue
+                failures.append(Failure(kind=kind, detail=detail))
+    if any(outcome.error for outcome in outcomes.values()):
+        return CaseOutcome(case=case, outcomes=outcomes, failures=failures)
+    if case.oracle_eligible():
+        workload = case.workload()
         bound = minimum_wakeups(
-            [spec.build() for spec in case.alarms],
-            case.horizon,
-            complete_tolerances_only=True,
+            workload.alarms(), workload.horizon, complete_tolerances_only=True
         ).wakeups
         for name, outcome in outcomes.items():
             if outcome.wake_count < bound:
@@ -489,9 +562,7 @@ def run_case(case: FuzzCase) -> CaseOutcome:
                         ),
                     )
                 )
-    if case.differential_eligible() and not any(
-        outcome.error for outcome in outcomes.values()
-    ):
+    if case.differential_eligible():
         native, simty = outcomes["native"], outcomes["simty"]
         for label in case.static_labels():
             gap = abs(
@@ -521,62 +592,24 @@ def _failure_kinds(outcome: CaseOutcome) -> frozenset:
 
 
 def shrink_case(
-    case: FuzzCase,
+    case: Case,
     kinds: frozenset,
-    run: Callable[[FuzzCase], CaseOutcome] = run_case,
-) -> FuzzCase:
+    run: Callable[[Case], CaseOutcome] = run_case,
+) -> Case:
     """Greedy delta-debugging: drop components while the failure persists.
 
-    Repeatedly tries removing one alarm (with its churn references), one
-    churn op, or one external; a removal is kept when the reduced case
-    still fails with at least one of the original failure ``kinds``.
-    Terminates at a local minimum — every single removal repairs the case.
+    Takes the first of ``case.reductions()`` that still fails with at least
+    one of the original failure ``kinds`` and starts over from it.
+    Terminates at a local minimum — every single reduction repairs the case.
     """
-
-    def still_fails(candidate: FuzzCase) -> bool:
-        return bool(_failure_kinds(run(candidate)) & kinds)
-
     shrunk = case
-    progress = True
-    while progress:
-        progress = False
-        for index in range(len(shrunk.alarms)):
-            spec = shrunk.alarms[index]
-            candidate = replace(
-                shrunk,
-                alarms=shrunk.alarms[:index] + shrunk.alarms[index + 1 :],
-                churn=tuple(
-                    op for op in shrunk.churn if op.target != spec.label
-                ),
-            )
-            if candidate.alarms and still_fails(candidate):
+    while True:
+        for candidate in shrunk.reductions():
+            if _failure_kinds(run(candidate)) & kinds:
                 shrunk = candidate
-                progress = True
                 break
-        if progress:
-            continue
-        for index in range(len(shrunk.churn)):
-            candidate = replace(
-                shrunk,
-                churn=shrunk.churn[:index] + shrunk.churn[index + 1 :],
-            )
-            if still_fails(candidate):
-                shrunk = candidate
-                progress = True
-                break
-        if progress:
-            continue
-        for index in range(len(shrunk.externals)):
-            candidate = replace(
-                shrunk,
-                externals=shrunk.externals[:index]
-                + shrunk.externals[index + 1 :],
-            )
-            if still_fails(candidate):
-                shrunk = candidate
-                progress = True
-                break
-    return shrunk
+        else:
+            return shrunk
 
 
 def render_case(case: FuzzCase) -> str:
@@ -625,29 +658,8 @@ def render_case(case: FuzzCase) -> str:
 DEFAULT_SCENARIO_FRACTION = 0.25
 
 
-@dataclass(frozen=True)
-class ScenarioCase:
-    """One fuzzed scenario composition (plain data, like :class:`FuzzCase`)."""
-
-    seed: int
-    spec: "ScenarioSpec"
-
-
-@dataclass
-class ScenarioOutcome:
-    case: ScenarioCase
-    outcomes: Dict[str, PolicyOutcome]
-    failures: List[Failure]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _random_source_use(rng: random.Random, index: int) -> "SourceUse":
+def _random_source_use(rng: random.Random, index: int) -> SourceUse:
     """One random source instance with small, fast-to-simulate kwargs."""
-    from ..workloads.sources import SourceUse
-
     kind = rng.choice(
         (
             "synthetic",
@@ -725,8 +737,6 @@ def generate_scenario_case(seed: int) -> ScenarioCase:
     runs.  A ``fault`` source is occasionally appended when a synthetic
     source is present (faults need an app to target).
     """
-    from ..workloads.sources import ScenarioSpec, SourceUse
-
     rng = random.Random(f"scenario:{seed}")
     horizon = rng.choice((5, 10, 15)) * 60_000
     uses = [
@@ -760,158 +770,21 @@ def generate_scenario_case(seed: int) -> ScenarioCase:
     return ScenarioCase(seed=seed, spec=spec)
 
 
-def _run_scenario_policy(
-    case: ScenarioCase,
-    policy_name: str,
-    queue_backend: str = BACKEND_AXIS[0],
-    driver: str = "run",
-) -> PolicyOutcome:
-    """Compile and run one scenario under one policy/backend/driver.
-
-    The compiled workload's alarms are re-numbered deterministically
-    (compilation draws from the process-global id counter, which would
-    make repeated compiles byte-incomparable).
-    """
-    from ..workloads.sources import ScenarioConfigError, compile_scenario
-
-    outcome = PolicyOutcome(policy=policy_name)
-    try:
-        workload = compile_scenario(case.spec)
-    except ScenarioConfigError as error:
-        outcome.error = f"ScenarioConfigError: {error}"
-        return outcome
-    for index, registration in enumerate(workload.registrations):
-        registration.alarm.alarm_id = index + 1
-    config = SimulatorConfig(
-        horizon=workload.horizon,
-        wake_latency_ms=0,
-        tail_ms=0,
-        monitor="record",
-        max_events=500_000,
-        queue_backend=queue_backend,
-    )
-    externals = [
-        ExternalWake(
-            time=event.time, hold_ms=event.hold_ms, description=event.description
-        )
-        for event in workload.externals
-    ]
-    simulator = Simulator(_make_policy(policy_name), config, externals)
-    try:
-        workload.apply(simulator)
-        trace = _drive(simulator, driver)
-    except Exception as error:  # noqa: BLE001 - a crash IS a finding
-        outcome.error = f"{type(error).__name__}: {error}"
-        return outcome
-    outcome.violations = list(trace.violations)
-    outcome.wake_count = trace.wake_count()
-    outcome.trace_json = json.dumps(trace_to_dict(trace), sort_keys=True)
-    for record in trace.deliveries():
-        outcome.delivered[record.label] = (
-            outcome.delivered.get(record.label, 0) + 1
-        )
-    return outcome
-
-
-def run_scenario_case(case: ScenarioCase) -> ScenarioOutcome:
-    """Run one composition under every policy × backend × driver.
-
-    Detectors: crash, invariant violations, backend byte-equality and
-    stepping byte-equality.  (The oracle and differential detectors need
-    churn/external-free static populations, which compositions rarely
-    are; the classic axis keeps those covered.)
-    """
-    outcomes = {
-        name: _run_scenario_policy(case, name) for name in POLICY_NAMES
-    }
-    failures: List[Failure] = []
-    for name, outcome in outcomes.items():
-        if outcome.error is not None:
-            failures.append(
-                Failure(kind="crash", detail=f"{name}: {outcome.error}")
-            )
-        for violation in outcome.violations:
-            failures.append(
-                Failure(kind="invariant", detail=f"{name}: {violation.format()}")
-            )
-    for name, reference in outcomes.items():
-        if reference.error is not None:
-            continue
-        for axis, kind, values in (
-            ("queue_backend", "backend", BACKEND_AXIS[1:]),
-            ("driver", "stepping", DRIVER_AXIS[1:]),
-        ):
-            for value in values:
-                rerun = _run_scenario_policy(case, name, **{axis: value})
-                if rerun.error is not None:
-                    failures.append(
-                        Failure(
-                            kind=kind,
-                            detail=(
-                                f"{name}: {value} crashed where the "
-                                f"reference did not: {rerun.error}"
-                            ),
-                        )
-                    )
-                elif rerun.trace_json != reference.trace_json:
-                    failures.append(
-                        Failure(
-                            kind=kind,
-                            detail=(
-                                f"{name}: serialized traces diverge on the "
-                                f"{value} {kind} axis"
-                            ),
-                        )
-                    )
-    return ScenarioOutcome(case=case, outcomes=outcomes, failures=failures)
-
-
-def shrink_scenario_case(
-    case: ScenarioCase,
-    kinds: frozenset,
-    run: Callable[[ScenarioCase], ScenarioOutcome] = run_scenario_case,
-) -> ScenarioCase:
-    """Greedily drop sources while the failure persists (minimal config)."""
-    shrunk = case
-    progress = True
-    while progress:
-        progress = False
-        for index in range(len(shrunk.spec.sources)):
-            sources = (
-                shrunk.spec.sources[:index] + shrunk.spec.sources[index + 1 :]
-            )
-            if not sources:
-                continue
-            candidate = ScenarioCase(
-                seed=shrunk.seed, spec=replace(shrunk.spec, sources=sources)
-            )
-            failing = frozenset(
-                failure.kind for failure in run(candidate).failures
-            )
-            if failing & kinds:
-                shrunk = candidate
-                progress = True
-                break
-    return shrunk
-
-
 def render_scenario_case(case: ScenarioCase) -> str:
     """Render a composition as a pytest reproducer with the config inline."""
-    from ..workloads.sources import scenario_to_dict
-
     payload = json.dumps(scenario_to_dict(case.spec), indent=4, sort_keys=True)
     indented = "\n".join(f"    {row}" for row in payload.splitlines())
     return "\n".join(
         [
             f"def test_fuzz_scenario_regression_seed_{case.seed}():",
             '    """Shrunk scenario composition found by `simty fuzz`."""',
-            "    from repro.analysis.fuzz import ScenarioCase, run_scenario_case",
+            "    from repro.analysis.fuzz import ScenarioCase, run_case",
             "    from repro.workloads.sources import scenario_from_dict",
             "",
             f"    config = {indented.lstrip()}",
             f"    case = ScenarioCase(seed={case.seed}, "
             "spec=scenario_from_dict(config))",
-            "    outcome = run_scenario_case(case)",
+            "    outcome = run_case(case)",
             "    assert outcome.ok, [f.detail for f in outcome.failures]",
         ]
     )
@@ -924,14 +797,10 @@ def render_scenario_case(case: ScenarioCase) -> str:
 
 @dataclass
 class FuzzFailure:
-    """A failing case, its shrunk form, and the rendered reproducer.
+    """A failing case, its shrunk form, and the rendered reproducer."""
 
-    ``case``/``shrunk`` are :class:`FuzzCase` for the classic axis and
-    :class:`ScenarioCase` for the scenario-composition axis.
-    """
-
-    case: object
-    shrunk: object
+    case: Case
+    shrunk: Case
     failures: List[Failure]
     reproducer: str
 
@@ -1010,14 +879,15 @@ def fuzz(
         on_scenario_axis = (
             random.Random(f"axis:{case_seed}").random() < scenario_fraction
         )
-        if on_scenario_axis:
-            case = generate_scenario_case(case_seed)
-            outcome = run_scenario_case(case)
-            report.scenario_cases_run += 1
-        else:
-            case = generate_case(case_seed)
-            outcome = run_case(case)
+        generate, render = (
+            (generate_scenario_case, render_scenario_case)
+            if on_scenario_axis
+            else (generate_case, render_case)
+        )
+        case = generate(case_seed)
+        outcome = run_case(case)
         report.cases_run += 1
+        report.scenario_cases_run += int(on_scenario_axis)
         for failure in outcome.failures:
             if failure.kind == "invariant":
                 report.violation_total += 1
@@ -1032,19 +902,13 @@ def fuzz(
             else:
                 report.crashes += 1
         if not outcome.ok:
-            kinds = frozenset(failure.kind for failure in outcome.failures)
-            if on_scenario_axis:
-                shrunk = shrink_scenario_case(case, kinds)
-                reproducer = render_scenario_case(shrunk)
-            else:
-                shrunk = shrink_case(case, kinds)
-                reproducer = render_case(shrunk)
+            shrunk = shrink_case(case, _failure_kinds(outcome))
             report.failures.append(
                 FuzzFailure(
                     case=case,
                     shrunk=shrunk,
                     failures=outcome.failures,
-                    reproducer=reproducer,
+                    reproducer=render(shrunk),
                 )
             )
     report.elapsed_s = clock() - started

@@ -338,36 +338,17 @@ def run_many(
             enable_telemetry=tel.enabled,
         )
     else:
-        supervised = timeout_s is not None or retries > 0
         for index, spec in pending:
             # Each serial execution gets its own child hub so runs stay
             # separable in exporters (one Chrome trace lane per spec).
             child = tel.fork(spec.display_name()) if tel.enabled else None
-            if supervised:
-                outcome = run_supervised_serial(
-                    spec,
-                    registry,
-                    timeout_s=timeout_s,
-                    retries=retries,
-                    telemetry=child,
-                )
-            else:
-                # Legacy fast path: zero supervision overhead, and — under
-                # on_error="raise" — the original exception propagates
-                # immediately, exactly as the unsupervised executor did.
-                if on_error == "raise":
-                    started = time.perf_counter()
-                    result = execute_spec(spec, registry, telemetry=child)
-                    outcome = Outcome(
-                        status=RunStatus.OK,
-                        result=result,
-                        wall_time_s=time.perf_counter() - started,
-                        attempts=1,
-                    )
-                else:
-                    outcome = run_supervised_serial(
-                        spec, registry, telemetry=child
-                    )
+            outcome = run_supervised_serial(
+                spec,
+                registry,
+                timeout_s=timeout_s,
+                retries=retries,
+                telemetry=child,
+            )
             if not outcome.ok and on_error == "raise":
                 _raise_outcome(spec, digests[index], outcome, timeout_s)
             outcomes[index] = outcome

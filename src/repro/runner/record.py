@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence
 
 from ..metrics.delay import DelayReport
 from ..metrics.wakeups import WakeupBreakdown
+from ..obs.render import _table
 from ..obs.summary import TelemetrySummary
 from ..power.accounting import EnergyBreakdown
 from ..simulator.trace import SimulationTrace
@@ -109,20 +110,6 @@ class RunRecord:
         return self.spec.display_name()
 
 
-def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [
-        max(len(headers[col]), *(len(row[col]) for row in rows)) if rows else len(headers[col])
-        for col in range(len(headers))
-    ]
-
-    def fmt(cells):
-        return "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip()
-
-    lines = [fmt(headers), fmt(tuple("-" * width for width in widths))]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
-
-
 def summary_table(records: Sequence[RunRecord]) -> str:
     """Render run records as an aligned plain-text table."""
     headers = (
@@ -160,7 +147,7 @@ def summary_table(records: Sequence[RunRecord]) -> str:
                 f"{summary.span_total_ms('engine.run'):.2f}" if summary else "-",
             )
         rows.append(row)
-    return _render_table(headers, rows)
+    return _table(headers, rows)
 
 
 def failure_table(records: Sequence[RunRecord]) -> str:
@@ -187,4 +174,4 @@ def failure_table(records: Sequence[RunRecord]) -> str:
                 error,
             )
         )
-    return _render_table(headers, rows)
+    return _table(headers, rows)

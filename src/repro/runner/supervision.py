@@ -127,9 +127,10 @@ def attempt_spec(spec: RunSpec, registry=None, telemetry=None) -> Tuple:
     """Execute one attempt, capturing any exception instead of raising.
 
     Returns ``("ok", result, wall_s)`` or
-    ``("error", exception, type_name, traceback_str, wall_s)``.  Used both
-    in-process (serial path) and as the pool worker entry point, so the
-    return value must be picklable.
+    ``("error", exception, type_name, traceback_str, wall_s)``.  The
+    exception is the original object, so an in-process caller can
+    re-raise it; :func:`_attempt_pool` makes it picklable for the trip
+    back from a worker.
     """
     from .executor import execute_spec  # local import to avoid a cycle
 
@@ -140,7 +141,7 @@ def attempt_spec(spec: RunSpec, registry=None, telemetry=None) -> Tuple:
         wall = time.perf_counter() - started
         return (
             "error",
-            _portable_exception(exc),
+            exc,
             type(exc).__name__,
             traceback_module.format_exc(),
             wall,
@@ -158,7 +159,10 @@ def _attempt_pool(spec: RunSpec, enable_telemetry: bool = False) -> Tuple:
     from ..obs.telemetry import Telemetry  # local import: worker side only
 
     telemetry = Telemetry() if enable_telemetry else None
-    return attempt_spec(spec, None, telemetry)
+    payload = attempt_spec(spec, None, telemetry)
+    if payload[0] == "error":
+        payload = ("error", _portable_exception(payload[1])) + payload[2:]
+    return payload
 
 
 def _attempt_with_timeout(

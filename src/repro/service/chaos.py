@@ -276,6 +276,10 @@ class SkewedWallClock(WallClock):
 # ----------------------------------------------------------------------
 # Transport faults
 # ----------------------------------------------------------------------
+#: How long the proxy's accept loop blocks before re-checking close.
+_ACCEPT_POLL_S = 0.1
+
+
 class FaultyTransport:
     """A line-aware TCP proxy injecting latency, drops and disconnects.
 
@@ -307,6 +311,9 @@ class FaultyTransport:
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(16)
+        # Closing a socket does not wake a thread blocked in accept(), so
+        # the loop polls: close() stops it, then releases the socket.
+        self._listener.settimeout(_ACCEPT_POLL_S)
         self._closing = threading.Event()
         self._thread = threading.Thread(
             target=self._accept_loop, name="simty-chaos-proxy", daemon=True
@@ -325,11 +332,13 @@ class FaultyTransport:
         return self
 
     def close(self) -> None:
+        """Stop accepting and release the socket; idempotent."""
+        if self._closing.is_set():
+            return
         self._closing.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        if self._thread.is_alive():
+            self._thread.join()
+        self._listener.close()
 
     def __enter__(self) -> "FaultyTransport":
         return self.start()
@@ -342,6 +351,8 @@ class FaultyTransport:
         while not self._closing.is_set():
             try:
                 downstream, _ = self._listener.accept()
+            except socket.timeout:
+                continue
             except OSError:
                 return
             try:

@@ -11,14 +11,17 @@ from repro.analysis.fuzz import (
     ChurnOp,
     ExternalSpec,
     FuzzCase,
+    ScenarioCase,
     _run_policy,
-    _run_scenario_policy,
     fuzz,
     generate_case,
+    generate_scenario_case,
     render_case,
     run_case,
     shrink_case,
 )
+from repro.workloads.churn import CancelAt, ReRegisterAt
+from repro.workloads.sources import ScenarioSpec, SourceUse
 
 
 def simple_case(**overrides):
@@ -97,6 +100,50 @@ class TestEligibility:
         assert not case.oracle_eligible()
         assert case.differential_eligible()
 
+    def test_scenario_cases_skip_oracle_and_differential(self):
+        case = generate_scenario_case(0)
+        assert not case.oracle_eligible()
+        assert not case.differential_eligible()
+
+
+class TestWorkload:
+    def test_raw_case_lowers_to_registrations_directives_externals(self):
+        case = simple_case(
+            alarms=(
+                AlarmSpec(label="a0", nominal=30_000),
+                AlarmSpec(label="a1", nominal=40_000),
+            ),
+            churn=(
+                ChurnOp(op="cancel", time=10_000, target="a0"),
+                ChurnOp(
+                    op="reregister", time=20_000, target="a1",
+                    nominal_offset=5_000,
+                ),
+            ),
+            externals=(ExternalSpec(time=50_000, hold_ms=500),),
+        )
+        workload = case.workload()
+        assert workload.horizon == case.horizon
+        assert [(r.time, r.alarm.alarm_id, r.alarm.label)
+                for r in workload.registrations] == [
+            (0, 1, "a0"), (0, 2, "a1"),
+        ]
+        assert workload.directives == [
+            CancelAt(time=10_000, label="a0"),
+            ReRegisterAt(time=20_000, label="a1", nominal_offset=5_000),
+        ]
+        assert [(e.time, e.hold_ms) for e in workload.externals] == [
+            (50_000, 500)
+        ]
+        # Fresh alarms on every call: workloads are single-use.
+        assert case.workload().alarms()[0] is not workload.alarms()[0]
+
+    def test_scenario_case_renumbers_compiled_alarms(self):
+        workload = generate_scenario_case(3).workload()
+        assert [r.alarm.alarm_id for r in workload.registrations] == list(
+            range(1, len(workload.registrations) + 1)
+        )
+
 
 class TestRunCase:
     def test_trivial_case_is_clean(self):
@@ -117,6 +164,15 @@ class TestRunCase:
         assert not outcome.ok
         assert {f.kind for f in outcome.failures} == {"crash"}
 
+    def test_scenario_compile_error_is_a_crash_finding(self):
+        spec = ScenarioSpec(
+            name="typo", horizon=60_000,
+            sources=(SourceUse("calender", id="x"),),
+        )
+        outcome = run_case(ScenarioCase(seed=0, spec=spec))
+        assert {f.kind for f in outcome.failures} == {"crash"}
+        assert "did you mean 'calendar'" in outcome.failures[0].detail
+
 
 class TestBackendAxis:
     def test_list_oracle_is_the_reference(self):
@@ -124,13 +180,10 @@ class TestBackendAxis:
         assert BACKEND_AXIS[1:]
         assert "list" not in BACKEND_AXIS[1:]
 
-    @pytest.mark.parametrize(
-        "runner", [_run_policy, _run_scenario_policy]
-    )
-    def test_reference_runs_use_the_list_oracle(self, runner):
+    def test_reference_runs_use_the_list_oracle(self):
         # The reference run omits queue_backend; it must not follow the
         # package default, or the axis would compare a backend with itself.
-        parameter = inspect.signature(runner).parameters["queue_backend"]
+        parameter = inspect.signature(_run_policy).parameters["queue_backend"]
         assert parameter.default == "list"
 
 

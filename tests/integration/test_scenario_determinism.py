@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.fuzz import (
+    CaseOutcome,
     Failure,
     ScenarioCase,
-    ScenarioOutcome,
     generate_scenario_case,
-    run_scenario_case,
-    shrink_scenario_case,
     render_scenario_case,
+    run_case,
+    shrink_case,
 )
 from repro.fleet import FleetConfig, make_population, run_fleet
 from repro.runner import RunSpec, run_spec
@@ -121,9 +121,7 @@ class TestExampleConfigs:
     )
     def test_example_survives_every_detector(self, path):
         """Crash, invariant, backend and stepping detectors, all clean."""
-        outcome = run_scenario_case(
-            ScenarioCase(seed=0, spec=load_scenario(path))
-        )
+        outcome = run_case(ScenarioCase(seed=0, spec=load_scenario(path)))
         assert outcome.ok, [failure.detail for failure in outcome.failures]
 
 
@@ -135,7 +133,7 @@ class TestFuzzScenarioAxis:
     def test_seeded_compositions_clean(self):
         dirty = []
         for seed in range(8):
-            outcome = run_scenario_case(generate_scenario_case(seed))
+            outcome = run_case(generate_scenario_case(seed))
             if not outcome.ok:
                 dirty.append(
                     (seed, [failure.detail for failure in outcome.failures])
@@ -162,11 +160,9 @@ class TestFuzzScenarioAxis:
             failures = (
                 [Failure(kind="invariant", detail="synthetic")] if guilty else []
             )
-            return ScenarioOutcome(case=candidate, outcomes={}, failures=failures)
+            return CaseOutcome(case=candidate, outcomes={}, failures=failures)
 
-        shrunk = shrink_scenario_case(
-            case, frozenset({"invariant"}), run=fake_run
-        )
+        shrunk = shrink_case(case, frozenset({"invariant"}), run=fake_run)
         assert [use.source for use in shrunk.spec.sources] == ["push-storm"]
 
     def test_reproducer_is_valid_python(self):
@@ -174,7 +170,7 @@ class TestFuzzScenarioAxis:
         text = render_scenario_case(case)
         compile(text, "<reproducer>", "exec")
         assert "scenario_from_dict" in text
-        assert "run_scenario_case" in text
+        assert "run_case(case)" in text
 
 
 class TestFleetShardDeterminism:

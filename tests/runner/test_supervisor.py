@@ -1,10 +1,12 @@
 """Supervised execution: statuses, timeouts, retries, and checkpoint/resume."""
 
 import random
+import threading
 
 import pytest
 
 from repro.runner import (
+    Registry,
     ResultCache,
     RunJournal,
     RunSpec,
@@ -32,6 +34,14 @@ HANG = chaos_spec("hang", sleep_s=8.0)
 
 def statuses(records):
     return [record.status for record in records]
+
+
+class UnpicklableError(Exception):
+    """Carries a lock, so it cannot cross a process boundary."""
+
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
 
 
 class TestKeepGoing:
@@ -102,6 +112,20 @@ class TestOnErrorRaise:
     def test_serial_raises_original_exception(self):
         with pytest.raises(RuntimeError, match="injected crash"):
             run_many([BAD])
+
+    def test_serial_reraises_unpicklable_exception_unchanged(self):
+        raised = []
+
+        def build(config=None, *, seed=None):
+            raised.append(UnpicklableError())
+            raise raised[-1]
+
+        registry = Registry()
+        registry.register_workload("unpicklable", build)
+        spec = RunSpec(workload="unpicklable", policy="native")
+        with pytest.raises(UnpicklableError) as excinfo:
+            run_many([spec], registry=registry)
+        assert excinfo.value is raised[0]
 
     def test_pool_raises(self):
         with pytest.raises(RuntimeError, match="injected crash"):

@@ -11,6 +11,7 @@ The acceptance bar from the robustness issue:
 """
 
 import json
+import socket
 
 import pytest
 
@@ -247,6 +248,37 @@ class TestCrashResumeTorture:
         baseline = AlarmService(ServiceConfig(**SPEC))
         drive(baseline, TORTURE_REQUESTS)
         assert sealed(survivor) == sealed(baseline)
+
+
+def _refused(host, port):
+    try:
+        socket.create_connection((host, port), timeout=2).close()
+    except OSError:
+        return True
+    return False
+
+
+class TestFaultyTransportLifecycle:
+    @pytest.fixture
+    def upstream(self):
+        with socket.socket() as server:
+            server.bind(("127.0.0.1", 0))
+            server.listen()
+            yield server.getsockname()
+
+    def test_close_stops_accepting(self, upstream):
+        proxy = FaultyTransport(upstream, ChaosSpec()).start()
+        host, port = proxy.address
+        proxy.close()
+        # A thread left blocked in accept() would take one more connection.
+        assert not proxy._thread.is_alive()
+        assert _refused(host, port)
+
+    def test_close_is_idempotent_and_safe_before_start(self, upstream):
+        proxy = FaultyTransport(upstream, ChaosSpec())
+        proxy.close()
+        proxy.close()
+        assert not proxy._thread.is_alive()
 
 
 class TestClientChurnThroughFaultyProxy:

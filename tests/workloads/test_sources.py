@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from repro.workloads.scenarios import BackgroundConfig, BackgroundLoad
+from repro.workloads.scenarios import BackgroundLoad
 from repro.workloads.sources import (
     CANONICAL_SCENARIOS,
     ScenarioConfigError,
@@ -353,18 +353,8 @@ class TestLoadScenario:
 
 
 class TestBackgroundDeprecation:
-    def test_direct_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="background"):
-            config = BackgroundConfig(oneshots_per_hour=1.0)
-        assert config.oneshots_per_hour == 1.0
-
     def test_plain_dataclass_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             load = BackgroundLoad(oneshots_per_hour=1.0)
         assert load.oneshots_per_hour == 1.0
-
-    def test_shim_is_a_background_load(self):
-        with pytest.warns(DeprecationWarning):
-            config = BackgroundConfig()
-        assert isinstance(config, BackgroundLoad)
