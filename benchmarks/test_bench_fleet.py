@@ -13,7 +13,6 @@ VM (~1,700 devices/s, single runs 1,050-2,200): micro devices simulate in
 well under a millisecond, so the margin absorbs a slower CI runner.
 """
 
-import json
 import tempfile
 import time
 from pathlib import Path
@@ -35,7 +34,7 @@ CONFIG = FleetConfig(
 )
 
 
-def test_fleet_devices_per_second_floor(emit):
+def test_fleet_devices_per_second_floor(emit, write_report):
     population = make_population(DEVICES, archetypes="micro", seed=0)
     best = None
     for _ in range(2):  # best-of-2: absorb one unlucky scheduler stall
@@ -61,7 +60,7 @@ def test_fleet_devices_per_second_floor(emit):
         "floor_devices_per_s": FLOOR_DEVICES_PER_S,
         "result": best,
     }
-    REPORT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_report(REPORT_PATH, payload)
 
     emit(
         f"fleet throughput: {best['devices_per_s']:.0f} devices/s "

@@ -83,7 +83,7 @@ def _measure(policy_cls) -> dict:
 
 
 @pytest.fixture(scope="module")
-def report():
+def report(write_report):
     results = {}
     yield results
     payload = {
@@ -92,7 +92,7 @@ def report():
         "ceiling_ratio": CEILING_RATIO,
         "policies": results,
     }
-    REPORT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_report(REPORT_PATH, payload)
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))

@@ -11,7 +11,6 @@ ratio at 1k and 10k alarms and commits the numbers to
 at least 5x faster at 10k and never slower at 1k.
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -92,7 +91,7 @@ def _time_insert(policy, queue, reps=5):
     return best
 
 
-def test_backend_speedup_at_scale(emit):
+def test_backend_speedup_at_scale(emit, write_report):
     """Indexed backend: >=5x faster at 10k alarms, never slower at 1k."""
     report = {"unit": "seconds per insert+remove, best of 5 reps", "cells": []}
     speedups = {}
@@ -122,7 +121,7 @@ def test_backend_speedup_at_scale(emit):
         f"{policy}@{size}": round(value, 1)
         for (policy, size), value in speedups.items()
     }
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(REPORT_PATH, report)
 
     lines = ["backend speedup (list time / indexed time):"]
     for (policy, size), value in sorted(speedups.items()):

@@ -23,8 +23,7 @@ from typing import Optional
 from .alarm import Alarm
 from .entry import QueueEntry
 from .queue import AlarmQueue
-from .simty import Probe, SimtyPolicy
-from .similarity import preference
+from .simty import Probe, SimtyPolicy, applicability
 
 
 def duration_dissimilarity(alarm: Alarm, entry: QueueEntry) -> float:
@@ -59,12 +58,12 @@ class DurationAwareSimtyPolicy(SimtyPolicy):
         rank = self.hardware_classifier.rank
         # Same exact pre-filter as SIMTY: applicability implies grace
         # overlap, so only grace candidates can win.
-        for entry in queue.grace_candidates(probe.grace):
-            applicable, time_sim = self._applicability(probe, entry)
-            if not applicable:
+        for entry in queue.grace_candidates(alarm.grace_interval()):
+            level = applicability(probe, entry)
+            if level is None:
                 continue
             key = (
-                preference(rank(hardware, entry.hardware), time_sim),
+                2 * rank(hardware, entry.hardware) + level + 1,
                 duration_dissimilarity(alarm, entry),
             )
             if key < best_key:

@@ -66,23 +66,35 @@ class QueueEntry:
         """Add ``alarm`` and narrow the entry's intervals.
 
         The caller (the alignment policy) is responsible for having checked
-        applicability; this method only maintains the attribute algebra.
+        applicability; this method only maintains the attribute algebra,
+        on the member's integer bounds as :meth:`_recompute` does.  An
+        attribute is rebuilt only when the member changes it: a new
+        interval when a bound moves, a new hardware set when the member
+        brings a component the entry does not hold yet.
         """
-        if alarm in self.alarms:
-            raise ValueError(f"alarm {alarm.label} already in entry")
-        self.alarms.append(alarm)
-        window = alarm.window_interval()
-        grace = alarm.grace_interval()
-        if len(self.alarms) == 1:
-            self.window = window
-            self.grace = grace
+        alarm_id = alarm.alarm_id
+        for member in self.alarms:
+            if member.alarm_id == alarm_id:
+                raise ValueError(f"alarm {alarm.label} already in entry")
+        nominal = alarm.nominal_time
+        window_end = nominal + alarm.window_length
+        grace_end = nominal + alarm.grace_length
+        if self.alarms:
+            self.window = _narrowed(self.window, nominal, window_end)
+            self.grace = _narrowed(self.grace, nominal, grace_end)
         else:
-            if self.window is not None:
-                self.window = self.window.intersect(window)
-            if self.grace is not None:
-                self.grace = self.grace.intersect(grace)
-        self.hardware = self.hardware.union(alarm.hardware)
-        if alarm.is_perceptible():
+            self.window = Interval(nominal, window_end)
+            self.grace = Interval(nominal, grace_end)
+        self.alarms.append(alarm)
+        hardware = alarm.observed_hardware
+        held = self.hardware._components
+        if not hardware._components <= held:
+            self.hardware = (
+                hardware
+                if held <= hardware._components
+                else self.hardware.union(hardware)
+            )
+        if alarm._perceptible:
             self.perceptible = True
 
     def remove(self, alarm: Alarm) -> None:
@@ -114,8 +126,8 @@ class QueueEntry:
                 window_end = nominal + alarm.window_length
             if nominal + alarm.grace_length < grace_end:
                 grace_end = nominal + alarm.grace_length
-            components |= alarm.hardware.components
-            perceptible = perceptible or alarm.is_perceptible()
+            components |= alarm.observed_hardware._components
+            perceptible = perceptible or alarm._perceptible
         self.window = _bounded(start, window_end)
         self.grace = _bounded(start, grace_end)
         self.hardware = HardwareSet(components)
@@ -172,3 +184,12 @@ class QueueEntry:
 def _bounded(start: int, end: int) -> Optional[Interval]:
     """``[start, end]``, or ``None`` when the bounds cross."""
     return Interval(start, end) if start <= end else None
+
+
+def _narrowed(
+    interval: Optional[Interval], start: int, end: int
+) -> Optional[Interval]:
+    """``interval ∩ [start, end]``; ``interval`` itself when no bound moves."""
+    if interval is None or (start <= interval.start and interval.end <= end):
+        return interval
+    return _bounded(max(interval.start, start), min(interval.end, end))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, FrozenSet, Iterable
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 
 class Component(Enum):
@@ -65,7 +65,7 @@ class HardwareSet:
     alarm whose usage has not been observed yet.
     """
 
-    __slots__ = ("_components",)
+    __slots__ = ("_components", "_ordered")
 
     def __init__(self, components: Iterable[Component] = ()) -> None:
         self._components: FrozenSet[Component] = frozenset(
@@ -73,6 +73,18 @@ class HardwareSet:
             for component in components
             if component not in ESSENTIAL_COMPONENTS
         )
+        #: Components in report order, sorted on first iteration.
+        self._ordered: Optional[Tuple[Component, ...]] = None
+
+    def __getstate__(self):
+        # The pickled state is the component set alone, the same form
+        # older pickles hold, so result caches stay readable both ways.
+        return None, {"_components": self._components}
+
+    def __setstate__(self, state) -> None:
+        _, slots = state
+        self._components = slots["_components"]
+        self._ordered = None
 
     @property
     def components(self) -> FrozenSet[Component]:
@@ -103,7 +115,12 @@ class HardwareSet:
         return component in self._components
 
     def __iter__(self):
-        return iter(sorted(self._components, key=lambda c: c.value))
+        ordered = self._ordered
+        if ordered is None:
+            ordered = self._ordered = tuple(
+                sorted(self._components, key=lambda c: c.value)
+            )
+        return iter(ordered)
 
     def __len__(self) -> int:
         return len(self._components)

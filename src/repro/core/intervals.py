@@ -85,8 +85,6 @@ def intersect_all(intervals: Iterable[Interval]) -> Optional[Interval]:
     seen = False
     for interval in intervals:
         seen = True
-        if result is None and not seen:
-            continue
         if result is None:
             result = interval
         else:

@@ -53,14 +53,13 @@ class NativePolicy(AlignmentPolicy):
         if seq is not None:
             # Re-derive the scan the finder just did; only the sampled
             # fraction of decisions pays this second pass.
-            window = alarm.window_interval()
-            candidates = queue.window_candidates(window)
+            start = alarm.nominal_time
+            end = start + alarm.window_length
+            candidates = queue.window_candidates(alarm.window_interval())
             overlapping = sum(
                 1
                 for cand in candidates
-                if cand.window is not None
-                and cand.window.overlaps(window)
-                and cand is not entry
+                if _window_overlaps(cand, start, end) and cand is not entry
             ) + (1 if entry is not None else 0)
             disjoint = len(candidates) - overlapping
             self._append_decision(
@@ -86,15 +85,16 @@ class NativePolicy(AlignmentPolicy):
     def _find_overlapping_entry(
         self, queue: AlarmQueue, alarm: Alarm
     ) -> Optional[QueueEntry]:
-        window = alarm.window_interval()
-        candidates = queue.window_candidates(window)
+        candidates = queue.window_candidates(alarm.window_interval())
         tel = self.telemetry
         if tel.enabled:
             tel.count("native.searches")
             tel.observe("native.candidates_scanned", len(candidates))
             tel.observe("native.candidates_pruned", len(queue) - len(candidates))
+        start = alarm.nominal_time
+        end = start + alarm.window_length
         for entry in candidates:
-            if entry.window is not None and entry.window.overlaps(window):
+            if _window_overlaps(entry, start, end):
                 return entry
         return None
 
@@ -119,11 +119,12 @@ class NativePolicy(AlignmentPolicy):
         entries: List[QueueEntry] = []
         target: Optional[QueueEntry] = None
         for item in alarms:
-            window = item.window_interval()
+            start = item.nominal_time
+            end = start + item.window_length
             best: Optional[QueueEntry] = None
             best_key = None
             for entry in entries:
-                if entry.window is None or not entry.window.overlaps(window):
+                if not _window_overlaps(entry, start, end):
                     continue
                 key = (entry.delivery_time(grace_mode), entry.entry_id)
                 if best_key is None or key < best_key:
@@ -155,3 +156,13 @@ class NativePolicy(AlignmentPolicy):
                 - alarm.nominal_time,
             )
         return target
+
+
+def _window_overlaps(entry: QueueEntry, start: int, end: int) -> bool:
+    """Whether the entry's window intersection meets ``[start, end]``.
+
+    The ``Batch.canHold`` test on integer bounds; an entry whose window
+    intersection vanished holds nothing.
+    """
+    window = entry.window
+    return window is not None and window.start <= end and start <= window.end

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from enum import IntEnum
-from typing import Optional
+from typing import Dict, FrozenSet, Optional, Tuple
 
-from .hardware import HardwareSet
+from .hardware import Component, HardwareSet
 from .intervals import Interval
 
 
@@ -84,12 +84,21 @@ def classify_time(
     return TimeSimilarity.LOW
 
 
+#: A memo key: the component sets of the two hardware sets being ranked.
+_PairKey = Tuple[FrozenSet[Component], FrozenSet[Component]]
+
+
 class HardwareSimilarityClassifier:
     """Interface for pluggable hardware-similarity granularities.
 
     ``rank`` maps a pair of hardware sets to an integer where 0 is the most
     similar and ``num_ranks - 1`` the least.  The preferability combinator
     (:func:`preference`) only needs this ordering.
+
+    Subclasses define the classification in :meth:`classify`; ``rank``
+    memoises it per pair of component sets.  A hardware set holds only
+    wakelockable components, of which there are seven, so the memo is
+    bounded by 128 × 128 pairs.
     """
 
     #: Number of distinct ranks produced by :meth:`rank`.
@@ -102,7 +111,20 @@ class HardwareSimilarityClassifier:
     #: telemetry layer to break SIMTY decisions down per Table 1 cell.
     rank_names: tuple = ("high", "medium", "low")
 
+    def __init__(self) -> None:
+        self._ranks: Dict[_PairKey, int] = {}
+
     def rank(self, first: HardwareSet, second: HardwareSet) -> int:
+        """The memoised :meth:`classify` of ``(first, second)``."""
+        key = (first._components, second._components)
+        ranks = self._ranks
+        rank = ranks.get(key)
+        if rank is None:
+            rank = ranks[key] = self.classify(first, second)
+        return rank
+
+    def classify(self, first: HardwareSet, second: HardwareSet) -> int:
+        """The rank of ``(first, second)``, computed afresh."""
         raise NotImplementedError
 
 
@@ -113,7 +135,7 @@ class ThreeLevelHardware(HardwareSimilarityClassifier):
     name = "three-level"
     rank_names = ("high", "medium", "low")
 
-    def rank(self, first: HardwareSet, second: HardwareSet) -> int:
+    def classify(self, first: HardwareSet, second: HardwareSet) -> int:
         return int(classify_hardware(first, second))
 
 
@@ -124,7 +146,7 @@ class TwoLevelHardware(HardwareSimilarityClassifier):
     name = "two-level"
     rank_names = ("shared", "disjoint")
 
-    def rank(self, first: HardwareSet, second: HardwareSet) -> int:
+    def classify(self, first: HardwareSet, second: HardwareSet) -> int:
         if first.intersection(second).is_empty():
             return 1
         return 0
@@ -142,7 +164,7 @@ class FourLevelHardware(HardwareSimilarityClassifier):
     name = "four-level"
     rank_names = ("high", "medium-hungry", "medium-light", "low")
 
-    def rank(self, first: HardwareSet, second: HardwareSet) -> int:
+    def classify(self, first: HardwareSet, second: HardwareSet) -> int:
         base = classify_hardware(first, second)
         if base is HardwareSimilarity.HIGH:
             return 0

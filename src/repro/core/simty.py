@@ -22,11 +22,10 @@ The hardware-similarity granularity is pluggable (Sec. 3.1.1 sketches 2- and
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 from .alarm import Alarm
 from .entry import QueueEntry
-from .intervals import Interval
 from .policy import AlignmentPolicy
 from .queue import AlarmQueue
 from .similarity import (
@@ -41,18 +40,52 @@ from .similarity import (
 class Probe(NamedTuple):
     """The incoming alarm's side of every applicability test.
 
-    Built once per insert rather than once per candidate entry.
+    Integer bounds: the window is ``[start, window_end]`` and the grace
+    interval ``[start, grace_end]`` (both open at the nominal time).  Built
+    once per insert rather than once per candidate entry.
     """
 
-    window: Interval
-    grace: Interval
+    start: int
+    window_end: int
+    grace_end: int
     perceptible: bool
 
     @classmethod
     def of(cls, alarm: Alarm) -> "Probe":
+        nominal = alarm.nominal_time
         return cls(
-            alarm.window_interval(), alarm.grace_interval(), alarm.is_perceptible()
+            nominal,
+            nominal + alarm.window_length,
+            nominal + alarm.grace_length,
+            alarm.is_perceptible(),
         )
+
+
+#: Time-similarity levels as :func:`applicability` returns them.
+_HIGH = int(TimeSimilarity.HIGH)
+_MEDIUM = int(TimeSimilarity.MEDIUM)
+
+
+def applicability(probe: Probe, entry: QueueEntry) -> Optional[int]:
+    """Search-phase rule (Sec. 3.2.1), on integer bounds.
+
+    Returns the entry's time-similarity level when it is applicable —
+    ``int(TimeSimilarity.HIGH)`` when the windows overlap,
+    ``int(TimeSimilarity.MEDIUM)`` when only the grace intervals do and
+    neither side is perceptible — and ``None`` when it is not.  This is
+    :func:`~repro.core.similarity.classify_time` followed by the
+    perceptibility gate, without building an interval or an enum member.
+    """
+    start, window_end, grace_end, perceptible = probe
+    window = entry.window
+    if window is not None and window.start <= window_end and start <= window.end:
+        return _HIGH
+    if perceptible or entry.perceptible:
+        return None
+    grace = entry.grace
+    if grace is not None and grace.start <= grace_end and start <= grace.end:
+        return _MEDIUM
+    return None
 
 
 class SimtyPolicy(AlignmentPolicy):
@@ -105,12 +138,12 @@ class SimtyPolicy(AlignmentPolicy):
         # Applicability needs at least MEDIUM time similarity, i.e. grace
         # overlap (window overlap implies it, since window ⊆ grace), so the
         # grace-candidate query is an exact search-phase pre-filter.
-        for entry in queue.grace_candidates(probe.grace):
-            applicable, time_sim = self._applicability(probe, entry)
-            if not applicable:
+        for entry in queue.grace_candidates(alarm.grace_interval()):
+            level = applicability(probe, entry)
+            if level is None:
                 continue
-            hardware_rank = rank(hardware, entry.hardware)
-            score = preference(hardware_rank, time_sim)
+            # Table 1 preferability, as :func:`preference` computes it.
+            score = 2 * rank(hardware, entry.hardware) + level + 1
             if score < best_score:
                 best_score = score
                 best_entry = entry
@@ -136,6 +169,7 @@ class SimtyPolicy(AlignmentPolicy):
         tel = self.telemetry
         seq = self._sampled_seq()
         probe = Probe.of(alarm)
+        window, grace = alarm.window_interval(), alarm.grace_interval()
         hardware = alarm.hardware
         rank = self.hardware_classifier.rank
         rank_names = self.hardware_classifier.rank_names
@@ -144,11 +178,14 @@ class SimtyPolicy(AlignmentPolicy):
         applicable = 0
         rejections: dict = {}
         winner: dict = {"new_entry": True}
-        for entry in queue.grace_candidates(probe.grace):
+        for entry in queue.grace_candidates(grace):
             scanned += 1
-            ok, time_sim = self._applicability(probe, entry)
-            if not ok:
+            level = applicability(probe, entry)
+            if level is None:
                 if probe.perceptible or entry.perceptible:
+                    time_sim = classify_time(
+                        window, grace, entry.window, entry.grace
+                    )
                     reason = f"perceptible-time-{time_sim.name.lower()}"
                 else:
                     reason = "time-low"
@@ -156,6 +193,7 @@ class SimtyPolicy(AlignmentPolicy):
                 continue
             applicable += 1
             hardware_rank = rank(hardware, entry.hardware)
+            time_sim = TimeSimilarity(level)
             hw, time_label = rank_names[hardware_rank], time_sim.name.lower()
             tel.count("simty.applicable", hw=hw, time=time_label)
             if entry is best:
@@ -186,14 +224,3 @@ class SimtyPolicy(AlignmentPolicy):
                 rejections=tuple(sorted(rejections.items())),
                 **winner,
             )
-
-    @staticmethod
-    def _applicability(
-        probe: Probe, entry: QueueEntry
-    ) -> Tuple[bool, TimeSimilarity]:
-        """Search-phase rule (Sec. 3.2.1)."""
-        window, grace, perceptible = probe
-        time_sim = classify_time(window, grace, entry.window, entry.grace)
-        if perceptible or entry.perceptible:
-            return time_sim is TimeSimilarity.HIGH, time_sim
-        return time_sim is not TimeSimilarity.LOW, time_sim

@@ -1,12 +1,24 @@
 """Queue entries: interval intersection, hardware union, delivery time."""
 
-import pytest
+import copy
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.alarm import RepeatKind
 from repro.core.entry import QueueEntry
-from repro.core.hardware import Component, SPEAKER_VIBRATOR_ONLY, WIFI_ONLY, WPS_ONLY
+from repro.core.hardware import (
+    Component,
+    HardwareSet,
+    SPEAKER_VIBRATOR_ONLY,
+    WIFI_ONLY,
+    WPS_ONLY,
+)
 from repro.core.intervals import Interval
 
 from ..conftest import make_alarm
+from .test_hardware import wakelockable
 
 
 class TestAttributes:
@@ -66,6 +78,55 @@ class TestAttributes:
         entry = QueueEntry([alarm])
         with pytest.raises(ValueError):
             entry.add(alarm)
+
+    def test_same_alarm_id_in_another_object_rejected(self):
+        alarm = make_alarm(nominal=100, window=50, grace=500)
+        twin = copy.copy(alarm)
+        twin.nominal_time = 120
+        assert twin is not alarm and twin.alarm_id == alarm.alarm_id
+        entry = QueueEntry([alarm])
+        with pytest.raises(ValueError):
+            entry.add(twin)
+        assert entry.alarms == [alarm]
+        assert entry.window == Interval(100, 150)
+
+
+#: Members on a small timeline, so windows and graces often touch, nest,
+#: cross or vanish; the kinds and learned flags vary perceptibility.
+members = st.builds(
+    lambda nominal, window, extra, components, kind, known: make_alarm(
+        nominal=nominal,
+        window=window,
+        grace=window + extra,
+        hardware=HardwareSet(components),
+        kind=kind,
+        known=known,
+    ),
+    st.integers(0, 30),
+    st.integers(0, 10),
+    st.integers(0, 15),
+    st.sets(st.sampled_from(wakelockable), max_size=3),
+    st.sampled_from([RepeatKind.STATIC, RepeatKind.DYNAMIC, RepeatKind.ONE_SHOT]),
+    st.booleans(),
+)
+
+
+class TestAddMatchesRecompute:
+    @given(st.lists(members, min_size=1, max_size=6))
+    def test_any_add_sequence_equals_a_recompute(self, alarms):
+        entry = QueueEntry()
+        for alarm in alarms:
+            entry.add(alarm)
+            added = (entry.window, entry.grace, entry.hardware, entry.perceptible)
+            rebuilt = QueueEntry()
+            rebuilt.alarms = list(entry.alarms)
+            rebuilt._recompute()
+            assert added == (
+                rebuilt.window,
+                rebuilt.grace,
+                rebuilt.hardware,
+                rebuilt.perceptible,
+            )
 
 
 class TestDeliveryTime:

@@ -1,5 +1,7 @@
 """Hardware sets: essential filtering, perceptibility, set algebra."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -104,6 +106,42 @@ class TestAlgebra:
     @given(hardware_sets)
     def test_union_idempotent(self, a):
         assert a.union(a) == a
+
+    @given(st.sets(st.sampled_from(list(Component))))
+    def test_iteration_is_sorted_by_value_every_time(self, components):
+        hardware = HardwareSet(components)
+        expected = sorted(hardware.components, key=lambda c: c.value)
+        assert list(hardware) == expected
+        assert list(hardware) == expected
+
+
+#: ``HardwareSet({GPS, WIFI, CPU})`` pickled at protocol 5 (the result
+#: cache's protocol) when the class held only a ``_components`` slot.
+COMPONENTS_ONLY_PICKLE = (
+    b"\x80\x05\x95i\x00\x00\x00\x00\x00\x00\x00\x8c\x13repro.core.hardware"
+    b"\x94\x8c\x0bHardwareSet\x94\x93\x94)\x81\x94N}\x94\x8c\x0b_components"
+    b"\x94(h\x00\x8c\tComponent\x94\x93\x94\x8c\x03gps\x94\x85\x94R\x94h\x07"
+    b"\x8c\x04wifi\x94\x85\x94R\x94\x91\x94s\x86\x94b."
+)
+
+
+class TestPickle:
+    def test_components_only_pickle_behaves_as_fresh(self):
+        restored = pickle.loads(COMPONENTS_ONLY_PICKLE)
+        fresh = HardwareSet({Component.GPS, Component.WIFI})
+        assert list(restored) == list(fresh) == [Component.GPS, Component.WIFI]
+        assert restored == fresh and fresh == restored
+        assert hash(restored) == hash(fresh)
+        assert len({restored, fresh}) == 1
+        assert restored.union(WPS_ONLY) == fresh.union(WPS_ONLY)
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_round_trip_after_iteration(self, protocol):
+        hardware = HardwareSet({Component.WPS, Component.SCREEN})
+        before = list(hardware)
+        restored = pickle.loads(pickle.dumps(hardware, protocol=protocol))
+        assert restored == hardware
+        assert list(restored) == before
 
 
 class TestComponentPower:

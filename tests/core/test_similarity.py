@@ -1,5 +1,6 @@
 """Similarity classification and the Table 1 preferability grid."""
 
+import itertools
 import math
 
 import pytest
@@ -27,7 +28,7 @@ from repro.core.similarity import (
     preference,
 )
 
-from .test_hardware import hardware_sets
+from .test_hardware import hardware_sets, wakelockable
 
 
 class TestHardwareSimilarity:
@@ -130,6 +131,22 @@ class TestClassifierVariants:
         for classifier in HARDWARE_CLASSIFIERS.values():
             rank = classifier.rank(a, b)
             assert 0 <= rank < classifier.num_ranks
+
+    @pytest.mark.parametrize("name", sorted(HARDWARE_CLASSIFIERS))
+    def test_repeated_rank_matches_fresh_rank_on_every_pair(self, name):
+        subsets = [
+            frozenset(chosen)
+            for size in range(len(wakelockable) + 1)
+            for chosen in itertools.combinations(wakelockable, size)
+        ]
+        assert len(subsets) == 128
+        classifier = HARDWARE_CLASSIFIERS[name]
+        # Warm every pair, then ask again with equal but distinct sets.
+        for first, second in itertools.product(subsets, repeat=2):
+            classifier.rank(HardwareSet(first), HardwareSet(second))
+        for first, second in itertools.product(subsets, repeat=2):
+            a, b = HardwareSet(first), HardwareSet(second)
+            assert classifier.rank(a, b) == type(classifier)().rank(a, b)
 
 
 class TestPreferenceTable:

@@ -1,11 +1,21 @@
 """SIMTY policy: search-phase applicability and selection-phase preference."""
 
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
 from repro.core.entry import QueueEntry
 from repro.core.hardware import SPEAKER_VIBRATOR_ONLY, WIFI_ONLY, WPS_ONLY
-from repro.core.similarity import FourLevelHardware, TwoLevelHardware
-from repro.core.simty import SimtyPolicy
+from repro.core.intervals import Interval
+from repro.core.similarity import (
+    FourLevelHardware,
+    TimeSimilarity,
+    TwoLevelHardware,
+    classify_time,
+)
+from repro.core.simty import Probe, SimtyPolicy, applicability
 
 from ..conftest import make_alarm, oneshot
+from .test_entry import members
 
 
 def build_queue(policy, *alarms):
@@ -103,6 +113,69 @@ class TestSearchPhase:
         )
         entry = policy.insert(queue, perceptible, 0)
         assert entry is not entries[0]
+
+
+def classify_time_rule(window, grace, perceptible, entry):
+    """Sec. 3.2.1 applicability stated on :func:`classify_time`: the time
+    similarity of an applicable entry, ``None`` for an inapplicable one."""
+    time_sim = classify_time(window, grace, entry.window, entry.grace)
+    if perceptible or entry.perceptible:
+        applicable = time_sim is TimeSimilarity.HIGH
+    else:
+        applicable = time_sim is not TimeSimilarity.LOW
+    return time_sim if applicable else None
+
+
+#: Closed intervals on a short timeline (touching endpoints are common),
+#: or ``None`` for an intersection that vanished.
+ticks = st.integers(0, 12)
+maybe_intervals = st.none() | st.builds(
+    lambda a, b: Interval(min(a, b), max(a, b)), ticks, ticks
+)
+
+
+class TestIntegerApplicability:
+    @given(
+        ticks,
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.booleans(),
+        maybe_intervals,
+        maybe_intervals,
+        st.booleans(),
+    )
+    def test_helper_agrees_with_classify_time_rule(
+        self, start, window, extra, perceptible, entry_window, entry_grace,
+        entry_perceptible,
+    ):
+        probe = Probe(start, start + window, start + window + extra, perceptible)
+        entry = QueueEntry()
+        entry.window, entry.grace = entry_window, entry_grace
+        entry.perceptible = entry_perceptible
+        expected = classify_time_rule(
+            Interval(start, start + window),
+            Interval(start, start + window + extra),
+            perceptible,
+            entry,
+        )
+        level = applicability(probe, entry)
+        assert level == (None if expected is None else int(expected))
+
+    @given(st.lists(members, min_size=1, max_size=4), members)
+    def test_search_joins_exactly_an_applicable_entry(self, alarms, alarm):
+        entry = QueueEntry(alarms)
+        assume(entry.grace is not None)
+        policy = SimtyPolicy()
+        queue = policy.make_queue()
+        queue.add_entry(entry)
+        expected = classify_time_rule(
+            alarm.window_interval(),
+            alarm.grace_interval(),
+            alarm.is_perceptible(),
+            entry,
+        )
+        chosen = policy._search_and_select(queue, alarm, 0)
+        assert (chosen is entry) == (expected is not None)
 
 
 class TestSelectionPhase:
