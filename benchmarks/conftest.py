@@ -9,6 +9,7 @@ through :func:`write_report`, which keeps every earlier run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Optional
@@ -53,14 +54,25 @@ def _git_revision() -> Optional[str]:
     return None
 
 
+def _source_digest() -> str:
+    """sha256 over every ``src/**/*.py`` path and its bytes, as
+    ``perfbench/run.py`` stamps its runs (first 16 hex digits)."""
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        digest.update(str(path.relative_to(ROOT)).encode("utf-8") + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 @pytest.fixture(scope="session")
 def write_report():
     """Write a ``BENCH_*.json`` report, keeping the runs before it.
 
     The new payload goes at the top level, stamped with the git revision
-    checked out when it ran (uncommitted edits are not marked); the
-    report it replaces (minus its own ``history``) is appended to
-    ``history``, oldest first.
+    checked out when it ran and a digest of the ``src/`` tree it ran
+    (which tells an uncommitted tree from its parent); the report it
+    replaces (minus its own ``history``) is appended to ``history``,
+    oldest first.
     """
 
     def _write(path: Path, payload: dict) -> None:
@@ -72,7 +84,12 @@ def write_report():
         if isinstance(previous, dict):
             history = previous.pop("history", [])
             history.append(previous)
-        report = {**payload, "git_revision": _git_revision(), "history": history}
+        report = {
+            **payload,
+            "git_revision": _git_revision(),
+            "source_digest": _source_digest(),
+            "history": history,
+        }
         path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
     return _write

@@ -12,10 +12,11 @@ driver drops below :data:`FLOOR_EVENTS_PER_S`, the guard that
 instrumentation hooks (telemetry, the decision audit) stay zero-cost on
 the uninstrumented hot path.
 
-The floor sits at about a third of observed: a 2-vCPU shared VM clears
-~23-25k dispatch events/s with the integer insert path (~15k before it,
-~5.7k before cached entry attributes and the indexed queue backend), so
-a busy CI runner keeps a wide margin.
+The floor sits well under observed: a 2-vCPU shared VM clears ~20-27k
+dispatch events/s with the one-list queue kernel, depending on the
+host's speed at the time (~15k before the integer insert path, ~5.7k
+before cached entry attributes and the indexed queue backend), so a
+busy CI runner keeps a wide margin.
 """
 
 import time

@@ -25,34 +25,22 @@ Two implementations ship:
     fuzzed against.
 
 :class:`IndexedBackend`
-    The default.  Sort order maintained incrementally with
-    ``bisect.insort`` keyed on ``(delivery_time, entry_id)``, plus a
-    sorted interval-endpoint index per interval kind (window / grace).
-    Candidate queries touch only entries whose indexed interval can
-    overlap the probe:
+    The default.  One ``bisect``-sorted list of ``(delivery_time,
+    entry_id, entry)`` records is the queue order and the start index of
+    every interval.  Its candidate sets are *exact* for interval overlap,
+    so a policy that re-checks overlap (all of ours do) makes
+    bit-identical decisions on either backend.
 
-    * entries whose interval **starts inside** ``(q.start, q.end]`` are a
-      contiguous bisect range of the start-sorted index;
-    * entries whose interval **straddles** ``q.start`` (start <=
-      q.start <= end) are found by scanning the cheaper of the
-      start-prefix and the end-suffix around ``q.start``.
-
-    The candidate set is *exact* for interval overlap — every returned
-    entry's indexed interval overlaps the probe, and no overlapping entry
-    is missed — so a policy that re-checks overlap (all of ours do)
-    produces bit-identical decisions on either backend.
-
-Mutation discipline (enforced by the facade): an entry's delivery time
-and intervals may only change while the entry is *outside* the backend —
-``discard`` before mutating, ``add`` after — so the indexed keys always
-match the entry's current attributes.
+Mutation discipline (enforced by the facade): an entry is mutated in
+place and then handed to :meth:`QueueBackend.refresh`; a backend never
+reads an entry between the two.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right, insort
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .entry import QueueEntry
 from .intervals import Interval
@@ -66,8 +54,8 @@ __all__ = [
     "make_backend",
 ]
 
-#: Sort key of an entry inside a backend.
-OrderKey = Tuple[int, int]
+#: A backend's record of an entry: its sort key, then the entry itself.
+Record = Tuple[int, int, QueueEntry]
 
 
 class QueueBackend(ABC):
@@ -83,7 +71,7 @@ class QueueBackend(ABC):
     def __init__(self, grace_mode: bool) -> None:
         self.grace_mode = grace_mode
 
-    def key(self, entry: QueueEntry) -> OrderKey:
+    def key(self, entry: QueueEntry) -> Tuple[int, int]:
         """The entry's current sort key."""
         return (entry.delivery_time(self.grace_mode), entry.entry_id)
 
@@ -93,6 +81,11 @@ class QueueBackend(ABC):
     @abstractmethod
     def add(self, entry: QueueEntry) -> None:
         """Index ``entry`` under its current key and intervals."""
+
+    @abstractmethod
+    def refresh(self, entry: QueueEntry) -> None:
+        """Re-index a present ``entry`` after an in-place mutation: a
+        ``discard`` before it plus an ``add`` after it (keys are unique)."""
 
     @abstractmethod
     def discard(self, entry: QueueEntry) -> None:
@@ -107,12 +100,7 @@ class QueueBackend(ABC):
         """Drop every entry."""
 
     def bulk_load(self, entries: List[QueueEntry]) -> None:
-        """Index many entries at once (a rebatch rebuilding the queue).
-
-        Backends may override to amortise ordering work across the whole
-        batch instead of paying the per-``add`` cost ``len(entries)``
-        times.
-        """
+        """Index many entries at once (a rebatch rebuilding the queue)."""
         for entry in entries:
             self.add(entry)
 
@@ -124,8 +112,13 @@ class QueueBackend(ABC):
         """Entries in increasing key order."""
 
     @abstractmethod
+    def head(self) -> Optional[Record]:
+        """The record with the smallest key, or ``None`` when empty."""
+
     def peek(self) -> Optional[QueueEntry]:
         """The entry with the smallest key, or ``None`` when empty."""
+        head = self.head()
+        return None if head is None else head[2]
 
     @abstractmethod
     def __len__(self) -> int:
@@ -164,6 +157,9 @@ class ListBackend(QueueBackend):
         self._entries.append(entry)
         self._entries.sort(key=self.key)
 
+    def refresh(self, entry: QueueEntry) -> None:
+        self._entries.sort(key=self.key)
+
     def discard(self, entry: QueueEntry) -> None:
         # QueueEntry has identity equality, so this is an identity scan.
         try:
@@ -184,8 +180,9 @@ class ListBackend(QueueBackend):
     def entries(self) -> Iterator[QueueEntry]:
         return iter(self._entries)
 
-    def peek(self) -> Optional[QueueEntry]:
-        return self._entries[0] if self._entries else None
+    def head(self) -> Optional[Record]:
+        entries = self._entries
+        return (*self.key(entries[0]), entries[0]) if entries else None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -197,154 +194,171 @@ class ListBackend(QueueBackend):
         return list(self._entries)
 
 
-class _IntervalIndex:
-    """A sorted interval-endpoint index over queue entries.
-
-    Holds, per indexed entry, the interval it was indexed under, plus two
-    sorted endpoint lists — ``(start, entry_id)`` and ``(end, entry_id)``
-    — maintained with ``bisect``.  Entries whose interval is ``None``
-    (an imperceptible batch whose window intersection vanished) are
-    simply absent: they can never overlap anything.
-    """
-
-    __slots__ = ("_intervals", "_starts", "_ends")
-
-    def __init__(self) -> None:
-        self._intervals: Dict[int, Tuple[Interval, QueueEntry]] = {}
-        self._starts: List[Tuple[int, int]] = []
-        self._ends: List[Tuple[int, int]] = []
-
-    def add(self, entry: QueueEntry, interval: Optional[Interval]) -> None:
-        if interval is None:
-            return
-        self._intervals[entry.entry_id] = (interval, entry)
-        insort(self._starts, (interval.start, entry.entry_id))
-        insort(self._ends, (interval.end, entry.entry_id))
-
-    def discard(self, entry: QueueEntry) -> None:
-        record = self._intervals.pop(entry.entry_id, None)
-        if record is None:
-            return
-        interval, _ = record
-        start_pos = bisect_left(self._starts, (interval.start, entry.entry_id))
-        del self._starts[start_pos]
-        end_pos = bisect_left(self._ends, (interval.end, entry.entry_id))
-        del self._ends[end_pos]
-
-    def clear(self) -> None:
-        self._intervals.clear()
-        self._starts.clear()
-        self._ends.clear()
-
-    def overlapping(self, probe: Interval) -> List[QueueEntry]:
-        """Every indexed entry whose interval overlaps ``probe`` (closed
-        intervals: touching endpoints count), in arbitrary order."""
-        intervals = self._intervals
-        starts = self._starts
-        found: List[QueueEntry] = []
-        # Part 1 — intervals starting strictly inside (probe.start,
-        # probe.end]: a contiguous bisect range; every one overlaps
-        # (start <= probe.end, and end >= start > probe.start).
-        lo = bisect_right(starts, (probe.start, _MAX_ID))
-        hi = bisect_right(starts, (probe.end, _MAX_ID))
-        for index in range(lo, hi):
-            found.append(intervals[starts[index][1]][1])
-        # Part 2 — intervals straddling probe.start (start <= probe.start
-        # <= end): scan whichever side of the endpoint lists is shorter
-        # and filter with the stored interval.
-        prefix = lo  # entries with start <= probe.start
-        suffix_lo = bisect_left(self._ends, (probe.start, -1))
-        suffix = len(self._ends) - suffix_lo  # entries with end >= probe.start
-        if prefix <= suffix:
-            for index in range(prefix):
-                interval, entry = intervals[starts[index][1]]
-                if interval.end >= probe.start:
-                    found.append(entry)
-        else:
-            ends = self._ends
-            for index in range(suffix_lo, len(ends)):
-                interval, entry = intervals[ends[index][1]]
-                if interval.start <= probe.start:
-                    found.append(entry)
-        return found
-
-
 #: Sentinel larger than any real entry id, for inclusive bisect bounds.
 _MAX_ID = float("inf")
 
 
+def _windows_reaching(records: List[Record], start: int) -> List[QueueEntry]:
+    """The entries in ``records`` whose window ends at or after ``start``."""
+    return [e for _, _, e in records if (w := e.window) is not None and w.end >= start]
+
+
+def _graces_reaching(records: List[Record], start: int) -> List[QueueEntry]:
+    """The entries in ``records`` whose grace ends at or after ``start``."""
+    return [e for _, _, e in records if (g := e.grace) is not None and g.end >= start]
+
+
+#: The filter every query side shares, per interval kind; it reads the
+#: attribute inline (an ``attrgetter`` call per entry costs ~40% more).
+_REACHING = {"window": _windows_reaching, "grace": _graces_reaching}
+
+
+class _EndIndex:
+    """The end-sorted side of one interval kind (window or grace).
+
+    ``ends`` holds ``(end, entry_id)`` for every entry whose interval of
+    this kind exists, ``indexed`` the end each is filed under.
+    ``strays`` names the entries whose interval does not start at their
+    key: while any exists, queries of this kind scan every entry.
+    """
+
+    __slots__ = ("kind", "reaching", "ends", "indexed", "strays")
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.reaching = _REACHING[kind]
+        self.ends: List[Tuple[int, int]] = []
+        self.indexed: Dict[int, int] = {}
+        self.strays: Set[int] = set()
+
+    def file(self, record: Record) -> None:
+        """File a new or mutated entry's ``record`` under its interval."""
+        _, entry_id, entry = record
+        interval = getattr(entry, self.kind)
+        end = None if interval is None else interval.end
+        if end != self.indexed.get(entry_id):
+            self.discard(entry_id)
+            if end is not None:
+                insort(self.ends, (end, entry_id))
+                self.indexed[entry_id] = end
+        if interval is not None and interval.start != record[0]:
+            self.strays.add(entry_id)
+        else:
+            self.strays.discard(entry_id)
+
+    def discard(self, entry_id: int) -> None:
+        end = self.indexed.pop(entry_id, None)
+        if end is not None:
+            del self.ends[bisect_left(self.ends, (end, entry_id))]
+        self.strays.discard(entry_id)
+
+
 class IndexedBackend(QueueBackend):
-    """Sorted-order backend with id-addressed removal and interval indexes.
+    """Sorted-order backend whose key list doubles as the start index.
 
-    * ``bisect.insort`` keeps ``(delivery_time, entry_id)`` order without
-      re-sorting — O(log n) search plus a memmove per mutation;
-    * an ``entry_id -> key`` map makes removals position-addressed;
-    * two :class:`_IntervalIndex` instances (window, grace) answer the
-      policies' overlap-candidate queries in O(log n + candidates +
-      min(prefix, suffix)) instead of O(n) classification work.
-
-    Candidates are returned sorted by queue key, so first-found selection
-    over them is bit-identical to a full in-order scan (Table 1 ties
-    resolve the same way).
+    An entry's delivery time is the earliest point of its window or grace
+    intersection, and both start at the members' latest nominal time
+    (Sec. 3.2.1), so an interval's start *is* its entry's key.  A query
+    returns, in queue order, the straddlers of the probe's start (from
+    the key prefix or, when shorter, an end-sorted suffix), then the
+    intervals starting inside the probe (a bisect range of the keys).
+    A kind's end list (:class:`_EndIndex`) is built on its first query;
+    :meth:`refresh` moves only the records whose value changed.
     """
 
     name = "indexed"
 
     def __init__(self, grace_mode: bool) -> None:
         super().__init__(grace_mode)
-        self._order: List[Tuple[OrderKey, QueueEntry]] = []
-        self._keys: Dict[int, OrderKey] = {}
-        self._windows = _IntervalIndex()
-        self._graces = _IntervalIndex()
+        self._order: List[Record] = []
+        self._records: Dict[int, Record] = {}
+        self._kinds: Dict[str, _EndIndex] = {}
 
     def add(self, entry: QueueEntry) -> None:
-        key = self.key(entry)
-        self._keys[entry.entry_id] = key
+        record = (*self.key(entry), entry)
+        self._records[entry.entry_id] = record
         # Keys are unique (entry_id tie-break), so the entry itself is
         # never compared during the insort.
-        insort(self._order, (key, entry))
-        self._windows.add(entry, entry.window)
-        self._graces.add(entry, entry.grace)
+        insort(self._order, record)
+        for index in self._kinds.values():
+            index.file(record)
+
+    def refresh(self, entry: QueueEntry) -> None:
+        record = self._records[entry.entry_id]
+        time = entry.delivery_time(self.grace_mode)
+        if time != record[0]:
+            del self._order[bisect_left(self._order, record[:2])]
+            record = self._records[entry.entry_id] = (time, entry.entry_id, entry)
+            insort(self._order, record)
+        for index in self._kinds.values():
+            index.file(record)
 
     def discard(self, entry: QueueEntry) -> None:
-        key = self._keys.pop(entry.entry_id, None)
-        if key is None:
+        record = self._records.pop(entry.entry_id, None)
+        if record is None:
             return
-        position = bisect_left(self._order, (key,))
-        # The key is unique, so the entry sits exactly at `position`.
-        del self._order[position]
-        self._windows.discard(entry)
-        self._graces.discard(entry)
+        # The key is unique, so the entry sits exactly at this position.
+        del self._order[bisect_left(self._order, record[:2])]
+        for index in self._kinds.values():
+            index.discard(entry.entry_id)
 
     def pop_head(self) -> QueueEntry:
-        _, entry = self._order[0]
+        entry = self._order[0][2]
         self.discard(entry)
         return entry
 
     def clear(self) -> None:
         self._order.clear()
-        self._keys.clear()
-        self._windows.clear()
-        self._graces.clear()
+        self._records.clear()
+        self._kinds.clear()
 
     def entries(self) -> Iterator[QueueEntry]:
-        return (entry for _, entry in self._order)
+        return (record[2] for record in self._order)
 
-    def peek(self) -> Optional[QueueEntry]:
-        return self._order[0][1] if self._order else None
+    def head(self) -> Optional[Record]:
+        return self._order[0] if self._order else None
 
     def __len__(self) -> int:
         return len(self._order)
 
     def window_candidates(self, probe: Interval) -> List[QueueEntry]:
-        return self._in_queue_order(self._windows.overlapping(probe))
+        return self._overlapping("window", probe)
 
     def grace_candidates(self, probe: Interval) -> List[QueueEntry]:
-        return self._in_queue_order(self._graces.overlapping(probe))
+        return self._overlapping("grace", probe)
 
-    def _in_queue_order(self, found: List[QueueEntry]) -> List[QueueEntry]:
-        keys = self._keys
-        found.sort(key=lambda entry: keys[entry.entry_id])
+    def _overlapping(self, kind: str, probe: Interval) -> List[QueueEntry]:
+        """Every entry whose ``kind`` interval overlaps ``probe`` (closed
+        intervals: touching endpoints count), in queue order."""
+        index = self._kinds.get(kind)
+        if index is None:
+            index = self._kinds[kind] = _EndIndex(kind)
+            for record in self._order:
+                index.file(record)
+        reaching, order = index.reaching, self._order
+        start, end = probe.start, probe.end
+        if index.strays:
+            found = reaching(order, start)
+            return [entry for entry in found if getattr(entry, kind).start <= end]
+        # Keys up to ``lo`` start at or before ``start``; keys in
+        # ``[lo, hi)`` start inside ``(start, end]``, so overlap it.
+        lo = bisect_right(order, (start, _MAX_ID))
+        hi = bisect_right(order, (end, _MAX_ID), lo)
+        # The straddlers of ``start``: walk the shorter of the key prefix
+        # and the suffix of the end list from ``start``.
+        ends = index.ends
+        suffix_lo = bisect_left(ends, (start,))
+        if lo <= len(ends) - suffix_lo:
+            # An interval starting inside the probe also ends after start.
+            return reaching(order[:hi], start)
+        records = self._records
+        straddling = sorted(
+            record
+            for _, entry_id in ends[suffix_lo:]
+            if (record := records[entry_id])[0] <= start
+        )
+        found = [entry for _, _, entry in straddling]
+        found += reaching(order[lo:hi], start)
         return found
 
 

@@ -10,11 +10,10 @@ Storage and indexing live in a :class:`~repro.core.backend.QueueBackend`
 (see that module): ``"indexed"`` (the default) keeps the hot path
 sub-linear at large queue sizes, ``"list"`` is the full-scan reference it
 is tested against.  The facade owns the *mutation discipline* the
-backends rely on: an entry's delivery time and intervals only ever change
-while the entry is outside the backend, so callers mutate entries through
+backends rely on: every in-place change to a queued entry is followed by
+the backend's ``refresh``, so callers mutate entries through
 :meth:`add_to_entry` / :meth:`update_entry` instead of touching them
-directly and re-sorting (the seed-era public ``resort()`` hook is gone —
-re-indexing is an internal backend concern).
+directly.
 """
 
 from __future__ import annotations
@@ -64,11 +63,10 @@ class AlarmQueue:
         """Add ``alarm`` to a queued ``entry``, keeping the indexes right.
 
         The entry's delivery time and intervals narrow when a member joins,
-        so the backend drops and re-indexes it around the mutation.
+        so the backend re-indexes whatever moved.
         """
-        self._backend.discard(entry)
         entry.add(alarm)
-        self._backend.add(entry)
+        self._backend.refresh(entry)
         self._alarms[alarm.alarm_id] = entry
 
     def update_entry(
@@ -81,9 +79,8 @@ class AlarmQueue:
         ``mutate`` must not add or remove member alarms — use
         :meth:`add_to_entry` / :meth:`remove_alarm` for those.
         """
-        self._backend.discard(entry)
         mutate(entry)
-        self._backend.add(entry)
+        self._backend.refresh(entry)
 
     def remove_alarm(self, alarm: Alarm) -> Optional[Alarm]:
         """Remove any queued instance of ``alarm`` (matched by id).
@@ -97,10 +94,11 @@ class AlarmQueue:
             return None
         found = entry.contains_alarm_id(alarm.alarm_id)
         assert found is not None, "alarm map out of sync with entry members"
-        self._backend.discard(entry)
         entry.remove(found)
-        if not entry.is_empty():
-            self._backend.add(entry)
+        if entry.is_empty():
+            self._backend.discard(entry)
+        else:
+            self._backend.refresh(entry)
         return found
 
     def detach_batch(self, alarm: Alarm) -> Tuple[Optional[Alarm], List[Alarm]]:
@@ -161,21 +159,18 @@ class AlarmQueue:
 
     def pop_due(self, now: int) -> Optional[QueueEntry]:
         """Pop the earliest entry if its delivery time has arrived."""
-        head = self._backend.peek()
-        if head is None:
+        head = self._backend.head()
+        if head is None or head[0] > now:
             return None
-        if head.delivery_time(self.grace_mode) <= now:
-            self._backend.pop_head()
-            for alarm in head:
-                self._alarms.pop(alarm.alarm_id, None)
-            return head
-        return None
+        entry = self._backend.pop_head()
+        for alarm in entry:
+            self._alarms.pop(alarm.alarm_id, None)
+        return entry
 
     def next_delivery_time(self) -> Optional[int]:
-        head = self._backend.peek()
-        if head is None:
-            return None
-        return head.delivery_time(self.grace_mode)
+        """The head's delivery time, read from its stored sort key."""
+        head = self._backend.head()
+        return None if head is None else head[0]
 
     # ------------------------------------------------------------------
     # Overlap-candidate queries (the policies' search pruning)

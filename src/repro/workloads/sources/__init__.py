@@ -30,7 +30,6 @@ from .spec import (
     SCENARIO_SCHEMA,
     ScenarioSpec,
     SourceUse,
-    check_scenario,
     compile_scenario,
     load_scenario,
     scenario_from_dict,
@@ -92,7 +91,6 @@ __all__ = [
     "UnknownSourceError",
     "canonical_diurnal",
     "canonical_scenario",
-    "check_scenario",
     "compile_scenario",
     "get_source",
     "load_scenario",

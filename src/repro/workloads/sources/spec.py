@@ -388,8 +388,3 @@ def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
     if problems:
         raise ScenarioConfigError(problems)
     return spec
-
-
-def check_scenario(spec: ScenarioSpec) -> List[str]:
-    """Validate without compiling (the ``simty scenarios --check`` core)."""
-    return spec.validate()

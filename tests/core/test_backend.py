@@ -1,4 +1,4 @@
-"""The scheduling-kernel queue backends and the interval-endpoint index."""
+"""The scheduling-kernel queue backends and their overlap index."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.core.backend import (
     DEFAULT_BACKEND,
     IndexedBackend,
     ListBackend,
-    _IntervalIndex,
     make_backend,
 )
 from repro.core.entry import QueueEntry
@@ -41,83 +40,166 @@ class TestRegistry:
 
 
 class TestIntervalIndex:
-    def overlapping_ids(self, index, probe):
-        return sorted(entry.entry_id for entry in index.overlapping(probe))
+    """The key list as start index plus the lazy end-sorted lists.
+
+    Each case files entries in an :class:`IndexedBackend` and reads the
+    window (or grace) candidates of a probe: the exact overlapping set.
+    """
+
+    def overlapping_ids(self, backend, probe):
+        return sorted(entry.entry_id for entry in backend.window_candidates(probe))
+
+    def filled(self, *entries, grace_mode=False):
+        backend = IndexedBackend(grace_mode)
+        for entry in entries:
+            backend.add(entry)
+        return backend
 
     def test_touching_endpoints_count_as_overlap(self):
-        index = _IntervalIndex()
         left = entry_at(nominal=1_000, window=1_000)  # window [1000, 2000]
         right = entry_at(nominal=3_000, window=1_000)  # window [3000, 4000]
-        index.add(left, left.window)
-        index.add(right, right.window)
+        backend = self.filled(left, right)
         # Probe ending exactly at a start, and starting exactly at an end.
-        assert self.overlapping_ids(index, Interval(2_500, 3_000)) == [
+        assert self.overlapping_ids(backend, Interval(2_500, 3_000)) == [
             right.entry_id
         ]
-        assert self.overlapping_ids(index, Interval(2_000, 2_500)) == [
+        assert self.overlapping_ids(backend, Interval(2_000, 2_500)) == [
             left.entry_id
         ]
         # Closed-interval point contact on both sides at once.
-        assert self.overlapping_ids(index, Interval(2_000, 3_000)) == sorted(
+        assert self.overlapping_ids(backend, Interval(2_000, 3_000)) == sorted(
             [left.entry_id, right.entry_id]
         )
 
     def test_none_interval_entries_are_absent(self):
-        index = _IntervalIndex()
-        entry = entry_at(nominal=1_000, window=100)
-        index.add(entry, None)
-        assert index.overlapping(Interval(0, 10_000_000)) == []
+        # Disjoint windows inside overlapping graces: the window
+        # intersection vanishes while the grace intersection holds.
+        entry = QueueEntry(
+            [
+                make_alarm(nominal=1_000, window=100, grace=5_000),
+                make_alarm(nominal=2_000, window=100, grace=5_000),
+            ]
+        )
+        assert entry.window is None
+        for grace_mode in (False, True):
+            backend = self.filled(entry, grace_mode=grace_mode)
+            assert backend.window_candidates(Interval(0, 10_000_000)) == []
+            assert backend._kinds["window"].ends == []
+            assert backend.grace_candidates(Interval(0, 10_000_000)) == [entry]
 
     def test_zero_width_intervals_match_only_their_point(self):
-        index = _IntervalIndex()
         point = entry_at(nominal=5_000, window=0)  # window [5000, 5000]
-        index.add(point, point.window)
-        assert self.overlapping_ids(index, Interval(5_000, 5_000)) == [
+        backend = self.filled(point)
+        assert self.overlapping_ids(backend, Interval(5_000, 5_000)) == [
             point.entry_id
         ]
-        assert self.overlapping_ids(index, Interval(4_000, 4_999)) == []
-        assert self.overlapping_ids(index, Interval(5_001, 6_000)) == []
+        assert self.overlapping_ids(backend, Interval(4_000, 4_999)) == []
+        assert self.overlapping_ids(backend, Interval(5_001, 6_000)) == []
 
     def test_horizon_adjacent_intervals(self):
         horizon = 3 * 3_600_000
-        index = _IntervalIndex()
         tail = entry_at(nominal=horizon - 1, window=1)  # straddles the horizon
-        index.add(tail, tail.window)
-        assert self.overlapping_ids(index, Interval(horizon, horizon + 1)) == [
-            tail.entry_id
-        ]
-        assert self.overlapping_ids(index, Interval(0, horizon - 2)) == []
+        backend = self.filled(tail)
+        assert self.overlapping_ids(
+            backend, Interval(horizon, horizon + 1)
+        ) == [tail.entry_id]
+        assert self.overlapping_ids(backend, Interval(0, horizon - 2)) == []
 
     def test_discard_removes_both_endpoint_records(self):
-        index = _IntervalIndex()
         entry = entry_at(nominal=1_000, window=500)
-        index.add(entry, entry.window)
-        index.discard(entry)
-        assert index.overlapping(Interval(0, 10_000_000)) == []
-        assert index._starts == [] and index._ends == []
-        index.discard(entry)  # double-discard is a no-op
+        backend = self.filled(entry)
+        backend.window_candidates(Interval(0, 1))  # builds the end list
+        backend.discard(entry)
+        assert backend.window_candidates(Interval(0, 10_000_000)) == []
+        index = backend._kinds["window"]
+        assert backend._order == [] and backend._records == {}
+        assert index.ends == [] and index.indexed == {}
+        backend.discard(entry)  # double-discard is a no-op
 
     def test_straddling_found_from_either_scan_side(self):
         # Many intervals ending before the probe start (prefix-heavy) and
         # many starting after it (suffix-heavy) force both scan branches.
-        index = _IntervalIndex()
         straddler = QueueEntry(
             [make_alarm(nominal=0, window=100_000, repeat=600_000)]
         )  # window [0, 100_000]
-        index.add(straddler, straddler.window)
+        backend = self.filled(straddler)
         others = []
         for position in range(10):
             early = entry_at(nominal=position * 100, window=10)
-            index.add(early, early.window)
+            backend.add(early)
             others.append(early)
         probe = Interval(50_000, 50_001)
-        assert self.overlapping_ids(index, probe) == [straddler.entry_id]
+        assert self.overlapping_ids(backend, probe) == [straddler.entry_id]
         for other in others:
-            index.discard(other)
+            backend.discard(other)
         for position in range(10):
             late = entry_at(nominal=60_000 + position * 100, window=10)
-            index.add(late, late.window)
-        assert straddler.entry_id in self.overlapping_ids(index, probe)
+            backend.add(late)
+        assert straddler.entry_id in self.overlapping_ids(backend, probe)
+
+    def test_suffix_straddlers_come_out_in_queue_order(self):
+        # Straddlers found on the end-suffix side are filed by end; the
+        # query hands them back by key, ahead of the entries inside.
+        long_late_end = entry_at(nominal=1_000, window=9_000)  # [1000, 10000]
+        short_end = entry_at(nominal=2_000, window=3_000)  # [2000, 5000]
+        inside = entry_at(nominal=4_500, window=10)
+        early = [entry_at(nominal=position, window=0) for position in range(20)]
+        backend = self.filled(long_late_end, short_end, inside, *early)
+        found = backend.window_candidates(Interval(4_000, 4_600))
+        assert found == [long_late_end, short_end, inside]
+
+    def test_only_the_queried_kind_is_indexed(self):
+        backend = self.filled(entry_at(nominal=1_000, window=10, grace=50))
+        assert backend._kinds == {}
+        backend.grace_candidates(Interval(0, 2_000))
+        assert set(backend._kinds) == {"grace"}
+
+    def test_refresh_moves_only_what_changed(self):
+        wide = entry_at(nominal=1_000, window=5_000, grace=9_000)
+        backend = self.filled(wide, grace_mode=True)
+        backend.window_candidates(Interval(0, 1))
+        backend.grace_candidates(Interval(0, 1))
+        record = backend._order[0]
+        window_record = backend._kinds["window"].ends[0]
+        # Same start, shorter grace: the key and the window end stay.
+        wide.add(make_alarm(nominal=1_000, window=5_000, grace=7_000))
+        backend.refresh(wide)
+        assert backend._order[0] is record
+        assert backend._kinds["window"].ends[0] is window_record
+        assert backend._kinds["grace"].ends[0][0] == 8_000
+        assert backend.grace_candidates(Interval(8_500, 9_000)) == []
+
+    @pytest.mark.parametrize("pin", [(3_000, 3_100), (500, 600)], ids=["late", "early"])
+    @pytest.mark.parametrize("grace_mode", [False, True])
+    def test_interval_starting_off_its_key_is_still_returned(self, grace_mode, pin):
+        # Pinning one interval away from the members' latest nominal time
+        # breaks "interval start == key"; the query must still find it,
+        # whether the interval now starts after its key or before it.
+        queue = AlarmQueue(grace_mode=grace_mode)
+        stray = QueueEntry([make_alarm(nominal=1_000, window=100, grace=1_000)])
+        other = QueueEntry([make_alarm(nominal=1_500, window=100, grace=1_000)])
+        queue.add_entry(stray)
+        queue.add_entry(other)
+        assert queue.grace_candidates(Interval(0, 1)) == []
+        assert queue.window_candidates(Interval(0, 1)) == []
+        # The key follows the window (NATIVE) or the grace start (SIMTY,
+        # imperceptible); the other interval no longer starts at the key.
+        pinned = "grace" if not grace_mode else "window"
+        queue.update_entry(stray, lambda entry: setattr(entry, pinned, Interval(*pin)))
+        assert queue.window_candidates(Interval(1_050, 1_050)) == (
+            [] if pinned == "window" else [stray]
+        )
+        assert queue.grace_candidates(Interval(1_050, 1_050)) == (
+            [stray] if pinned == "window" else []
+        )
+        probe = Interval(pin[0] + 50, pin[0] + 50)
+        assert stray in getattr(queue, f"{pinned}_candidates")(probe)
+        # Back in line: the fast path answers again.
+        queue.update_entry(
+            stray, lambda entry: setattr(entry, pinned, Interval(1_000, 3_100))
+        )
+        assert not queue._backend._kinds[pinned].strays
+        assert stray in getattr(queue, f"{pinned}_candidates")(Interval(3_050, 3_050))
 
 
 class TestIndexedBackend:

@@ -7,7 +7,9 @@ backend.  Three layers enforce it here:
 * a hypothesis state machine drives a list-backed and an indexed-backed
   queue through the *same* random registration / cancellation / churn
   sequence (zero-width windows included) and asserts identical entry
-  membership, delivery order and due-popping after every step;
+  membership, delivery order and due-popping after every step, and that
+  the indexed window and grace candidates of random probes are exactly
+  the list queue's overlapping entries, in queue order;
 * a seeded fuzz corpus (the same generator the ``simty fuzz`` CLI uses,
   invariant monitor armed) asserts byte-identical serialized traces and
   zero violations across 200 cases;
@@ -33,6 +35,7 @@ from repro.core.hardware import (
     WIFI_ONLY,
     WPS_ONLY,
 )
+from repro.core.intervals import Interval
 from repro.core.native import NativePolicy
 from repro.core.simty import SimtyPolicy
 from repro.simulator.engine import SimulatorConfig
@@ -80,6 +83,25 @@ def membership(queue):
     ]
 
 
+def members(entries):
+    return [tuple(sorted(alarm.alarm_id for alarm in entry)) for entry in entries]
+
+
+def overlapping(entries, kind, probe):
+    """The entries whose ``kind`` interval meets ``probe``, in given order."""
+    return [
+        entry
+        for entry in entries
+        if getattr(entry, kind) is not None and getattr(entry, kind).overlaps(probe)
+    ]
+
+
+probe_params = st.tuples(
+    st.integers(min_value=0, max_value=800_000),      # start
+    st.integers(min_value=0, max_value=150_000),      # width (0 = a point)
+)
+
+
 class BackendLockstepMachine(RuleBasedStateMachine):
     """Drive both backends through one op sequence; they must never differ."""
 
@@ -92,6 +114,7 @@ class BackendLockstepMachine(RuleBasedStateMachine):
         self.indexed = self.policy.make_queue(backend="indexed")
         self.alarms = []
         self.clock = 0
+        self.probes = []
 
     def both(self, operate):
         first = operate(self.reference)
@@ -139,6 +162,30 @@ class BackendLockstepMachine(RuleBasedStateMachine):
                 alarm for alarm in self.alarms
                 if alarm.alarm_id not in delivered
             ]
+
+    @rule(params=probe_params)
+    def probe(self, params):
+        start, width = params
+        self.probes.append(Interval(start, start + width))
+
+    @invariant()
+    def candidates_are_the_overlapping_entries(self):
+        # Every entry's own bounds probe the touching cases; the drawn
+        # probes cover the rest.
+        probes = list(self.probes)
+        for entry in self.reference.entries():
+            for interval in (entry.window, entry.grace):
+                if interval is not None:
+                    probes.append(Interval(interval.start, interval.start))
+                    probes.append(Interval(interval.end, interval.end + 1))
+        for kind in ("window", "grace"):
+            for probe in probes:
+                query = f"{kind}_candidates"
+                expected = overlapping(
+                    getattr(self.reference, query)(probe), kind, probe
+                )
+                found = getattr(self.indexed, query)(probe)
+                assert members(found) == members(expected)
 
     @invariant()
     def same_observable_state(self):
