@@ -15,7 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from ..fleet import ARCHETYPE_SETS, FleetConfig, make_population, run_fleet
 
@@ -75,6 +76,17 @@ from .sweep import (
 )
 
 
+#: ``simty sweep --kind`` → the sweep it runs; the keys are the choices.
+_SWEEPS = {
+    "beta": beta_sweep,
+    "classifier": classifier_sweep,
+    "scale": scale_sweep,
+    "duration": duration_sweep,
+    "bucket": bucket_sweep,
+    "sensitivity": sensitivity_sweep,
+}
+
+
 def _add_workload_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workload",
@@ -82,6 +94,16 @@ def _add_workload_arg(parser: argparse.ArgumentParser) -> None:
         default="light",
         help="evaluation scenario (Sec. 4.1)",
     )
+
+
+def _add_policy_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--policy", choices=sorted(POLICY_FACTORIES), default="simty"
+    )
+
+
+def _add_beta_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--beta", type=float, default=None)
 
 
 def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
@@ -155,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     paper = sub.add_parser("paper", help="reproduce every figure and table")
-    paper.add_argument("--beta", type=float, default=None)
+    _add_beta_arg(paper)
     paper.add_argument(
         "--json",
         metavar="PATH",
@@ -170,10 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_workload_arg(run)
     _add_scenario_arg(run)
     _add_backend_arg(run)
-    run.add_argument(
-        "--policy", choices=sorted(POLICY_FACTORIES), default="simty"
-    )
-    run.add_argument("--beta", type=float, default=None)
+    _add_policy_arg(run)
+    _add_beta_arg(run)
     _add_telemetry_args(run)
     run.add_argument(
         "--dump-events",
@@ -201,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_workload_arg(compare)
     _add_scenario_arg(compare)
     _add_backend_arg(compare)
-    compare.add_argument("--beta", type=float, default=None)
+    _add_beta_arg(compare)
     compare.add_argument(
         "--baseline", choices=sorted(POLICY_FACTORIES), default="native"
     )
@@ -219,10 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_arg(profile)
     _add_backend_arg(profile)
-    profile.add_argument(
-        "--policy", choices=sorted(POLICY_FACTORIES), default="simty"
-    )
-    profile.add_argument("--beta", type=float, default=None)
+    _add_policy_arg(profile)
+    _add_beta_arg(profile)
     profile.add_argument(
         "--trace-out",
         metavar="PATH",
@@ -305,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="ablations and scaling studies")
     sweep.add_argument(
         "--kind",
-        choices=("beta", "classifier", "scale", "duration", "bucket", "sensitivity"),
+        choices=tuple(_SWEEPS),
         default="beta",
     )
     _add_workload_arg(sweep)
@@ -355,9 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "and a scrapeable /metrics endpoint (docs/service.md)"
         ),
     )
-    serve.add_argument(
-        "--policy", choices=sorted(POLICY_FACTORIES), default="simty"
-    )
+    _add_policy_arg(serve)
     _add_backend_arg(serve)
     serve.add_argument(
         "--horizon",
@@ -531,10 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_arg(explain)
     _add_backend_arg(explain)
-    explain.add_argument(
-        "--policy", choices=sorted(POLICY_FACTORIES), default="simty"
-    )
-    explain.add_argument("--beta", type=float, default=None)
+    _add_policy_arg(explain)
+    _add_beta_arg(explain)
     explain.add_argument(
         "--alarm",
         type=_nonnegative_int,
@@ -700,7 +714,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_arg(requests_cmd)
     _add_scenario_arg(requests_cmd)
-    requests_cmd.add_argument("--beta", type=float, default=None)
+    _add_beta_arg(requests_cmd)
     requests_cmd.add_argument(
         "--advance-every",
         type=_positive_int,
@@ -848,24 +862,36 @@ def _scenario_config(beta: Optional[float]) -> Optional[ScenarioConfig]:
     return ScenarioConfig(beta=beta)
 
 
-def _harness_cache(args: argparse.Namespace) -> ResultCache:
-    return ResultCache(disk_dir=args.cache_dir)
+@contextmanager
+def _harness(args: argparse.Namespace) -> Iterator[dict]:
+    """The ``run_many`` kwargs of a ``paper`` or ``sweep`` invocation.
 
-
-def _supervision_kwargs(args: argparse.Namespace) -> dict:
-    """The supervised-execution kwargs shared by paper and sweep commands."""
+    The checkpoint journal behind ``--cache-dir`` holds an append handle,
+    so it is closed when the command's runs are done.
+    """
     if args.resume and args.cache_dir is None:
         raise SystemExit("--resume requires --cache-dir (the journal lives there)")
+    cache = ResultCache(disk_dir=args.cache_dir)
+    hub = _telemetry_hub(args)
+    if hub is not None:
+        cache.bind_telemetry(hub)
     checkpoint = (
         RunJournal.at(args.cache_dir) if args.cache_dir is not None else None
     )
-    return dict(
-        timeout_s=args.timeout,
-        retries=args.retries,
-        on_error="keep_going" if args.keep_going else "raise",
-        checkpoint=checkpoint,
-        resume=args.resume,
-    )
+    try:
+        yield dict(
+            cache=cache,
+            max_workers=args.workers,
+            timeout_s=args.timeout,
+            retries=args.retries,
+            on_error="keep_going" if args.keep_going else "raise",
+            checkpoint=checkpoint,
+            resume=args.resume,
+            telemetry=hub,
+        )
+    finally:
+        if checkpoint is not None:
+            checkpoint.close()
 
 
 def _print_stats(cache: ResultCache) -> None:
@@ -881,18 +907,12 @@ def _print_stats(cache: ResultCache) -> None:
 
 def _command_paper(args: argparse.Namespace) -> int:
     scenario_config = _scenario_config(args.beta)
-    cache = _harness_cache(args)
-    hub = _telemetry_hub(args)
-    if hub is not None:
-        cache.bind_telemetry(hub)
-    matrix = run_paper_matrix(
-        scenario_config=scenario_config,
-        simulator_config=_simulator_config(args),
-        cache=cache,
-        max_workers=args.workers,
-        telemetry=hub,
-        **_supervision_kwargs(args),
-    )
+    with _harness(args) as harness:
+        matrix = run_paper_matrix(
+            scenario_config=scenario_config,
+            simulator_config=_simulator_config(args),
+            **harness,
+        )
     if len(matrix) < 2:
         missing = sorted({"light", "heavy"} - set(matrix))
         print(
@@ -906,8 +926,8 @@ def _command_paper(args: argparse.Namespace) -> int:
         export_paper_results(args.json, matrix, scenario_config)
         print(f"\nartifact data written to {args.json}")
     if args.stats:
-        _print_stats(cache)
-    _finish_telemetry(args, hub)
+        _print_stats(harness["cache"])
+    _finish_telemetry(args, harness["telemetry"])
     return 0
 
 
@@ -1005,44 +1025,19 @@ def _command_profile(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    cache = _harness_cache(args)
-    hub = _telemetry_hub(args)
-    if hub is not None:
-        cache.bind_telemetry(hub)
     workload, workload_kwargs = _resolve_workload(args)
-    if args.kind == "scale" and args.scenario is not None:
-        raise SystemExit(
-            "--scenario is not supported with --kind scale (that sweep "
-            "generates its own synthetic workloads of growing size)"
-        )
-    harness = dict(
-        cache=cache,
-        max_workers=args.workers,
-        telemetry=hub,
-        simulator_config=_simulator_config(args),
-        **_supervision_kwargs(args),
-    )
-    if args.kind == "beta":
-        rows = beta_sweep(
-            workload=workload, workload_kwargs=workload_kwargs, **harness
-        )
-    elif args.kind == "classifier":
-        rows = classifier_sweep(
-            workload=workload, workload_kwargs=workload_kwargs, **harness
-        )
-    elif args.kind == "scale":
-        rows = scale_sweep(**harness)
-    elif args.kind == "bucket":
-        rows = bucket_sweep(
-            workload=workload, workload_kwargs=workload_kwargs, **harness
-        )
-    elif args.kind == "sensitivity":
-        rows = sensitivity_sweep(
-            workload=workload, workload_kwargs=workload_kwargs, **harness
-        )
+    if args.kind == "scale":
+        if args.scenario is not None:
+            raise SystemExit(
+                "--scenario is not supported with --kind scale (that sweep "
+                "generates its own synthetic workloads of growing size)"
+            )
+        grid = {}
     else:
-        rows = duration_sweep(
-            workload=workload, workload_kwargs=workload_kwargs, **harness
+        grid = dict(workload=workload, workload_kwargs=workload_kwargs)
+    with _harness(args) as harness:
+        rows = _SWEEPS[args.kind](
+            simulator_config=_simulator_config(args), **grid, **harness
         )
     if not rows:
         print("no results")
@@ -1061,8 +1056,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
     ]
     print(format_table(headers, body))
     if args.stats:
-        _print_stats(cache)
-    _finish_telemetry(args, hub)
+        _print_stats(harness["cache"])
+    _finish_telemetry(args, harness["telemetry"])
     return 0
 
 

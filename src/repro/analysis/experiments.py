@@ -17,14 +17,13 @@ reuse).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..core.policy import AlignmentPolicy
 from ..metrics.energy import EnergyComparison
 from ..obs.telemetry import Telemetry
 from ..power.model import PowerModel
 from ..power.profiles import NEXUS5
-from ..runner.cache import ResultCache
 from ..runner.executor import run_built, run_many
 from ..runner.record import ExperimentResult
 from ..runner.registry import (
@@ -169,18 +168,16 @@ def run_pair(
     scenario_config: Optional[ScenarioConfig] = None,
     model: PowerModel = NEXUS5,
     simulator_config: Optional[SimulatorConfig] = None,
-    cache: Optional[ResultCache] = None,
-    max_workers: int = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    telemetry: Optional[Telemetry] = None,
     workload_kwargs: Optional[dict] = None,
+    **harness: Any,
 ) -> PairResult:
     """Run the paper's basic comparison on one workload.
 
-    A pair is meaningless with a missing half, so this front end always
-    runs with ``on_error="raise"``; use :func:`run_paper_matrix` (or
-    ``run_many`` directly) when partial results should survive.
+    ``**harness`` goes to :func:`~repro.runner.executor.run_many`.  A pair
+    is meaningless with a missing half, so this front end always runs with
+    ``on_error="raise"`` (passing ``on_error`` is a ``TypeError``); use
+    :func:`run_paper_matrix` (or ``run_many`` directly) when partial
+    results should survive.
     """
     specs = pair_specs(
         workload,
@@ -191,14 +188,7 @@ def run_pair(
         simulator_config,
         workload_kwargs,
     )
-    baseline, improved = run_many(
-        specs,
-        max_workers=max_workers,
-        cache=cache,
-        timeout_s=timeout_s,
-        retries=retries,
-        telemetry=telemetry,
-    )
+    baseline, improved = run_many(specs, on_error="raise", **harness)
     return PairResult(
         workload_name=workload,
         baseline=baseline.result,
@@ -210,21 +200,16 @@ def run_paper_matrix(
     scenario_config: Optional[ScenarioConfig] = None,
     model: PowerModel = NEXUS5,
     simulator_config: Optional[SimulatorConfig] = None,
-    cache: Optional[ResultCache] = None,
-    max_workers: int = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    on_error: str = "raise",
-    checkpoint=None,
-    resume: bool = False,
-    telemetry: Optional[Telemetry] = None,
+    **harness: Any,
 ) -> Dict[str, PairResult]:
     """Both workloads, NATIVE vs SIMTY: the inputs to Figs. 3-4 and Table 4.
 
-    Under ``on_error="keep_going"`` a workload whose baseline or improved
-    run failed is *omitted* from the returned matrix (a half pair renders
-    nothing meaningful); the failure itself stays visible through the
-    cache's record log and the CLI's ``--stats`` failure table.
+    ``**harness`` goes to :func:`~repro.runner.executor.run_many`, one
+    batch for the whole matrix.  Under ``on_error="keep_going"`` a workload
+    whose baseline or improved run failed is *omitted* from the returned
+    matrix (a half pair renders nothing meaningful); the failure itself
+    stays visible through the cache's record log and the CLI's ``--stats``
+    failure table.
     """
     workloads = ("light", "heavy")
     specs = []
@@ -237,17 +222,7 @@ def run_paper_matrix(
                 simulator_config=simulator_config,
             )
         )
-    records = run_many(
-        specs,
-        max_workers=max_workers,
-        cache=cache,
-        timeout_s=timeout_s,
-        retries=retries,
-        on_error=on_error,
-        checkpoint=checkpoint,
-        resume=resume,
-        telemetry=telemetry,
-    )
+    records = run_many(specs, **harness)
     matrix: Dict[str, PairResult] = {}
     for index, workload in enumerate(workloads):
         baseline = records[2 * index].result

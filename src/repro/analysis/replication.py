@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from ..power.model import PowerModel
 from ..power.profiles import NEXUS5
-from ..runner.cache import ResultCache
 from ..runner.executor import run_many
-from ..runner.journal import RunJournal
+from ..runner.spec import RunSpec
 from ..workloads.scenarios import ScenarioConfig
 from .experiments import PairResult, pair_specs
 
@@ -73,105 +72,94 @@ def replicate_pair(
     seeds: Sequence[int] = (1, 2, 3),
     base_config: ScenarioConfig = ScenarioConfig(),
     model: PowerModel = NEXUS5,
-    cache: Optional[ResultCache] = None,
-    max_workers: int = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    on_error: str = "raise",
-    checkpoint: Optional[RunJournal] = None,
-    resume: bool = False,
+    **harness: Any,
 ) -> ReplicatedPair:
     """Run NATIVE-vs-SIMTY once per phase seed and aggregate.
 
     The whole seed grid goes through :func:`repro.runner.run_many` as one
-    batch, so repeated seeds hit the cache and ``max_workers > 1`` runs
-    the replicas concurrently.  Under ``on_error="keep_going"`` a seed
-    whose baseline or improved run failed is dropped from the statistics
-    and surfaced in ``failed_seeds``; if *every* seed failed, raises
-    ``RuntimeError`` (there is nothing to aggregate).
+    batch, with ``**harness`` as its options, so repeated seeds hit the
+    cache and ``max_workers > 1`` runs the replicas concurrently.  Under
+    ``on_error="keep_going"`` a seed whose baseline or improved run failed
+    is dropped from the statistics and surfaced in ``failed_seeds``; if
+    *every* seed failed, raises ``RuntimeError`` (there is nothing to
+    aggregate).
     """
-    seeds = list(seeds)
-    specs = []
-    for seed in seeds:
-        config = replace(base_config, phase_seed=seed)
-        specs.extend(pair_specs(workload, scenario_config=config, model=model))
-    records = run_many(
-        specs,
-        max_workers=max_workers,
-        cache=cache,
-        timeout_s=timeout_s,
-        retries=retries,
-        on_error=on_error,
-        checkpoint=checkpoint,
-        resume=resume,
-    )
-    pairs: List[PairResult] = []
-    failed_seeds: List[int] = []
-    for index, seed in enumerate(seeds):
-        baseline = records[2 * index]
-        improved = records[2 * index + 1]
-        if baseline.result is None or improved.result is None:
-            failed_seeds.append(seed)
-            continue
-        pairs.append(
-            PairResult(
-                workload_name=workload,
-                baseline=baseline.result,
-                improved=improved.result,
-            )
-        )
-    if not pairs:
-        raise RuntimeError(
-            f"every replica of {workload!r} failed (seeds {failed_seeds}); "
-            "see the failure table under --stats for the captured errors"
-        )
-    return ReplicatedPair(
-        workload=workload,
-        seeds=seeds,
-        failed_seeds=failed_seeds,
-        total_savings=MetricStats.of(
-            [pair.comparison.total_savings for pair in pairs]
-        ),
-        awake_savings=MetricStats.of(
-            [pair.comparison.awake_savings for pair in pairs]
-        ),
-        standby_extension=MetricStats.of(
-            [pair.comparison.standby_extension for pair in pairs]
-        ),
-        baseline_wakeups=MetricStats.of(
-            [float(pair.baseline.wakeups.cpu.delivered) for pair in pairs]
-        ),
-        improved_wakeups=MetricStats.of(
-            [float(pair.improved.wakeups.cpu.delivered) for pair in pairs]
-        ),
-        improved_imperceptible_delay=MetricStats.of(
-            [pair.improved.delays.imperceptible.mean for pair in pairs]
-        ),
-    )
+    return _replicate((workload,), seeds, base_config, model, harness)[workload]
 
 
 def replicate_matrix(
     seeds: Sequence[int] = (1, 2, 3),
     base_config: ScenarioConfig = ScenarioConfig(),
     model: PowerModel = NEXUS5,
-    cache: Optional[ResultCache] = None,
-    max_workers: int = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    on_error: str = "raise",
+    **harness: Any,
 ) -> Dict[str, ReplicatedPair]:
-    """Both workloads, replicated — the paper's full reported protocol."""
-    return {
-        workload: replicate_pair(
-            workload,
-            seeds,
-            base_config,
-            model,
-            cache=cache,
-            max_workers=max_workers,
-            timeout_s=timeout_s,
-            retries=retries,
-            on_error=on_error,
+    """Both workloads, replicated — the paper's full reported protocol.
+
+    Both workloads' replicas run as one ``run_many`` batch, so a
+    ``checkpoint`` journal covers the whole matrix (a second batch would
+    reset it) and ``resume`` picks up anywhere in it.
+    """
+    return _replicate(("light", "heavy"), seeds, base_config, model, harness)
+
+
+def _replicate(
+    workloads: Sequence[str],
+    seeds: Sequence[int],
+    base_config: ScenarioConfig,
+    model: PowerModel,
+    harness: Dict[str, Any],
+) -> Dict[str, ReplicatedPair]:
+    """One ``run_many`` batch over every (workload, seed) pair, then each
+    workload's dispersion statistics."""
+    seeds = list(seeds)
+    specs: List[RunSpec] = []
+    for workload in workloads:
+        for seed in seeds:
+            config = replace(base_config, phase_seed=seed)
+            specs.extend(pair_specs(workload, scenario_config=config, model=model))
+    records = iter(run_many(specs, **harness))
+    replicated: Dict[str, ReplicatedPair] = {}
+    for workload in workloads:
+        pairs: List[PairResult] = []
+        failed_seeds: List[int] = []
+        for seed in seeds:
+            baseline, improved = next(records), next(records)
+            if baseline.result is None or improved.result is None:
+                failed_seeds.append(seed)
+                continue
+            pairs.append(
+                PairResult(
+                    workload_name=workload,
+                    baseline=baseline.result,
+                    improved=improved.result,
+                )
+            )
+        if not pairs:
+            raise RuntimeError(
+                f"every replica of {workload!r} failed (seeds {failed_seeds}); "
+                "see the failure table under --stats for the captured errors"
+            )
+        replicated[workload] = ReplicatedPair(
+            workload=workload,
+            seeds=list(seeds),
+            failed_seeds=failed_seeds,
+            total_savings=MetricStats.of(
+                [pair.comparison.total_savings for pair in pairs]
+            ),
+            awake_savings=MetricStats.of(
+                [pair.comparison.awake_savings for pair in pairs]
+            ),
+            standby_extension=MetricStats.of(
+                [pair.comparison.standby_extension for pair in pairs]
+            ),
+            baseline_wakeups=MetricStats.of(
+                [float(pair.baseline.wakeups.cpu.delivered) for pair in pairs]
+            ),
+            improved_wakeups=MetricStats.of(
+                [float(pair.improved.wakeups.cpu.delivered) for pair in pairs]
+            ),
+            improved_imperceptible_delay=MetricStats.of(
+                [pair.improved.delays.imperceptible.mean for pair in pairs]
+            ),
         )
-        for workload in ("light", "heavy")
-    }
+    return replicated

@@ -12,19 +12,21 @@ sweeps here quantify those design choices:
 
 Every sweep builds its full grid of :class:`~repro.runner.spec.RunSpec`s —
 including the beta-independent NATIVE baseline once *per grid point*, as
-the row arithmetic wants — and hands it to
-:func:`~repro.runner.executor.run_many`.  Content-addressed deduplication
-then collapses the repeated baseline to a single simulation: a six-beta
-``beta_sweep`` issues exactly 7 simulations (1 NATIVE + 6 SIMTY).  Pass a
-shared :class:`~repro.runner.cache.ResultCache` to reuse baselines *across*
-sweeps too, and ``max_workers`` to fan the grid out over processes.
+the row arithmetic wants — and hands it to one
+:func:`~repro.runner.executor.run_many` call.  Content-addressed
+deduplication then collapses the repeated baseline to a single simulation:
+a six-beta ``beta_sweep`` issues exactly 7 simulations (1 NATIVE + 6
+SIMTY).
 
-Every sweep also accepts the supervised-execution knobs (``timeout_s``,
-``retries``, ``on_error``, ``checkpoint``, ``resume`` — see
-docs/robustness.md).  With ``on_error="keep_going"`` a failed grid cell
-does not abort the sweep: its row is still emitted, with ``None`` in every
-metric that needed the missing result (the CLI renders these as ``-`` and
-prints a failure summary under ``--stats``).
+A sweep declares only its own grid parameters; every other keyword
+(``**harness``) goes to ``run_many`` unchanged, so each of its options —
+a shared :class:`~repro.runner.cache.ResultCache` to reuse baselines
+*across* sweeps, ``max_workers``, the supervision knobs of
+docs/robustness.md, ``telemetry`` — works on every sweep.  With
+``on_error="keep_going"`` a failed grid cell does not abort the sweep: its
+row is still emitted, with ``None`` in every metric that needed the
+missing result (the CLI renders these as ``-`` and prints a failure
+summary under ``--stats``).
 """
 
 from __future__ import annotations
@@ -35,39 +37,13 @@ import dataclasses
 
 from ..core.similarity import HARDWARE_CLASSIFIERS
 from ..metrics.delay import max_window_violation_ms
-from ..obs.telemetry import Telemetry
 from ..power.accounting import account, savings_fraction
 from ..power.model import PowerModel
 from ..power.profiles import NEXUS5
-from ..runner.cache import ResultCache
 from ..runner.executor import run_many
-from ..runner.journal import RunJournal
 from ..runner.spec import RunSpec
 from ..simulator.engine import SimulatorConfig
 from ..workloads.scenarios import ScenarioConfig
-
-
-def _harness_kwargs(
-    cache: ResultCache,
-    max_workers: int,
-    timeout_s: Optional[float],
-    retries: int,
-    on_error: str,
-    checkpoint: Optional[RunJournal],
-    resume: bool,
-    telemetry: Optional[Telemetry] = None,
-) -> Dict[str, Any]:
-    """The ``run_many`` kwargs shared by every sweep."""
-    return dict(
-        cache=cache,
-        max_workers=max_workers,
-        timeout_s=timeout_s,
-        retries=retries,
-        on_error=on_error,
-        checkpoint=checkpoint,
-        resume=resume,
-        telemetry=telemetry,
-    )
 
 
 def _savings(baseline, result) -> Optional[float]:
@@ -82,18 +58,10 @@ def beta_sweep(
     betas: Sequence[float] = (0.75, 0.80, 0.85, 0.90, 0.96, 0.99),
     model: PowerModel = NEXUS5,
     simulator_config: Optional[SimulatorConfig] = None,
-    cache: Optional[ResultCache] = None,
-    max_workers: int = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    on_error: str = "raise",
-    checkpoint: Optional[RunJournal] = None,
-    resume: bool = False,
-    telemetry: Optional[Telemetry] = None,
     workload_kwargs: Optional[Dict[str, Any]] = None,
+    **harness: Any,
 ) -> List[Dict]:
     """Sweep the grace fraction; NATIVE is the beta-independent baseline."""
-    cache = cache if cache is not None else ResultCache()
     kwargs = workload_kwargs or {}
     specs = []
     for beta in betas:
@@ -115,19 +83,7 @@ def beta_sweep(
                 model=model, simulator=simulator_config,
             )
         )
-    records = run_many(
-        specs,
-        **_harness_kwargs(
-            cache,
-            max_workers,
-            timeout_s,
-            retries,
-            on_error,
-            checkpoint,
-            resume,
-            telemetry,
-        ),
-    )
+    records = run_many(specs, **harness)
     rows = []
     for index, beta in enumerate(betas):
         baseline = records[2 * index].result
@@ -150,18 +106,10 @@ def classifier_sweep(
     model: PowerModel = NEXUS5,
     names: Optional[Iterable[str]] = None,
     simulator_config: Optional[SimulatorConfig] = None,
-    cache: Optional[ResultCache] = None,
-    max_workers: int = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    on_error: str = "raise",
-    checkpoint: Optional[RunJournal] = None,
-    resume: bool = False,
-    telemetry: Optional[Telemetry] = None,
     workload_kwargs: Optional[Dict[str, Any]] = None,
+    **harness: Any,
 ) -> List[Dict]:
     """Compare the hardware-similarity granularities of Sec. 3.1.1."""
-    cache = cache if cache is not None else ResultCache()
     kwargs = workload_kwargs or {}
     chosen = list(names or sorted(HARDWARE_CLASSIFIERS))
     specs = [
@@ -184,19 +132,7 @@ def classifier_sweep(
         )
         for name in chosen
     )
-    records = run_many(
-        specs,
-        **_harness_kwargs(
-            cache,
-            max_workers,
-            timeout_s,
-            retries,
-            on_error,
-            checkpoint,
-            resume,
-            telemetry,
-        ),
-    )
+    records = run_many(specs, **harness)
     baseline = records[0].result
     rows = []
     for name, record in zip(chosen, records[1:]):
@@ -219,17 +155,9 @@ def scale_sweep(
     seed: int = 1,
     model: PowerModel = NEXUS5,
     simulator_config: Optional[SimulatorConfig] = None,
-    cache: Optional[ResultCache] = None,
-    max_workers: int = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    on_error: str = "raise",
-    checkpoint: Optional[RunJournal] = None,
-    resume: bool = False,
-    telemetry: Optional[Telemetry] = None,
+    **harness: Any,
 ) -> List[Dict]:
     """NATIVE-vs-SIMTY savings on synthetic workloads of growing size."""
-    cache = cache if cache is not None else ResultCache()
     specs = []
     for count in app_counts:
         for policy in ("native", "simty"):
@@ -242,19 +170,7 @@ def scale_sweep(
                     model=model, simulator=simulator_config,
                 )
             )
-    records = run_many(
-        specs,
-        **_harness_kwargs(
-            cache,
-            max_workers,
-            timeout_s,
-            retries,
-            on_error,
-            checkpoint,
-            resume,
-            telemetry,
-        ),
-    )
+    records = run_many(specs, **harness)
     rows = []
     for index, count in enumerate(app_counts):
         native = records[2 * index].result
@@ -275,15 +191,8 @@ def bucket_sweep(
     bucket_intervals_s: Sequence[int] = (60, 120, 300, 600),
     model: PowerModel = NEXUS5,
     simulator_config: Optional[SimulatorConfig] = None,
-    cache: Optional[ResultCache] = None,
-    max_workers: int = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    on_error: str = "raise",
-    checkpoint: Optional[RunJournal] = None,
-    resume: bool = False,
-    telemetry: Optional[Telemetry] = None,
     workload_kwargs: Optional[Dict[str, Any]] = None,
+    **harness: Any,
 ) -> List[Dict]:
     """Compare SIMTY with the fixed-interval remedy of [Lin et al.] (A4).
 
@@ -291,7 +200,6 @@ def bucket_sweep(
     worst window violation of a *perceptible* major alarm — the
     user-experience damage SIMTY's search phase rules out by construction.
     """
-    cache = cache if cache is not None else ResultCache()
     kwargs = workload_kwargs or {}
     specs = [
         RunSpec(workload=workload, policy="native", workload_kwargs=kwargs, model=model, simulator=simulator_config),
@@ -308,19 +216,7 @@ def bucket_sweep(
         )
         for interval_s in bucket_intervals_s
     )
-    records = run_many(
-        specs,
-        **_harness_kwargs(
-            cache,
-            max_workers,
-            timeout_s,
-            retries,
-            on_error,
-            checkpoint,
-            resume,
-            telemetry,
-        ),
-    )
+    records = run_many(specs, **harness)
     baseline = records[0].result
     rows: List[Dict] = []
     for record in records[1:]:
@@ -348,15 +244,8 @@ def sensitivity_sweep(
     scales: Sequence[float] = (0.75, 1.0, 1.25),
     model: PowerModel = NEXUS5,
     simulator_config: Optional[SimulatorConfig] = None,
-    cache: Optional[ResultCache] = None,
-    max_workers: int = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    on_error: str = "raise",
-    checkpoint: Optional[RunJournal] = None,
-    resume: bool = False,
-    telemetry: Optional[Telemetry] = None,
     workload_kwargs: Optional[Dict[str, Any]] = None,
+    **harness: Any,
 ) -> List[Dict]:
     """Perturb the calibrated power constants and re-derive the headline.
 
@@ -367,23 +256,13 @@ def sensitivity_sweep(
     simulations run (NATIVE and SIMTY); the perturbations re-price the
     same traces.
     """
-    cache = cache if cache is not None else ResultCache()
     kwargs = workload_kwargs or {}
     records = run_many(
         [
             RunSpec(workload=workload, policy="native", workload_kwargs=kwargs, model=model, simulator=simulator_config),
             RunSpec(workload=workload, policy="simty", workload_kwargs=kwargs, model=model, simulator=simulator_config),
         ],
-        **_harness_kwargs(
-            cache,
-            max_workers,
-            timeout_s,
-            retries,
-            on_error,
-            checkpoint,
-            resume,
-            telemetry,
-        ),
+        **harness,
     )
     native, simty = records[0].result, records[1].result
 
@@ -429,18 +308,10 @@ def duration_sweep(
     workload: str = "heavy",
     model: PowerModel = NEXUS5,
     simulator_config: Optional[SimulatorConfig] = None,
-    cache: Optional[ResultCache] = None,
-    max_workers: int = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    on_error: str = "raise",
-    checkpoint: Optional[RunJournal] = None,
-    resume: bool = False,
-    telemetry: Optional[Telemetry] = None,
     workload_kwargs: Optional[Dict[str, Any]] = None,
+    **harness: Any,
 ) -> List[Dict]:
     """SIMTY vs the Sec. 5 duration-aware extension."""
-    cache = cache if cache is not None else ResultCache()
     kwargs = workload_kwargs or {}
     records = run_many(
         [
@@ -448,16 +319,7 @@ def duration_sweep(
             RunSpec(workload=workload, policy="simty", workload_kwargs=kwargs, model=model, simulator=simulator_config),
             RunSpec(workload=workload, policy="simty+dur", workload_kwargs=kwargs, model=model, simulator=simulator_config),
         ],
-        **_harness_kwargs(
-            cache,
-            max_workers,
-            timeout_s,
-            retries,
-            on_error,
-            checkpoint,
-            resume,
-            telemetry,
-        ),
+        **harness,
     )
     baseline = records[0].result
     rows = []

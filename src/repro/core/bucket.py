@@ -47,7 +47,18 @@ class FixedIntervalPolicy(AlignmentPolicy):
         return ((nominal + interval - 1) // interval) * interval
 
     def insert(self, queue: AlarmQueue, alarm: Alarm, now: int) -> QueueEntry:
-        queue.remove_alarm(alarm)
+        stale = queue.find_alarm(alarm.alarm_id)
+        if stale is not None:
+            # Drop the stale instance while its entry is unqueued.  That
+            # rebuilds the entry's intervals from the survivors' own, which
+            # need not even overlap; the bucket boundary, not that algebra,
+            # is their delivery time, so they are pinned back to it.
+            queue.remove_entry(stale)
+            pinned = stale.window
+            stale.remove(stale.contains_alarm_id(alarm.alarm_id))
+            if not stale.is_empty():
+                _pin(stale, pinned)
+                queue.add_entry(stale)
         boundary = self.bucket_time(alarm.nominal_time)
         # Bucket entries carry the zero-width window [boundary, boundary],
         # so the zero-width probe finds exactly the entries anchored at (or
@@ -81,8 +92,7 @@ class FixedIntervalPolicy(AlignmentPolicy):
         if chosen is not None:
             return self._place_in_bucket(queue, chosen, alarm, boundary)
         entry = QueueEntry([alarm])
-        entry.window = probe
-        entry.grace = entry.window
+        _pin(entry, probe)
         queue.add_entry(entry)
         return entry
 
@@ -94,7 +104,11 @@ class FixedIntervalPolicy(AlignmentPolicy):
         # the delivery time.
         queue.remove_entry(entry)
         entry.add(alarm)
-        entry.window = Interval(boundary, boundary)
-        entry.grace = entry.window
+        _pin(entry, Interval(boundary, boundary))
         queue.add_entry(entry)
         return entry
+
+
+def _pin(entry: QueueEntry, boundary: Interval) -> None:
+    """Pin both of ``entry``'s intervals to its zero-width bucket boundary."""
+    entry.window = entry.grace = boundary

@@ -1,5 +1,8 @@
 """The ``simty`` command-line interface."""
 
+import gc
+import warnings
+
 import pytest
 
 from repro.analysis.cli import main
@@ -72,3 +75,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "EXACT trace over 3.00 h" in out
         assert "one cell" in out
+
+
+def test_cache_dir_run_closes_its_checkpoint_journal(tmp_path, capsys):
+    # The journal behind --cache-dir holds an append handle; a command that
+    # drops it unclosed leaks a file (a ResourceWarning under -X dev).
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(
+            ["sweep", "--kind", "sensitivity", "--cache-dir", str(tmp_path)]
+        ) == 0
+        gc.collect()
+    leaks = [str(w.message) for w in caught if w.category is ResourceWarning]
+    assert leaks == []
+    assert (tmp_path / "journal.jsonl").read_text().count("\n") == 2

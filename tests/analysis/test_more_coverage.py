@@ -29,6 +29,30 @@ class TestReplicateMatrix:
         for replicated in matrix.values():
             assert len(replicated.total_savings.samples) == 2
 
+    def test_checkpoint_journals_both_workloads(self, tmp_path):
+        # The matrix is one run_many batch, so a checkpoint journal ends up
+        # holding every digest of both workloads (a second batch would
+        # have reset it after the first workload).
+        from dataclasses import replace
+
+        from repro.analysis.experiments import pair_specs
+        from repro.analysis.replication import replicate_matrix
+        from repro.runner import RunJournal
+        from repro.workloads.scenarios import ScenarioConfig
+
+        base = ScenarioConfig(horizon=900_000)
+        journal = RunJournal(tmp_path / "journal.jsonl")
+        replicate_matrix(seeds=(1,), base_config=base, checkpoint=journal)
+        journal.close()
+        config = replace(base, phase_seed=1)
+        expected = {
+            spec.digest()
+            for workload in ("light", "heavy")
+            for spec in pair_specs(workload, scenario_config=config)
+        }
+        assert len(expected) == 4
+        assert RunJournal(tmp_path / "journal.jsonl").completed() == expected
+
 
 class TestCompareFlags:
     def test_custom_policies(self, capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.bucket import FixedIntervalPolicy
+from repro.core.intervals import Interval
 
 from ..conftest import make_alarm
 
@@ -56,6 +57,45 @@ class TestBucketing:
         policy.insert(queue, alarm, 0)
         assert queue.alarm_count() == 1
         assert queue.peek().delivery_time(False) == 200_000
+
+    @pytest.mark.parametrize("backend", ["indexed", "list"])
+    def test_reinsert_keeps_batch_mates_on_their_boundary(self, backend):
+        # Re-inserting a batched alarm shrinks its old entry; the survivor
+        # must stay pinned to the 300 s boundary, so a later alarm of the
+        # same bucket joins it instead of opening a second entry.
+        policy = FixedIntervalPolicy(bucket_interval=300_000)
+        queue = policy.make_queue(backend=backend)
+        first = make_alarm(nominal=100_000, window=10_000, label="a")
+        second = make_alarm(nominal=120_000, window=10_000, label="b")
+        policy.insert(queue, first, 0)
+        shared = policy.insert(queue, second, 0)
+        first.nominal_time = 400_000
+        policy.insert(queue, first, 0)
+        assert queue.find_alarm(second.alarm_id) is shared
+        assert shared.window == Interval(300_000, 300_000)
+        assert shared.delivery_time(grace_mode=False) == 300_000
+        third = make_alarm(nominal=150_000, window=10_000, label="c")
+        assert policy.insert(queue, third, 0) is shared
+        assert [entry.delivery_time(False) for entry in queue] == [
+            300_000,
+            600_000,
+        ]
+
+    def test_reinsert_leaves_disjoint_survivors_pinned(self):
+        # Survivors whose own windows do not overlap have no member-algebra
+        # window at all; the boundary still holds them together.
+        policy = FixedIntervalPolicy(bucket_interval=300_000)
+        queue = policy.make_queue()
+        alarms = [
+            make_alarm(nominal=nominal, window=1_000)
+            for nominal in (100_000, 150_000, 200_000)
+        ]
+        for alarm in alarms:
+            shared = policy.insert(queue, alarm, 0)
+        alarms[0].nominal_time = 400_000
+        policy.insert(queue, alarms[0], 0)
+        assert shared.alarms == alarms[1:]
+        assert shared.delivery_time(grace_mode=False) == 300_000
 
 
 class TestBucketInSimulation:

@@ -10,7 +10,10 @@ the structural invariants both policies must maintain:
   (window/grace intersections, hardware union, perceptibility);
 * perceptible entries always retain a non-empty window intersection;
 * under SIMTY, every member of an entry can legally be delivered at the
-  entry's delivery time (window for perceptible, grace for imperceptible).
+  entry's delivery time (window for perceptible, grace for imperceptible);
+* under BUCKET, whose entries ignore the member algebra, every entry's
+  window is ``[k*interval, k*interval]``: the boundary its members round
+  up to.
 """
 
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.alarm import Alarm, RepeatKind
+from repro.core.bucket import FixedIntervalPolicy
 from repro.core.hardware import (
     ACCELEROMETER_ONLY,
     EMPTY_HARDWARE,
@@ -26,6 +30,7 @@ from repro.core.hardware import (
     WIFI_ONLY,
     WPS_ONLY,
 )
+from repro.core.intervals import Interval
 from repro.core.native import NativePolicy
 from repro.core.simty import SimtyPolicy
 
@@ -155,14 +160,44 @@ class NativeQueueMachine(QueueMachine):
     policy_factory = NativePolicy
 
 
+class BucketQueueMachine(QueueMachine):
+    policy_factory = FixedIntervalPolicy
+
+    @rule(index=st.integers(min_value=0, max_value=10_000))
+    def remove(self, index):
+        # An app-side cancel, the way AlarmManager.cancel does it: the
+        # batch is detached and its survivors re-aligned through the policy.
+        if not self.alarms:
+            return
+        alarm = self.alarms.pop(index % len(self.alarms))
+        _, batch_mates = self.queue.detach_batch(alarm)
+        for mate in sorted(batch_mates, key=lambda a: (a.nominal_time, a.alarm_id)):
+            self.policy.insert(self.queue, mate, 0)
+
+    @invariant()
+    def entry_attributes_match_members(self):
+        interval = self.policy.bucket_interval
+        for entry in self.queue.entries():
+            assert not entry.is_empty()
+            boundary = entry.window.start
+            assert boundary % interval == 0
+            assert entry.window == entry.grace == Interval(boundary, boundary)
+            for alarm in entry:
+                assert self.policy.bucket_time(alarm.nominal_time) == boundary
+
+
 TestSimtyQueueMachine = pytest.mark.filterwarnings("ignore")(
     SimtyQueueMachine.TestCase
 )
 TestNativeQueueMachine = NativeQueueMachine.TestCase
+TestBucketQueueMachine = BucketQueueMachine.TestCase
 
 SimtyQueueMachine.TestCase.settings = settings(
     max_examples=30, stateful_step_count=30, deadline=None
 )
 NativeQueueMachine.TestCase.settings = settings(
+    max_examples=30, stateful_step_count=30, deadline=None
+)
+BucketQueueMachine.TestCase.settings = settings(
     max_examples=30, stateful_step_count=30, deadline=None
 )

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.exact import ExactPolicy
+from repro.obs import Telemetry
 from repro.runner import (
     Registry,
     ResultCache,
@@ -87,13 +88,17 @@ class TestOrderingAndDedup:
         from repro.analysis.sweep import beta_sweep
 
         cache = ResultCache()
+        hub = Telemetry()
         betas = (0.75, 0.80, 0.85, 0.90, 0.96, 0.99)
         rows = beta_sweep(
-            workload="light", betas=betas, cache=cache
+            workload="light", betas=betas, cache=cache, telemetry=hub
         )
         assert len(rows) == 6
         assert cache.stats.misses == 1 + len(betas)
         assert cache.stats.hits == len(betas) - 1
+        # The telemetry keyword reaches run_many, which counts each
+        # simulation it resolves on the hub.
+        assert hub.counters["runner.specs_resolved"] == 1 + len(betas)
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
