@@ -13,7 +13,11 @@ path.
 
 An enabled run is also timed and emitted for eyeballing — instrumentation
 that is *on* is allowed to cost real time (spans allocate), it just has to
-be opt-in.
+be opt-in.  Per policy, the median paired no-op overhead and the ratio of
+the enabled run to the baseline (minima over the reps) are written to
+``BENCH_telemetry_overhead.json`` at the repo root; the report keeps the
+readings it replaces in its ``history``, so a drift towards the bound
+shows before a flake does.
 
 Each run builds a fresh workload (alarms are single-use) and starts from a
 collected heap.  Each rep times the baseline and the no-op path back to
@@ -26,6 +30,7 @@ shifts a ratio of per-configuration minima.
 import gc
 import statistics
 import time
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -35,6 +40,13 @@ from repro.core.simty import SimtyPolicy
 from repro.obs.telemetry import Telemetry
 from repro.simulator.engine import Simulator
 from repro.workloads.scenarios import build_heavy
+
+REPORT_PATH = (
+    Path(__file__).resolve().parents[1] / "BENCH_telemetry_overhead.json"
+)
+
+#: CI-enforced maximum median paired no-op overhead.
+NOOP_BOUND = 0.05
 
 REPS = 25
 
@@ -100,8 +112,24 @@ def _run_once(simulator_cls, policy_cls, telemetry=None):
     return time.perf_counter() - started, trace
 
 
+@pytest.fixture(scope="module")
+def report(write_report):
+    results = {}
+    yield results
+    payload = {
+        "unit": (
+            f"heavy workload, {REPS} reps: median paired no-op/baseline "
+            "ratio - 1, and min enabled / min baseline wall time"
+        ),
+        "workload": "heavy",
+        "noop_bound": NOOP_BOUND,
+        "policies": results,
+    }
+    write_report(REPORT_PATH, payload)
+
+
 @pytest.mark.parametrize("policy", sorted(POLICIES))
-def test_bench_telemetry_noop_overhead(emit, policy):
+def test_bench_telemetry_noop_overhead(emit, report, policy):
     policy_cls, baseline_policy_cls = POLICIES[policy]
     baseline_s = []
     noop_s = []
@@ -133,6 +161,13 @@ def test_bench_telemetry_noop_overhead(emit, policy):
     baseline = min(baseline_s)
     noop = min(noop_s)
     enabled = min(enabled_s)
+    report[policy] = {
+        "baseline_s": round(baseline, 4),
+        "noop_s": round(noop, 4),
+        "enabled_s": round(enabled, 4),
+        "noop_overhead": round(noop_overhead, 4),
+        "enabled_ratio": round(enabled / baseline, 3),
+    }
     emit(
         f"telemetry overhead ({policy}, heavy workload, {REPS} reps)\n"
         f"  ungated baseline step:  {baseline * 1000.0:8.1f} ms (min)\n"
@@ -141,7 +176,7 @@ def test_bench_telemetry_noop_overhead(emit, policy):
         f"  enabled instrumentation:{enabled * 1000.0:8.1f} ms (min, "
         f"{enabled / baseline:.2f}x baseline)"
     )
-    assert noop_overhead < 0.05, (
+    assert noop_overhead < NOOP_BOUND, (
         f"disabled telemetry costs {noop_overhead:.1%} over the ungated "
         f"step under {policy}; the no-op path must stay under 5%"
     )

@@ -18,7 +18,7 @@ energy) dominates.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional
 
 from .alarm import Alarm
 from .entry import QueueEntry
@@ -46,7 +46,11 @@ class DurationAwareSimtyPolicy(SimtyPolicy):
     name = "SIMTY+DUR"
 
     def _search_and_select(
-        self, queue: AlarmQueue, alarm: Alarm, now: int
+        self,
+        queue: AlarmQueue,
+        alarm: Alarm,
+        now: int,
+        candidates: Optional[List[QueueEntry]] = None,
     ) -> Optional[QueueEntry]:
         """SIMTY's search with ``(preference, duration dissimilarity)``
         as the selection key; telemetry and the audit come from the
@@ -58,7 +62,9 @@ class DurationAwareSimtyPolicy(SimtyPolicy):
         rank = self.hardware_classifier.rank
         # Same exact pre-filter as SIMTY: applicability implies grace
         # overlap, so only grace candidates can win.
-        for entry in queue.grace_candidates(alarm.grace_interval()):
+        if candidates is None:
+            candidates = queue.grace_candidates(alarm.grace_interval())
+        for entry in candidates:
             level = applicability(probe, entry)
             if level is None:
                 continue

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .alarm import RepeatKind
-from .entry import _bounded
+from .entry import QueueEntry, _bounded
 from .hardware import Component, HardwareSet
 from .intervals import Interval
 from .queue import AlarmQueue
@@ -297,16 +297,7 @@ def check_queue(
             )
         previous_delivery = delivery
         if overdue_tolerance_ms is not None and delivery + overdue_tolerance_ms < now:
-            violations.append(
-                Violation(
-                    kind=OVERDUE_ENTRY,
-                    time=now,
-                    detail=(
-                        f"entry #{entry.entry_id} was due at {delivery}, "
-                        f"{now - delivery}ms ago, but is still queued"
-                    ),
-                )
-            )
+            violations.append(_overdue(entry, delivery, now))
         entry_id = entry.entry_id
         start = -math.inf
         window_end = grace_end = math.inf
@@ -395,6 +386,42 @@ def check_queue(
                 )
             )
     return violations
+
+
+def check_overdue(
+    queue: AlarmQueue, now: int, *, tolerance_ms: int = 0
+) -> List[Violation]:
+    """The overdue part of :func:`check_queue`, alone, on an ordered queue.
+
+    Flags the entries whose delivery time lies more than ``tolerance_ms``
+    before ``now``, exactly as ``check_queue(queue, now,
+    overdue_tolerance_ms=tolerance_ms)`` does.  It stops at the first
+    entry that is not overdue, so it is sound only for a queue that
+    :func:`check_queue` found free of ``QUEUE_ORDER`` and ``EMPTY_ENTRY``
+    breaches and that has not changed since: in delivery order, every
+    entry after that one is due later still.  The monitor uses it at the
+    end of an engine step that already made such an audit.
+    """
+    violations: List[Violation] = []
+    grace_mode = queue.grace_mode
+    for entry in queue.entries():
+        delivery = entry.delivery_time(grace_mode)
+        if delivery + tolerance_ms >= now:
+            break
+        violations.append(_overdue(entry, delivery, now))
+    return violations
+
+
+def _overdue(entry: QueueEntry, delivery: int, now: int) -> Violation:
+    """The ``OVERDUE_ENTRY`` breach of one entry due at ``delivery``."""
+    return Violation(
+        kind=OVERDUE_ENTRY,
+        time=now,
+        detail=(
+            f"entry #{entry.entry_id} was due at {delivery}, "
+            f"{now - delivery}ms ago, but is still queued"
+        ),
+    )
 
 
 #: The union seed for an entry's hardware recompute (no component).

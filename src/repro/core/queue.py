@@ -88,12 +88,29 @@ class AlarmQueue:
         Returns the removed instance, or ``None`` when the alarm was not
         queued.  Entries emptied by the removal are dropped; entries that
         shrink have their intervals rebuilt and are re-indexed.
+
+        Raises :class:`ValueError`, and changes nothing, when the other
+        members' grace intervals share no instant: rebuilt from them, the
+        entry would have no delivery time.  Only a forced-alignment
+        (BUCKET) entry can hold such members; :meth:`detach_batch` takes
+        the whole batch out instead.
         """
-        entry = self._alarms.pop(alarm.alarm_id, None)
+        entry = self._alarms.get(alarm.alarm_id)
         if entry is None:
             return None
         found = entry.contains_alarm_id(alarm.alarm_id)
         assert found is not None, "alarm map out of sync with entry members"
+        survivors = [member for member in entry.alarms if member is not found]
+        if survivors and max(
+            member.nominal_time for member in survivors
+        ) > min(member.nominal_time + member.grace_length for member in survivors):
+            raise ValueError(
+                f"removing {found.label or found.alarm_id!r} would leave "
+                f"entry #{entry.entry_id} with members whose grace intervals "
+                "share no instant, so no delivery time; use detach_batch to "
+                "take the whole batch out"
+            )
+        del self._alarms[alarm.alarm_id]
         entry.remove(found)
         if entry.is_empty():
             self._backend.discard(entry)

@@ -22,7 +22,7 @@ The hardware-similarity granularity is pluggable (Sec. 3.1.1 sketches 2- and
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 from .alarm import Alarm
 from .entry import QueueEntry
@@ -107,11 +107,13 @@ class SimtyPolicy(AlignmentPolicy):
         queue.remove_alarm(alarm)
         # Observed or not, the decision is the same search; only the span
         # is kept off the unobserved path (a null span per insert costs
-        # about 1% of a heavy run).
+        # about 1% of a heavy run).  The observed path queries the
+        # candidates once, for the search and its explain pass.
         if self.telemetry.enabled or self.audit.enabled:
             with self.telemetry.span("simty.search", alarm=alarm.label):
-                best = self._search_and_select(queue, alarm, now)
-            self._explain(queue, alarm, now, best)
+                candidates = queue.grace_candidates(alarm.grace_interval())
+                best = self._search_and_select(queue, alarm, now, candidates)
+            self._explain(queue, alarm, now, best, candidates)
         else:
             best = self._search_and_select(queue, alarm, now)
         if best is not None:
@@ -122,13 +124,18 @@ class SimtyPolicy(AlignmentPolicy):
     # Phases
     # ------------------------------------------------------------------
     def _search_and_select(
-        self, queue: AlarmQueue, alarm: Alarm, now: int
+        self,
+        queue: AlarmQueue,
+        alarm: Alarm,
+        now: int,
+        candidates: Optional[List[QueueEntry]] = None,
     ) -> Optional[QueueEntry]:
         """Run both phases and return the winning entry, if any.
 
         The scan keeps the best (lowest) preferability seen so far; because
         entries are examined in queue order, ties resolve to the first-found
-        entry as the paper specifies.
+        entry as the paper specifies.  ``candidates`` is the alarm's grace
+        candidate list when the caller already queried it.
         """
         best_entry: Optional[QueueEntry] = None
         best_score = math.inf
@@ -138,7 +145,9 @@ class SimtyPolicy(AlignmentPolicy):
         # Applicability needs at least MEDIUM time similarity, i.e. grace
         # overlap (window overlap implies it, since window ⊆ grace), so the
         # grace-candidate query is an exact search-phase pre-filter.
-        for entry in queue.grace_candidates(alarm.grace_interval()):
+        if candidates is None:
+            candidates = queue.grace_candidates(alarm.grace_interval())
+        for entry in candidates:
             level = applicability(probe, entry)
             if level is None:
                 continue
@@ -155,16 +164,18 @@ class SimtyPolicy(AlignmentPolicy):
         alarm: Alarm,
         now: int,
         best: Optional[QueueEntry],
+        candidates: List[QueueEntry],
     ) -> None:
         """Telemetry and decision audit for one finished search.
 
         Runs only when either is enabled, after the search and before the
-        alarm is placed, so it re-derives from the same queue state what
-        the fused loop does not keep: how many candidates were scanned,
-        the applicable ones per hardware×time similarity cell (the Table 1
-        breakdown), rejections by reason, and the winner's labels and
-        Table 1 rank.  Which candidate won comes from the search, so
-        subclasses that select differently (SIMTY+DUR) share this pass.
+        alarm is placed, so it re-derives from the same queue state and
+        the search's ``candidates`` what the fused loop does not keep: how
+        many candidates were scanned, the applicable ones per
+        hardware×time similarity cell (the Table 1 breakdown), rejections
+        by reason, and the winner's labels and Table 1 rank.  Which
+        candidate won comes from the search, so subclasses that select
+        differently (SIMTY+DUR) share this pass.
         """
         tel = self.telemetry
         seq = self._sampled_seq()
@@ -178,7 +189,7 @@ class SimtyPolicy(AlignmentPolicy):
         applicable = 0
         rejections: dict = {}
         winner: dict = {"new_entry": True}
-        for entry in queue.grace_candidates(grace):
+        for entry in candidates:
             scanned += 1
             level = applicability(probe, entry)
             if level is None:

@@ -380,7 +380,7 @@ def summarize(
             )
             for key, cell in hub.span_stats.items()
         },
-        span_events=len(hub.events),
+        span_events=hub.span_count,
         dropped_events=hub.dropped_events,
     )
     if not include_children or not hub.children:

@@ -22,16 +22,19 @@ Design rules:
   monotonic nanosecond clock (default ``time.perf_counter_ns``) and tests
   inject a :class:`FakeClock` for fully deterministic durations.
 
-* **Plain-data summaries.**  A live hub holds the raw span events (for
-  the Chrome-trace/JSONL exporters); :meth:`Telemetry.summary` reduces
-  them to a picklable, JSON-able
-  :class:`~repro.obs.summary.TelemetrySummary` that can ride on a trace
-  across a process boundary.
+* **Plain-data summaries.**  A live hub keeps each completed span as a
+  plain tuple and builds the :class:`SpanEvent` records the
+  Chrome-trace/JSONL exporters read only when :attr:`Telemetry.events`
+  is first read; :meth:`Telemetry.summary` reduces the hub to a
+  picklable, JSON-able :class:`~repro.obs.summary.TelemetrySummary` that
+  can ride on a trace across a process boundary, without building them.
 
 Metric names use dotted lowercase (``engine.queue_depth``); labels are
 encoded into the metric key as ``name{k=v,...}`` with sorted keys, so a
 label set is exactly one counter cell (the SIMTY Table 1 breakdown is the
-canonical use: ``simty.applicable{hw=high,time=medium}``).
+canonical use: ``simty.applicable{hw=high,time=medium}``).  A hub
+memoises the key of every labelled cell it stores, so a hot call site
+formats its key once.
 """
 
 from __future__ import annotations
@@ -148,7 +151,8 @@ class _Span:
         self._args = args
 
     def __enter__(self) -> "_Span":
-        self._hub.begin(self._name, **self._args)
+        hub = self._hub
+        hub._stack.append((self._name, hub._clock(), self._args))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -239,23 +243,41 @@ class Telemetry:
         self.gauges: Dict[str, _GaugeCell] = {}
         self.histograms: Dict[str, _HistogramCell] = {}
         self.span_stats: Dict[str, _SpanCell] = {}
-        self.events: List[SpanEvent] = []
         self.dropped_events = 0
         self.children: List[Tuple[str, "Telemetry"]] = []
-        self._stack: List[Tuple[str, int, Tuple[Tuple[str, object], ...]]] = []
+        #: Open spans: ``(name, start_ns, args)``.
+        self._stack: List[Tuple[str, int, Dict[str, object]]] = []
+        #: Completed spans, ``(name, start_ns, end_ns, depth, args)``; the
+        #: first ``len(self._events)`` of them are built already.
+        self._spans: List[Tuple[str, int, int, int, Dict[str, object]]] = []
+        self._events: List[SpanEvent] = []
+        #: ``(name, *label items, *label types)`` -> :func:`metric_key`.
+        #: The types keep ``1`` and ``True``, which compare equal, apart.
+        self._keys: Dict[tuple, str] = {}
 
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
+    def _key(self, name: str, labels: Dict[str, object]) -> str:
+        """:func:`metric_key`, memoised per label spelling."""
+        try:
+            memo = (name, *labels.items(), *map(type, labels.values()))
+            key = self._keys.get(memo)
+        except TypeError:  # an unhashable label value
+            return metric_key(name, labels)
+        if key is None:
+            key = self._keys[memo] = metric_key(name, labels)
+        return key
+
     def count(self, name: str, value: int = 1, **labels: object) -> None:
         """Add ``value`` to a (monotonic) counter cell."""
-        key = metric_key(name, labels) if labels else name
+        key = self._key(name, labels) if labels else name
         current = self.counters.get(key, 0)
         self.counters[key] = min(COUNTER_MAX, current + value)
 
     def gauge(self, name: str, value: float, **labels: object) -> None:
         """Set a gauge cell, tracking last/min/max across updates."""
-        key = metric_key(name, labels) if labels else name
+        key = self._key(name, labels) if labels else name
         cell = self.gauges.get(key)
         if cell is None:
             self.gauges[key] = _GaugeCell(value)
@@ -264,7 +286,7 @@ class Telemetry:
 
     def observe(self, name: str, value: float, **labels: object) -> None:
         """Record one observation into a histogram cell."""
-        key = metric_key(name, labels) if labels else name
+        key = self._key(name, labels) if labels else name
         cell = self.histograms.get(key)
         if cell is None:
             cell = self.histograms[key] = _HistogramCell()
@@ -279,7 +301,7 @@ class Telemetry:
 
     def begin(self, name: str, **args: object) -> None:
         """Open a span manually (prefer :meth:`span` where possible)."""
-        self._stack.append((name, self._clock(), tuple(sorted(args.items()))))
+        self._stack.append((name, self._clock(), args))
 
     def end(self, name: str) -> None:
         """Close the innermost open span; it must be ``name``."""
@@ -300,18 +322,30 @@ class Telemetry:
         if cell is None:
             cell = self.span_stats[name] = _SpanCell()
         cell.record(end_ns - start_ns)
-        if len(self.events) < self.max_events:
-            self.events.append(
-                SpanEvent(
-                    name=name,
-                    start_ns=start_ns,
-                    end_ns=end_ns,
-                    depth=depth,
-                    args=args,
-                )
-            )
+        if len(self._spans) < self.max_events:
+            self._spans.append((name, start_ns, end_ns, depth, args))
         else:
             self.dropped_events += 1
+
+    @property
+    def events(self) -> List[SpanEvent]:
+        """The retained completed spans, in completion order.
+
+        Built on first read (args sorted by name) and extended by later
+        reads, so a run that is summarised but never exported builds none.
+        """
+        built = self._events
+        if len(built) < len(self._spans):
+            built.extend(
+                SpanEvent(name, start_ns, end_ns, depth, tuple(sorted(args.items())))
+                for name, start_ns, end_ns, depth, args in self._spans[len(built):]
+            )
+        return built
+
+    @property
+    def span_count(self) -> int:
+        """How many completed spans the hub retains."""
+        return len(self._spans)
 
     @property
     def open_spans(self) -> int:

@@ -11,6 +11,7 @@ EXACT baseline and any custom :class:`~repro.core.policy.AlignmentPolicy`.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
@@ -564,35 +565,34 @@ class Simulator:
     # Event scheduling
     # ------------------------------------------------------------------
     def _next_event_time(self) -> Optional[int]:
-        now = self.clock.now
-        candidates: List[int] = []
+        """The earliest due time over every cursor, floored at ``now``.
+
+        The floor is taken once, on the minimum: ``min(max(now, t) for t)``
+        is ``max(now, min(t))``.  The awake device's sleep deadline is the
+        one candidate that is not floored.
+        """
+        due = math.inf
         if self._registration_index < len(self._registrations):
-            candidates.append(
-                max(now, self._registrations[self._registration_index].time)
-            )
+            due = self._registrations[self._registration_index].time
         if self._cancellation_index < len(self._cancellations):
-            candidates.append(
-                max(now, self._cancellations[self._cancellation_index].time)
-            )
+            due = min(due, self._cancellations[self._cancellation_index].time)
         if self._reregistration_index < len(self._reregistrations):
-            candidates.append(
-                max(now, self._reregistrations[self._reregistration_index].time)
+            due = min(
+                due, self._reregistrations[self._reregistration_index].time
             )
         if self._external_index < len(self._externals):
-            candidates.append(
-                max(now, self._externals[self._external_index].time)
-            )
+            due = min(due, self._externals[self._external_index].time)
         next_wakeup = self.manager.next_wakeup_time()
-        if next_wakeup is not None:
-            candidates.append(max(now, next_wakeup))
+        if next_wakeup is not None and next_wakeup < due:
+            due = next_wakeup
         if self.device.awake:
-            candidates.append(self.device.sleep_at)
             next_nonwakeup = self.manager.next_nonwakeup_time()
-            if next_nonwakeup is not None:
-                candidates.append(max(now, next_nonwakeup))
-        if not candidates:
+            if next_nonwakeup is not None and next_nonwakeup < due:
+                due = next_nonwakeup
+            return min(max(self.clock.now, due), self.device.sleep_at)
+        if due is math.inf:
             return None
-        return min(candidates)
+        return max(self.clock.now, due)
 
     # ------------------------------------------------------------------
     # Event processing

@@ -19,6 +19,22 @@ The monitor accounts for legitimate slack: the RTC wake-from-sleep latency
 (the paper's own Sec. 4.2 artifact) is granted as tolerance on every
 deadline, and an alarm (re-)registered after its window already passed is
 only required to be delivered promptly after registration.
+
+Within one engine step the step-end audit may reuse an earlier one.  The
+structural part of an audit reads only the two queues, their entries and
+member alarms, and the registered set.  Inside a step only engine and
+policy code runs; every policy call (registration, cancellation,
+reinsert) is followed by an audit, and everything else the engine does to
+that state between two audits is a delivery: a pop, the members'
+delivery bookkeeping and reschedule, and :meth:`InvariantMonitor.
+on_delivery`.  So a *clean* audit (no violation) made earlier in the
+step, with no delivery after it, still describes the queues at the step's
+end, and :meth:`~InvariantMonitor.on_step_end` runs only the overdue check
+on top of it, which a clean audit's queue order lets stop at the first
+entry not yet due.  An unclean audit, any delivery and every step end
+drop the reuse, so the first audit of each step is full and a change made
+outside the engine between steps is always seen; the end-of-run audit is
+always full.
 """
 
 from __future__ import annotations
@@ -33,6 +49,7 @@ from ..core.invariants import (
     check_delivery,
     check_delivery_gap,
     check_exactly_once,
+    check_overdue,
     check_queue,
 )
 
@@ -79,6 +96,9 @@ class InvariantMonitor:
         self._delivered_nominals: Dict[int, List[int]] = {}
         self._last_delivery: Dict[int, object] = {}
         self._checks = 0
+        #: True while the last structural audit was clean and no delivery
+        #: followed it in the current step (see the module docstring).
+        self._clean = False
 
     # ------------------------------------------------------------------
     # Engine binding
@@ -120,6 +140,8 @@ class InvariantMonitor:
     def on_delivery(self, record, now: int) -> None:
         """Check one sealed delivery record against Sec. 3.2.2."""
         self._checks += 1
+        # The delivery popped an entry and moved its members on.
+        self._clean = False
         registered_at = self._registered_at.get(record.alarm_id, 0)
         for violation in check_delivery(
             record,
@@ -158,8 +180,21 @@ class InvariantMonitor:
         delivery time still lies in the past is an orphaned batch.  During
         registration or mid-delivery the queue legally holds entries that
         are about to be popped in the same iteration.
+
+        After a clean audit earlier in this step with no delivery since,
+        the queues are as that audit saw them, and only the overdue check
+        runs; otherwise the audit is full.
         """
+        if self._clean:
+            self._clean = False
+            self._checks += 1
+            for violation in check_overdue(
+                self._manager.wakeup_queue, now, tolerance_ms=0
+            ):
+                self._emit(violation)
+            return
         self._audit(now, overdue_tolerance_ms=0)
+        self._clean = False
 
     def on_run_end(self, horizon: int) -> None:
         """Final audit: nothing deliverable may be left behind.
@@ -184,19 +219,25 @@ class InvariantMonitor:
         if self._manager is None:
             return
         self._checks += 1
-        for violation in check_queue(
+        # Cleared first, so an audit that raises (``"raise"`` mode) is
+        # never taken for a clean one.
+        self._clean = False
+        wakeup = check_queue(
             self._manager.wakeup_queue,
             now,
             registered_ids=self._registered_ids,
             overdue_tolerance_ms=overdue_tolerance_ms,
-        ):
+        )
+        for violation in wakeup:
             self._emit(violation)
-        for violation in check_queue(
+        nonwakeup = check_queue(
             self._manager.nonwakeup_queue,
             now,
             registered_ids=self._registered_ids,
-        ):
+        )
+        for violation in nonwakeup:
             self._emit(violation)
+        self._clean = not wakeup and not nonwakeup
 
     def _emit(self, violation: Violation) -> None:
         self.violations.append(violation)

@@ -23,6 +23,7 @@ from repro.core.invariants import (
     check_delivery,
     check_delivery_gap,
     check_exactly_once,
+    check_overdue,
     check_queue,
 )
 from repro.core.queue import AlarmQueue
@@ -233,6 +234,29 @@ class TestCheckQueue:
     def test_overdue_tolerance_respected(self):
         queue = self.fill(make_alarm(nominal=10_000))
         assert check_queue(queue, 10_300, overdue_tolerance_ms=350) == []
+
+    def test_check_overdue_is_the_overdue_part_of_check_queue(self):
+        queue = self.fill(
+            *(make_alarm(nominal=t) for t in (10_000, 20_000, 30_000, 40_000))
+        )
+        for now, tolerance in ((5_000, 0), (25_000, 0), (41_000, 0), (30_500, 600)):
+            full = check_queue(queue, now, overdue_tolerance_ms=tolerance)
+            assert check_overdue(queue, now, tolerance_ms=tolerance) == [
+                violation for violation in full if violation.kind == OVERDUE_ENTRY
+            ]
+
+    def test_check_overdue_stops_at_the_first_entry_not_due(self):
+        # It trusts the queue order a clean audit found: an entry out of
+        # order behind a future one is not looked at.
+        queue = self.fill(
+            make_alarm(nominal=50_000, label="a"),
+            make_alarm(nominal=10_000, label="b"),
+        )
+        queue._backend._entries.reverse()
+        assert OVERDUE_ENTRY in kinds(
+            check_queue(queue, 20_000, overdue_tolerance_ms=0)
+        )
+        assert check_overdue(queue, 20_000) == []
 
 
 class TestViolationRendering:

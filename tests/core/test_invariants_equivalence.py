@@ -7,12 +7,21 @@ oracle.  The shipping :func:`repro.core.invariants.check_queue` must return
 field-for-field equal violations — same kinds, same order, byte-identical
 details — on hand-corrupted queues and on every audit point of monitored
 runs that do and do not breach the entry algebra.
+
+The last part checks the monitor's within-step reuse of a clean audit at
+the step end against a monitor whose step end always audits in full:
+after in-place corruptions made between two steps with no queue call,
+and over whole runs of every workload and policy pair, the violations
+and the check count must be the same.
 """
 
+import itertools
 from typing import Dict, List, Optional, Set
 
 import pytest
 
+from repro.core import alarm as alarm_module
+from repro.core import entry as entry_module
 from repro.core import invariants
 from repro.core.bucket import FixedIntervalPolicy
 from repro.core.entry import QueueEntry
@@ -38,8 +47,10 @@ from repro.core.invariants import (
 from repro.core.native import NativePolicy
 from repro.core.queue import AlarmQueue
 from repro.core.simty import SimtyPolicy
+from repro.runner.registry import DEFAULT_REGISTRY
 from repro.simulator import monitor as monitor_module
 from repro.simulator.engine import Simulator, SimulatorConfig
+from repro.simulator.monitor import InvariantMonitor
 from repro.workloads.churn import app_update_wave, cancellation_storm
 from repro.workloads.scenarios import build_light
 
@@ -521,3 +532,197 @@ def churned_light():
 )
 def test_churn_run_audits_match_reference(monkeypatch, policy):
     assert replay_audits(monkeypatch, policy(), churned_light()) == {}
+
+
+# ---------------------------------------------------------------------------
+# (d) The step-end audit's within-step reuse against an always-full one
+# ---------------------------------------------------------------------------
+
+
+class FullStepEndMonitor(InvariantMonitor):
+    """The reference: every step end runs the full structural audit."""
+
+    def on_step_end(self, now: int) -> None:
+        self._audit(now, overdue_tolerance_ms=0)
+
+
+def _fresh_ids(monkeypatch):
+    # Violation details name entries and alarms by id, and both come from
+    # process-global counters: restart them so two runs can be compared.
+    monkeypatch.setattr(entry_module, "_ENTRY_IDS", itertools.count(1))
+    monkeypatch.setattr(alarm_module, "_ALARM_IDS", itertools.count(1))
+
+
+def _upcoming(simulator) -> Optional[Set[str]]:
+    """The phases the next ``step()`` runs, or ``None`` when none is left."""
+    instant = simulator.next_event_time()
+    if instant is None or instant >= simulator.config.horizon:
+        return None
+    phases = set()
+    for name, schedule, index in (
+        ("registration", simulator._registrations, simulator._registration_index),
+        ("cancellation", simulator._cancellations, simulator._cancellation_index),
+        (
+            "registration",
+            simulator._reregistrations,
+            simulator._reregistration_index,
+        ),
+        ("external", simulator._externals, simulator._external_index),
+    ):
+        if index < len(schedule) and schedule[index].time <= instant:
+            phases.add(name)
+    manager = simulator.manager
+    due = manager.next_wakeup_time()
+    if due is not None and due <= instant:
+        phases.add("delivery")
+    if simulator.device.awake:
+        due = manager.next_nonwakeup_time()
+        if due is not None and due <= instant:
+            phases.add("delivery")
+        if not phases and simulator.device.sleep_at == instant:
+            phases.add("sleep")
+    return phases
+
+
+def _surviving_entry(simulator, accept=lambda entry: True) -> QueueEntry:
+    """The latest ``accept``-ed wakeup-queue entry; it outlives the next step."""
+    entry = [e for e in simulator.manager.wakeup_queue.entries() if accept(e)][-1]
+    assert entry.delivery_time(simulator.policy.grace_mode) > (
+        simulator.next_event_time()
+    )
+    return entry
+
+
+def corrupt_entry_hardware(simulator) -> None:
+    entry = _surviving_entry(simulator)
+    if Component.GPS in entry.hardware.components:
+        entry.hardware = EMPTY_HARDWARE
+    else:
+        entry.hardware = entry.hardware.union(HardwareSet({Component.GPS}))
+
+
+def _window_enders(entry: QueueEntry) -> List:
+    """Members whose window ends the entry's window and can shrink."""
+    return [
+        alarm
+        for alarm in entry.alarms
+        if alarm.window_length > 0
+        and alarm.nominal_time + alarm.window_length == entry.window.end
+    ]
+
+
+def corrupt_member_window(simulator) -> None:
+    # Shorten the window of a member that ends the entry's window: the
+    # recomputed intersection then ends earlier (or vanishes).
+    entry = _surviving_entry(
+        simulator, lambda entry: entry.window is not None and _window_enders(entry)
+    )
+    _window_enders(entry)[0].window_length -= 1
+
+
+#: Corruptions made between two steps, without a queue call.
+STEP_CORRUPTIONS = [corrupt_entry_hardware, corrupt_member_window]
+
+#: The run corrupts the queue before the first step of this kind past it.
+CORRUPT_AFTER_MS = 1_800_000
+
+
+def gated_run(monkeypatch, monitor_cls, policy, kind, corrupt):
+    """Run churned light monitored; corrupt once, before the first
+    ``kind`` step past :data:`CORRUPT_AFTER_MS`.  Returns (violations,
+    check count, instant of the corrupted step)."""
+    _fresh_ids(monkeypatch)
+    monitor = monitor_cls(on_violation="record")
+    simulator = Simulator(
+        DEFAULT_REGISTRY.create_policy(policy), monitor=monitor
+    )
+    churned_light().apply(simulator)
+    simulator.start()
+    corrupted_at = None
+    while (phases := _upcoming(simulator)) is not None:
+        if (
+            corrupted_at is None
+            and simulator.now >= CORRUPT_AFTER_MS
+            and phases == {kind}
+        ):
+            corrupt(simulator)
+            corrupted_at = simulator.next_event_time()
+        simulator.step()
+    simulator.finish()
+    assert corrupted_at is not None, f"no {kind} step to corrupt before"
+    return fields(monitor.violations), monitor.check_count, corrupted_at
+
+
+@pytest.mark.parametrize("corrupt", STEP_CORRUPTIONS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("kind", ["sleep", "delivery", "registration"])
+@pytest.mark.parametrize("policy", ["simty", "native"])
+def test_step_end_reuse_sees_a_corruption_made_between_steps(
+    monkeypatch, policy, kind, corrupt
+):
+    expected, expected_checks, at = gated_run(
+        monkeypatch, FullStepEndMonitor, policy, kind, corrupt
+    )
+    actual, checks, _ = gated_run(
+        monkeypatch, InvariantMonitor, policy, kind, corrupt
+    )
+    # The reference saw the corruption in the corrupted step itself.
+    assert any(
+        violation[0] == ENTRY_ALGEBRA and violation[1] >= at
+        for violation in expected
+    )
+    assert checks == expected_checks
+    assert len(actual) == len(expected)
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got == want, f"violation {index} differs"
+
+
+def with_churn(workload):
+    """``workload`` plus a cancellation storm and an app-update wave."""
+    labels = workload.major_labels()
+    workload.directives = cancellation_storm(
+        labels[:3], at=1_800_000, spread_ms=600_000, seed=7
+    ) + app_update_wave(labels[3:], at=5_400_000, spacing_ms=30_000)
+    return workload
+
+
+def replay_run(monkeypatch, monitor_cls, policy, workload, churn):
+    """One monitored run; returns (violations, check count, reuses)."""
+    _fresh_ids(monkeypatch)
+    reuses = [0]
+
+    def counting(*args, **kwargs):
+        reuses[0] += 1
+        return invariants.check_overdue(*args, **kwargs)
+
+    monkeypatch.setattr(monitor_module, "check_overdue", counting)
+    monitor = monitor_cls(on_violation="record")
+    simulator = Simulator(
+        DEFAULT_REGISTRY.create_policy(policy), monitor=monitor
+    )
+    built = DEFAULT_REGISTRY.build_workload(workload)
+    (with_churn(built) if churn else built).apply(simulator)
+    simulator.run()
+    return fields(monitor.violations), monitor.check_count, reuses[0]
+
+
+@pytest.mark.parametrize("churn", [False, True], ids=["steady", "churn"])
+@pytest.mark.parametrize("policy", ["simty", "native", "bucket", "simty+dur"])
+@pytest.mark.parametrize("workload", ["light", "heavy", "synthetic"])
+def test_step_end_reuse_replays_like_the_full_audit(
+    monkeypatch, workload, policy, churn
+):
+    expected, expected_checks, _ = replay_run(
+        monkeypatch, FullStepEndMonitor, policy, workload, churn
+    )
+    actual, checks, reuses = replay_run(
+        monkeypatch, InvariantMonitor, policy, workload, churn
+    )
+    assert checks == expected_checks
+    assert len(actual) == len(expected)
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got == want, f"violation {index} differs"
+    if policy == "bucket":
+        # BUCKET breaks the entry algebra at every audit: never reused.
+        assert reuses == 0 and expected
+    else:
+        assert reuses > 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.bucket import FixedIntervalPolicy
 from repro.core.entry import QueueEntry
 from repro.core.intervals import Interval
 from repro.core.queue import AlarmQueue
@@ -91,6 +92,32 @@ class TestMutation:
         queue.remove_alarm(first)
         assert len(queue) == 1
         assert queue.alarm_count() == 1
+
+    @pytest.mark.parametrize("backend", ["list", "indexed"])
+    def test_remove_alarm_refuses_to_leave_an_entry_without_delivery_time(
+        self, backend
+    ):
+        # BUCKET pins three zero-window alarms to one boundary.  Without
+        # the first, the others' own intervals share no instant, so the
+        # rebuilt entry would have no delivery time.
+        policy = FixedIntervalPolicy(bucket_interval=300_000)
+        queue = AlarmQueue(grace_mode=policy.grace_mode, backend=backend)
+        alarms = [make_alarm(nominal=t) for t in (100_000, 120_000, 150_000)]
+        for alarm in alarms:
+            policy.insert(queue, alarm, 0)
+        (entry,) = queue.entries()
+        with pytest.raises(ValueError, match="detach_batch"):
+            queue.remove_alarm(alarms[0])
+        # Nothing moved: the entry, its pin, the alarm map and the index.
+        assert list(entry) == alarms
+        assert entry.window == entry.grace == Interval(300_000, 300_000)
+        assert [queue.find_alarm(a.alarm_id) for a in alarms] == [entry] * 3
+        assert list(queue.entries()) == [entry]
+        assert queue.window_candidates(Interval(300_000, 300_000)) == [entry]
+        assert queue.next_delivery_time() == 300_000
+        removed, mates = queue.detach_batch(alarms[0])
+        assert removed is alarms[0] and mates == alarms[1:]
+        assert len(queue) == 0
 
     def test_drain_returns_all_alarms(self):
         queue, alarms = queue_with(1_000, 2_000, 3_000)

@@ -45,6 +45,20 @@ def test_counter_accumulates_per_label_set():
     assert cells[(("hw", "high"), ("time", "low"))] == 2
 
 
+def test_memoised_keys_keep_equal_values_of_other_types_apart():
+    # 1 == True == 1.0, but each spells a different cell.
+    tel = Telemetry(clock=FakeClock())
+    for value in (1, True, 1.0, 1, "1"):
+        tel.count("m", flag=value)
+    tel.gauge("g", 2, a=1, b=True)
+    tel.gauge("g", 3, b=True, a=1)
+    tel.observe("h", 4, unhashable=[1])
+    assert tel.counters == {"m{flag=1}": 3, "m{flag=True}": 1, "m{flag=1.0}": 1}
+    assert list(tel.gauges) == ["g{a=1,b=True}"]
+    assert tel.gauges["g{a=1,b=True}"].updates == 2
+    assert list(tel.histograms) == ["h{unhashable=[1]}"]
+
+
 def test_counter_saturates_at_int64_max():
     tel = Telemetry(clock=FakeClock())
     tel.count("big", value=COUNTER_MAX - 1)
@@ -93,6 +107,26 @@ def test_spans_nest_and_record_depth_with_fake_clock():
     assert by_name["inner"].duration_ms == pytest.approx(1.0)
     assert by_name["outer"].duration_ms == pytest.approx(3.0)
     assert tel.summary().span_total_ms("outer") == pytest.approx(3.0)
+
+
+def test_span_events_are_built_on_read_and_extended_by_later_spans():
+    tel = Telemetry(clock=FakeClock(auto_step_ns=1))
+    tel.begin("first", z=1, a=2)
+    tel.end("first")
+    assert tel.summary().span_events == 1
+    first = tel.events
+    assert [(e.name, e.start_ns, e.end_ns, e.args) for e in first] == [
+        ("first", 0, 1, (("a", 2), ("z", 1)))
+    ]
+    with tel.span("second", b=1, a=0):
+        pass
+    events = tel.events
+    assert events[0] is first[0]
+    assert [(e.name, e.start_ns, e.end_ns, e.depth, e.args) for e in events] == [
+        ("first", 0, 1, 0, (("a", 2), ("z", 1))),
+        ("second", 2, 3, 0, (("a", 0), ("b", 1))),
+    ]
+    assert tel.summary().span_events == 2
 
 
 def test_end_without_begin_raises():
