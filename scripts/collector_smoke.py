@@ -85,7 +85,6 @@ def main():
         device_retries=1,
         device_backoff_s=0.001,
         shard_retries=2,
-        memory_watermark=64,
         straggler_min_s=120.0,
         stream_dir=str(stream_dir),
         stream_interval_s=0.1,

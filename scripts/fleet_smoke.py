@@ -14,9 +14,7 @@ fleet-smoke`` runs):
 3. corrupt three of the surviving shard journals on disk (garbage,
    truncation, deletion) and ``--resume``: only the damaged shards
    re-run, and the report is byte-identical again;
-4. assert constant-memory aggregation held: peak resident RunRecords
-   never exceeded the memory watermark;
-5. assert quarantine and coverage accounting: every poison device is
+4. assert quarantine and coverage accounting: every poison device is
    listed with its reproducer digest, and attempted = completed +
    quarantined.
 
@@ -49,7 +47,6 @@ from repro.fleet import (  # noqa: E402
 
 KILLED_SHARDS = {0: 1, 3: 1, 5: 2, 8: 1, 11: 1}  # 5 shards, 6 kills
 CORRUPTIONS = [(1, "garbage"), (4, "truncate"), (9, "delete")]
-MEMORY_WATERMARK = 256
 
 
 def log_line(log, message):
@@ -87,7 +84,6 @@ def main():
         device_retries=1,
         device_backoff_s=0.001,
         shard_retries=2,
-        memory_watermark=MEMORY_WATERMARK,
         straggler_min_s=120.0,
     )
 
@@ -149,17 +145,7 @@ def main():
             return 1
         log_line(log, "resumed report byte-identical to reference")
 
-        # 4. Constant-memory aggregation held.
-        peak = max(
-            reference.summary.peak_live_records,
-            chaotic.summary.peak_live_records,
-            resumed.summary.peak_live_records,
-        )
-        assert 0 < peak <= MEMORY_WATERMARK, peak
-        log_line(log, f"peak live RunRecords {peak} <= "
-                      f"watermark {MEMORY_WATERMARK}")
-
-        # 5. Quarantine + coverage accounting.
+        # 4. Quarantine + coverage accounting.
         assert reference.quarantined > 0, "poison archetype never sampled"
         assert reference.attempted_devices == (
             reference.completed + reference.quarantined

@@ -664,13 +664,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-runs of a crashed or straggling shard before it is FAILED",
     )
     fleet.add_argument(
-        "--memory-watermark",
-        type=_positive_int,
-        default=256,
-        metavar="N",
-        help="max RunRecords buffered per shard before an early reduction",
-    )
-    fleet.add_argument(
         "--coverage-threshold",
         type=float,
         default=0.95,
@@ -1302,7 +1295,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
         device_retries=args.device_retries,
         device_timeout_s=args.device_timeout,
         shard_retries=args.shard_retries,
-        memory_watermark=args.memory_watermark,
         coverage_threshold=args.coverage_threshold,
         quarantine_dir=args.quarantine_dir,
         stream_dir=args.stream,

@@ -24,10 +24,10 @@ process, built robustness-first:
   against the median of completed shards; a shard exceeding
   ``straggler_factor`` x median (with a floor) is terminated and
   reassigned, consuming one of its ``shard_retries``.
-* **Constant memory.**  Completed devices' supervision outcomes buffer
-  at most ``memory_watermark`` deep before an early reduction folds them
-  into the shard summary and frees them — never more than a shard's
-  worth of results is live anywhere, and the observed peak is reported.
+* **Constant memory.**  A shard reduces each device as it completes:
+  the supervision outcome folds into the shard summary
+  (:meth:`~repro.fleet.reduce.ShardSummary.observe`) before the next
+  device runs, so at most one device's trace is live in a shard.
 * **Honest partial results.**  A fleet report always states devices
   attempted / completed / quarantined, counts failed shards, and refuses
   to print percentiles when coverage falls below the configured
@@ -45,7 +45,7 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..analysis.report import format_table
 from ..durable import AppendLog, read_jsonl
@@ -84,9 +84,11 @@ class FleetConfig:
     ``workers=0`` runs every shard in-process (deterministic unit-test
     mode; incompatible with kill chaos).  ``device_timeout_s`` bounds one
     device attempt; ``device_retries`` extra attempts precede quarantine.
-    ``memory_watermark`` caps buffered completed outcomes per shard before
-    an early reduction.  ``coverage_threshold`` is the completed-device
-    fraction below which the report withholds percentiles.
+    ``coverage_threshold`` is the completed-device fraction below which
+    the report withholds percentiles.  Every shard keeps its own telemetry
+    hub (progress/outcome counters, device wall-time histogram); the hubs
+    merge onto ``FleetReport.telemetry`` and ride in the seal, outside
+    the deterministic payload.
     """
 
     shards: int = 8
@@ -97,16 +99,10 @@ class FleetConfig:
     shard_retries: int = 2
     straggler_factor: float = 4.0
     straggler_min_s: float = 30.0
-    memory_watermark: int = 256
     reservoir_size: int = 32
     coverage_threshold: float = 0.95
-    poll_interval_s: float = 0.01
     quarantine_dir: Optional[str] = None
     chaos: Optional[FleetChaos] = None
-    #: Per-shard telemetry hub (progress/outcome counters, device wall-time
-    #: histogram).  Merged across shards onto ``FleetReport.telemetry``;
-    #: rides in the seal, outside the deterministic payload.
-    shard_telemetry: bool = True
     #: Spool directory for live shard telemetry streams (``--stream``);
     #: None disables streaming.  Plain data, crosses the worker boundary.
     stream_dir: Optional[str] = None
@@ -121,8 +117,6 @@ class FleetConfig:
             raise ValueError("workers must be non-negative (0 = in-process)")
         if self.device_retries < 0 or self.shard_retries < 0:
             raise ValueError("retries must be non-negative")
-        if self.memory_watermark < 1:
-            raise ValueError("memory_watermark must be at least 1")
         if not 0.0 <= self.coverage_threshold <= 1.0:
             raise ValueError("coverage_threshold must be in [0, 1]")
         if self.chaos is not None and self.chaos.kill_shards and self.workers == 0:
@@ -288,9 +282,9 @@ def run_shard(
     if chaos is not None and chaos.should_hang(plan.shard, attempt):
         time.sleep(chaos.hang_s)
     started = time.perf_counter()
-    hub = Telemetry() if config.shard_telemetry else NULL_TELEMETRY
+    hub = Telemetry()
     stream = None
-    if config.stream_dir is not None and config.shard_telemetry:
+    if config.stream_dir is not None:
         stream = TelemetryStream(
             hub,
             source=f"shard-{plan.shard:04d}",
@@ -322,27 +316,8 @@ def run_shard(
         if config.quarantine_dir is not None
         else Path(fleet_dir) / "quarantine"
     )
-    buffer: List[Tuple[DeviceSpec, Outcome]] = []
-    peak = 0
     reduce_ms = 0.0
-    reductions = 0
     processed = 0
-
-    def flush() -> None:
-        nonlocal reduce_ms, reductions
-        if not buffer:
-            return
-        reduce_started = time.perf_counter()
-        for device, outcome in buffer:
-            summary.observe(
-                DeviceSummary.from_outcome(
-                    outcome, device.index, device.archetype, device.rank
-                )
-            )
-        buffer.clear()
-        reduce_ms += (time.perf_counter() - reduce_started) * 1_000.0
-        reductions += 1
-
     try:
         for device in population.devices(plan.lo, plan.hi):
             if chaos is not None and chaos.should_kill(
@@ -357,25 +332,15 @@ def run_shard(
             )
             processed += 1
             if outcome.ok:
-                buffer.append((device, outcome))
-                peak = max(peak, len(buffer))
                 journal.device(device.index, outcome.status.value)
-                if hub.enabled:
-                    hub.count("shard.devices", status=outcome.status.value)
-                    trace = outcome.result.trace
-                    hub.count("engine.deliveries", trace.delivery_count())
-                    hub.count("engine.wakeups", trace.wake_count())
-                    hub.count("engine.batches", trace.batch_count())
-                    if trace.violations:
-                        hub.count("monitor.violations", len(trace.violations))
-                    hub.observe(
-                        "shard.device_wall_ms",
-                        int(outcome.wall_time_s * 1000),
+                _count_device(hub, outcome)
+                reduce_started = time.perf_counter()
+                summary.observe(
+                    DeviceSummary.from_outcome(
+                        outcome, device.index, device.archetype, device.rank
                     )
-                if len(buffer) >= config.memory_watermark:
-                    # The hard memory watermark: reduce early instead of
-                    # letting results pile toward an OOM kill.
-                    flush()
+                )
+                reduce_ms += (time.perf_counter() - reduce_started) * 1_000.0
             else:
                 record = QuarantineRecord(
                     device=device.index,
@@ -390,21 +355,15 @@ def run_shard(
                 )
                 summary.observe_quarantine(record)
                 journal.quarantine(record)
-                if hub.enabled:
-                    hub.count("shard.devices", status="quarantined")
-            if hub.enabled:
-                hub.gauge("shard.progress", processed / max(1, plan.size))
+                hub.count("shard.devices", status="quarantined")
+            hub.gauge("shard.progress", processed / max(1, plan.size))
             if stream is not None:
                 stream.poll()
-        flush()
-        summary.peak_live_records = peak
         summary.timing = {
             "wall_s": time.perf_counter() - started,
             "reduce_ms": reduce_ms,
-            "reductions": float(reductions),
         }
-        if hub.enabled:
-            summary.telemetry = hub.summary()
+        summary.telemetry = hub.summary()
         journal.seal(summary.to_dict())
         if stream is not None:
             # Flush the tail delta and mark the source complete *after*
@@ -416,6 +375,22 @@ def run_shard(
         if stream is not None:
             stream.close()
     return summary
+
+
+def _count_device(hub: Telemetry, outcome: Outcome) -> None:
+    """Count one completed device's outcome and engine events on ``hub``.
+
+    A function rather than loop code, so that no local of the shard loop
+    keeps this device's trace alive after the device is reduced.
+    """
+    hub.count("shard.devices", status=outcome.status.value)
+    trace = outcome.result.trace
+    hub.count("engine.deliveries", trace.delivery_count())
+    hub.count("engine.wakeups", trace.wake_count())
+    hub.count("engine.batches", trace.batch_count())
+    if trace.violations:
+        hub.count("monitor.violations", len(trace.violations))
+    hub.observe("shard.device_wall_ms", int(outcome.wall_time_s * 1000))
 
 
 def _write_quarantine_file(
@@ -500,7 +475,7 @@ class FleetReport:
 
     @property
     def telemetry(self) -> Optional[TelemetrySummary]:
-        """Merged per-shard telemetry (None when shards ran uninstrumented).
+        """Merged per-shard telemetry (None when no shard sealed).
 
         Counters and span totals are deterministic in the population; the
         wall-clock histograms are not — which is why this rides outside
@@ -558,7 +533,6 @@ class FleetReport:
         payload = self.summary.to_dict()
         # Execution-flavoured fields have no place in a results payload.
         payload.pop("timing", None)
-        payload.pop("peak_live_records", None)
         payload.pop("telemetry", None)
         payload.pop("shard", None)
         return {
@@ -580,7 +554,6 @@ class FleetReport:
             "workers": self.workers,
             "shard_stats": dict(sorted(self.shard_stats.items())),
             "attempted_devices": self.attempted_devices,
-            "peak_live_records": self.summary.peak_live_records,
             "wall_s": self.wall_s,
             "devices_per_s": self.devices_per_s,
         }
@@ -683,7 +656,6 @@ class FleetReport:
         )
         lines.append(
             f"execution: shards [{stats or 'none'}], "
-            f"peak live records {self.summary.peak_live_records}, "
             f"{self.wall_s:.1f} s wall, "
             f"{self.devices_per_s:.0f} devices/s"
         )
@@ -734,14 +706,38 @@ def run_fleet(
         "failed": 0,
     }
     pending: deque = deque()
+    failed_shards: List[ShardPlan] = []
+
+    def book(status: str) -> None:
+        stats[status] += 1
+        tel.count("fleet.shards", status=status)
+
+    def settle(
+        plan: ShardPlan,
+        attempt: int,
+        summary: Optional[ShardSummary],
+        retry_status: str = "retried",
+    ) -> None:
+        """Book one finished shard attempt: completed (``summary`` is its
+        seal), re-queued under ``retry_status`` while retries remain, or
+        FAILED."""
+        if summary is not None:
+            summaries[plan.shard] = summary
+            book("completed")
+        elif attempt <= config.shard_retries:
+            pending.append((plan, attempt + 1))
+            book(retry_status)
+        else:
+            failed_shards.append(plan)
+            book("failed")
+
     for plan in plans:
         path = shard_journal_path(fleet_dir, plan.shard)
         if resume:
             sealed = load_sealed_summary(path, digest, plan)
             if sealed is not None:
                 summaries[plan.shard] = sealed
-                stats["resumed"] += 1
-                tel.count("fleet.shards", status="resumed")
+                book("resumed")
                 continue
             claimed = journal_population(path)
             if claimed is not None and claimed != digest:
@@ -751,17 +747,8 @@ def run_fleet(
                 )
         pending.append((plan, 1))
 
-    failed_shards: List[ShardPlan] = []
-    if config.workers == 0:
-        _run_serial(
-            population, config, fleet_dir, pending, summaries, stats,
-            failed_shards, tel,
-        )
-    else:
-        _run_supervised(
-            population, config, fleet_dir, pending, summaries, stats,
-            failed_shards, tel,
-        )
+    run = _run_serial if config.workers == 0 else _run_supervised
+    run(population, config, fleet_dir, pending, settle)
 
     wall = time.perf_counter() - started
 
@@ -791,7 +778,6 @@ def run_fleet(
             reduce_ms = summary.timing.get("reduce_ms")
             if reduce_ms is not None:
                 tel.observe("fleet.reduce_latency_ms", reduce_ms)
-        tel.gauge("fleet.live_records", merged.peak_live_records)
         tel.gauge("fleet.coverage", merged.completed / max(1, population.size))
 
     report = FleetReport(
@@ -837,15 +823,16 @@ def _write_stream_final(stream_dir: Path, report: FleetReport) -> None:
         pass
 
 
+#: Seconds between the supervised scheduler's checks on its workers.
+POLL_INTERVAL_S = 0.01
+
+
 def _run_serial(
     population: PopulationSpec,
     config: FleetConfig,
     fleet_dir: Path,
     pending: deque,
-    summaries: Dict[int, ShardSummary],
-    stats: Dict[str, int],
-    failed_shards: List[ShardPlan],
-    tel: Telemetry,
+    settle: Callable[..., None],
 ) -> None:
     """In-process shard execution (workers=0): no kills, no stragglers."""
     while pending:
@@ -854,18 +841,7 @@ def _run_serial(
             summary = run_shard(population, plan, config, fleet_dir, attempt)
         except Exception:
             summary = None
-        if summary is not None:
-            summaries[plan.shard] = summary
-            stats["completed"] += 1
-            tel.count("fleet.shards", status="completed")
-        elif attempt <= config.shard_retries:
-            stats["retried"] += 1
-            tel.count("fleet.shards", status="retried")
-            pending.append((plan, attempt + 1))
-        else:
-            stats["failed"] += 1
-            tel.count("fleet.shards", status="failed")
-            failed_shards.append(plan)
+        settle(plan, attempt, summary)
 
 
 def _run_supervised(
@@ -873,10 +849,7 @@ def _run_supervised(
     config: FleetConfig,
     fleet_dir: Path,
     pending: deque,
-    summaries: Dict[int, ShardSummary],
-    stats: Dict[str, int],
-    failed_shards: List[ShardPlan],
-    tel: Telemetry,
+    settle: Callable[..., None],
 ) -> None:
     """Subprocess shard scheduling: kills survived, stragglers reassigned."""
     ctx = multiprocessing.get_context(
@@ -885,21 +858,6 @@ def _run_supervised(
     digest = population.digest()
     running: Dict[int, Tuple] = {}  # shard -> (proc, plan, attempt, started)
     durations: List[float] = []
-
-    def finish(plan: ShardPlan, attempt: int, ok: bool, reason: str) -> None:
-        if ok:
-            stats["completed"] += 1
-            tel.count("fleet.shards", status="completed")
-            return
-        if attempt <= config.shard_retries:
-            stats[reason] += 1
-            tel.count("fleet.shards", status=reason)
-            pending.append((plan, attempt + 1))
-        else:
-            stats["failed"] += 1
-            tel.count("fleet.shards", status="failed")
-            failed_shards.append(plan)
-
     try:
         while pending or running:
             while pending and len(running) < config.workers:
@@ -911,7 +869,7 @@ def _run_supervised(
                 )
                 proc.start()
                 running[plan.shard] = (proc, plan, attempt, time.monotonic())
-            time.sleep(config.poll_interval_s)
+            time.sleep(POLL_INTERVAL_S)
             deadline = None
             if len(durations) >= 2:
                 ordered = sorted(durations)
@@ -930,7 +888,7 @@ def _run_supervised(
                         proc.terminate()
                         proc.join(5.0)
                         del running[shard]
-                        finish(plan, attempt, ok=False, reason="reassigned")
+                        settle(plan, attempt, None, "reassigned")
                     continue
                 proc.join()
                 del running[shard]
@@ -941,10 +899,7 @@ def _run_supervised(
                     )
                 if summary is not None:
                     durations.append(elapsed)
-                    summaries[plan.shard] = summary
-                    finish(plan, attempt, ok=True, reason="completed")
-                else:
-                    finish(plan, attempt, ok=False, reason="retried")
+                settle(plan, attempt, summary)
     finally:
         for proc, _, _, _ in running.values():
             proc.terminate()

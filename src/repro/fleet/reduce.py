@@ -274,7 +274,6 @@ class ShardSummary:
     wakeups: Hist = field(default_factory=Hist)
     reservoir: List[DeviceSummary] = field(default_factory=list)
     reservoir_size: int = 32
-    peak_live_records: int = 0
     telemetry: Optional[TelemetrySummary] = None
     timing: Dict[str, float] = field(default_factory=dict)
 
@@ -343,9 +342,6 @@ class ShardSummary:
         self.reservoir.extend(other.reservoir)
         self.reservoir.sort(key=lambda entry: (entry.rank, entry.device))
         del self.reservoir[self.reservoir_size:]
-        self.peak_live_records = max(
-            self.peak_live_records, other.peak_live_records
-        )
         self.lo = min(self.lo, other.lo)
         self.hi = max(self.hi, other.hi)
         if other.telemetry is not None:
@@ -418,7 +414,6 @@ class ShardSummary:
                 )
             ],
             "reservoir_size": self.reservoir_size,
-            "peak_live_records": self.peak_live_records,
             "telemetry": (
                 self.telemetry.to_dict() if self.telemetry is not None else None
             ),
@@ -427,6 +422,8 @@ class ShardSummary:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ShardSummary":
+        """Rebuild a summary; keys this version does not know (fields an
+        older seal carried) are ignored."""
         telemetry = payload.get("telemetry")
         return cls(
             population=payload["population"],
@@ -459,7 +456,6 @@ class ShardSummary:
                 for entry in payload.get("reservoir", [])
             ],
             reservoir_size=int(payload.get("reservoir_size", 32)),
-            peak_live_records=int(payload.get("peak_live_records", 0)),
             telemetry=(
                 TelemetrySummary.from_dict(telemetry)
                 if telemetry is not None

@@ -132,8 +132,9 @@ class ServiceConfig:
 class AlarmService:
     """One live alarm service: engine, wall clock, journal, telemetry.
 
-    Build a fresh daemon with :meth:`fresh` (truncates any stale journal)
-    or revive a crashed one with :meth:`resume` (replays the journal).
+    Build a fresh daemon with the constructor (truncates any stale
+    journal) or revive a crashed one with :meth:`resume` (replays the
+    journal).
     """
 
     def __init__(
@@ -217,17 +218,6 @@ class AlarmService:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def fresh(
-        cls,
-        config: Optional[ServiceConfig] = None,
-        telemetry: Optional[Telemetry] = None,
-        *,
-        journal_factory: Optional[JournalFactory] = None,
-    ) -> "AlarmService":
-        """A brand-new daemon; any stale journal in the dir is truncated."""
-        return cls(config, telemetry, journal_factory=journal_factory)
-
     @classmethod
     def resume(
         cls,
@@ -384,21 +374,23 @@ class AlarmService:
     def _watermark(self) -> float:
         """Journal "the engine reached t"; returns the fsync latency in ms.
 
-        A watermark that fails to write flips the service into degraded
-        (read-only) mode instead of crashing: the engine keeps serving
-        reads, the previous watermark stays the resume point, and only
-        durability (not correctness) is lost.
+        Without a journal, or in degraded mode, nothing is written: the
+        latency is 0.0 and ``service.checkpoint_latency_ms`` observes
+        nothing, so the histogram holds only real appends.  A watermark
+        that fails to write flips the service into degraded (read-only)
+        mode instead of crashing: the engine keeps serving reads, the
+        previous watermark stays the resume point, and only durability
+        (not correctness) is lost.
         """
+        if self.journal is None or self._degraded:
+            return 0.0
         started = time.perf_counter()
-        if self.journal is not None and not self._degraded:
-            try:
-                self.journal.append(
-                    {"kind": "watermark", "t": self.simulator.now}
-                )
-            except OSError as error:
-                self._enter_degraded(error)
-            else:
-                self._last_watermark = self.simulator.now
+        try:
+            self.journal.append({"kind": "watermark", "t": self.simulator.now})
+        except OSError as error:
+            self._enter_degraded(error)
+        else:
+            self._last_watermark = self.simulator.now
         latency_ms = (time.perf_counter() - started) * 1_000.0
         self.telemetry.observe("service.checkpoint_latency_ms", latency_ms)
         return latency_ms
@@ -727,8 +719,7 @@ class AlarmService:
         self.wall.advance_to(to)
         # The lock is re-entrant, so ticking inside the request is safe.
         processed = self.tick()
-        if self.journal is not None:
-            self._watermark()
+        self._watermark()
         return {"sim_time_ms": self.simulator.now, "processed": processed}
 
     def _op_checkpoint(self, payload: Dict) -> Dict:

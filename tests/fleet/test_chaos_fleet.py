@@ -37,7 +37,6 @@ BASE = FleetConfig(
     device_retries=1,
     device_backoff_s=0.001,
     shard_retries=2,
-    memory_watermark=16,
     reservoir_size=8,
     straggler_min_s=60.0,
 )

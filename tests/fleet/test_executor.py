@@ -6,7 +6,11 @@ straggler paths live in ``test_chaos_fleet.py``.
 """
 
 import dataclasses
+import gc
+import gzip
 import json
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,7 @@ from repro.fleet import (
     run_fleet,
     shard_journal_path,
 )
+from repro.fleet import executor
 from repro.fleet.executor import load_sealed_summary, run_shard, ShardPlan
 from repro.obs import Telemetry
 from repro.runner import RunSpec
@@ -31,9 +36,13 @@ CFG = FleetConfig(
     workers=0,
     device_retries=1,
     device_backoff_s=0.001,
-    memory_watermark=8,
     reservoir_size=8,
 )
+
+#: A one-shard journal of ``micro(size=6)`` written before shards reduced
+#: each device as it completed: its seal carries a summary field and a
+#: ``timing["reductions"]`` entry that current seals no longer write.
+LEGACY_JOURNAL = Path(__file__).with_name("legacy_shard_journal.jsonl.gz")
 
 
 def micro(size=24, seed=0):
@@ -130,6 +139,30 @@ class TestJournalAndResume:
         with pytest.raises(ValueError, match="fleet_dir"):
             run_fleet(micro(), CFG, resume=True)
 
+    def test_seal_from_an_older_version_loads_and_resumes(self, tmp_path):
+        population = micro(size=6)
+        config = dataclasses.replace(CFG, shards=1)
+        path = shard_journal_path(tmp_path / "legacy", 0)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(gzip.decompress(LEGACY_JOURNAL.read_bytes()))
+        seal = json.loads(path.read_text().splitlines()[-1])["summary"]
+        fresh = run_fleet(population, config, fleet_dir=tmp_path / "fresh")
+        assert set(seal) - set(fresh.summary.to_dict())
+        assert "reductions" in seal["timing"]
+
+        resumed = run_fleet(
+            population, config, fleet_dir=tmp_path / "legacy", resume=True
+        )
+        assert resumed.shard_stats["resumed"] == 1
+        assert resumed.shard_stats["completed"] == 0
+        assert json.dumps(resumed.deterministic_payload(), sort_keys=True) == (
+            json.dumps(fresh.deterministic_payload(), sort_keys=True)
+        )
+        assert set(resumed.execution_payload()) == set(
+            fresh.execution_payload()
+        )
+        assert "execution: shards [resumed=1]" in resumed.render()
+
 
 class TestQuarantine:
     def test_poison_devices_quarantined_not_retried_forever(self, tmp_path):
@@ -220,20 +253,45 @@ class TestViolationCarryThrough:
         assert report.summary.archetype_violations == expected
 
 
-class TestMemoryWatermark:
-    def test_peak_live_records_bounded(self, tmp_path):
-        config = dataclasses.replace(CFG, shards=2, memory_watermark=5)
-        report = run_fleet(micro(size=30), config, fleet_dir=tmp_path)
-        assert 0 < report.summary.peak_live_records <= 5
-        assert report.completed == 30
+class TestPerDeviceReduction:
+    def test_a_shard_frees_each_trace_before_the_next_device_but_one(
+        self, tmp_path, monkeypatch
+    ):
+        """A shard reduces each device as it completes: when a device
+        starts, no trace older than the previous device's is alive, so
+        memory stays bounded however large the shard."""
+        supervise = executor.run_supervised_serial
+        traces = []  # per device: weakref to its trace, or None
+        stale = []  # (device about to run, older device whose trace lives)
 
-    def test_early_reductions_counted_in_timing(self, tmp_path):
-        config = dataclasses.replace(CFG, shards=1, memory_watermark=4)
-        population = micro(size=12)
+        def watched(*args, **kwargs):
+            gc.collect()
+            stale.extend(
+                (len(traces), index)
+                for index, ref in enumerate(traces[:-1])
+                if ref is not None and ref() is not None
+            )
+            outcome = supervise(*args, **kwargs)
+            traces.append(
+                weakref.ref(outcome.result.trace) if outcome.result else None
+            )
+            return outcome
+
+        monkeypatch.setattr(executor, "run_supervised_serial", watched)
+        population = poisoned(size=24)
+        config = dataclasses.replace(CFG, shards=1)
+        report = run_fleet(population, config, fleet_dir=tmp_path)
+        assert stale == []
+        assert len(traces) == population.size
+        assert report.completed + report.quarantined == population.size
+        assert report.quarantined > 0
+
+    def test_reduce_time_is_summed_per_device(self, tmp_path):
         summary = run_shard(
-            population, ShardPlan(shard=0, lo=0, hi=12), config, tmp_path
+            micro(size=12), ShardPlan(shard=0, lo=0, hi=12), CFG, tmp_path
         )
-        assert summary.timing["reductions"] >= 3
+        assert set(summary.timing) == {"wall_s", "reduce_ms"}
+        assert 0 < summary.timing["reduce_ms"] < summary.timing["wall_s"] * 1000
 
 
 class TestCoverage:
@@ -272,7 +330,7 @@ class TestReportPayloads:
         assert set(payload) == {"population", "execution"}
         deterministic = payload["population"]
         assert "timing" not in deterministic["aggregate"]
-        assert "peak_live_records" not in deterministic["aggregate"]
+        assert "telemetry" not in deterministic["aggregate"]
         assert payload["execution"]["wall_s"] > 0
         json.dumps(payload)  # fully JSON-serializable
 
@@ -281,8 +339,6 @@ class TestReportPayloads:
             FleetConfig(shards=0)
         with pytest.raises(ValueError):
             FleetConfig(workers=-1)
-        with pytest.raises(ValueError):
-            FleetConfig(memory_watermark=0)
         with pytest.raises(ValueError):
             FleetConfig(coverage_threshold=1.5)
 
@@ -300,4 +356,4 @@ class TestFleetTelemetry:
         assert by_outcome.get("ok", 0) > 0
         assert by_outcome.get("quarantined") == report.quarantined
         assert "fleet.reduce_latency_ms" in summary.histograms
-        assert "fleet.live_records" in summary.gauges
+        assert "fleet.coverage" in summary.gauges

@@ -34,12 +34,11 @@ BASE = FleetConfig(
     device_retries=1,
     device_backoff_s=0.001,
     shard_retries=2,
-    memory_watermark=16,
     straggler_min_s=60.0,
 )
 
 
-def test_report_carries_merged_shard_telemetry(tmp_path):
+def test_report_carries_merged_shard_hubs(tmp_path):
     report = run_fleet(POPULATION, BASE, fleet_dir=tmp_path)
     telemetry = report.telemetry
     assert telemetry is not None
@@ -53,17 +52,11 @@ def test_report_carries_merged_shard_telemetry(tmp_path):
     assert telemetry.histograms["shard.device_wall_ms"].count == POPULATION.size
 
 
-def test_shard_telemetry_stays_out_of_the_deterministic_payload(tmp_path):
+def test_shard_hubs_stay_out_of_the_deterministic_payload(tmp_path):
     report = run_fleet(POPULATION, BASE, fleet_dir=tmp_path)
     payload = json.dumps(report.deterministic_payload(), sort_keys=True)
     assert "telemetry" not in payload
     assert "device_wall_ms" not in payload
-
-
-def test_shard_telemetry_can_be_disabled(tmp_path):
-    config = dataclasses.replace(BASE, shard_telemetry=False)
-    report = run_fleet(POPULATION, config, fleet_dir=tmp_path)
-    assert report.telemetry is None
 
 
 def test_resumed_fleet_telemetry_counters_match_uninterrupted(tmp_path):

@@ -47,9 +47,9 @@ def heavy_simty() -> Telemetry:
 
 def service_replay() -> Telemetry:
     # No watermarks and no slow-request accounting: both observe wall
-    # time, and so would the closing shutdown (its final watermark).
+    # time.  The replay stops before the closing shutdown.
     hub = _hub()
-    service = AlarmService.fresh(
+    service = AlarmService(
         ServiceConfig(checkpoint_every_ms=None, slow_request_ms=None),
         telemetry=hub,
     )

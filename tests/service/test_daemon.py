@@ -10,6 +10,8 @@ import pytest
 from repro.obs.stream import MetricsEndpoint
 from repro.service import (
     AlarmService,
+    ChaosSpec,
+    FaultyJournal,
     ServiceConfig,
     SocketServer,
     Ticker,
@@ -240,6 +242,46 @@ class TestServiceTelemetry:
         send(service, op="checkpoint")
         text = service.render_metrics()
         assert "service_checkpoint_latency_ms" in text
+
+    @pytest.mark.parametrize("case", ["no-journal", "degraded"])
+    def test_checkpoint_latency_observed_only_for_written_watermarks(
+        self, tmp_path, case
+    ):
+        def observations():
+            cell = service.telemetry.histograms.get(
+                "service.checkpoint_latency_ms"
+            )
+            return cell.count if cell is not None else 0
+
+        if case == "no-journal":
+            service = manual_service(checkpoint_every_ms=1_000)
+            written = 0
+        else:
+            service = AlarmService(
+                ServiceConfig(
+                    horizon=HORIZON,
+                    clock="manual",
+                    checkpoint_dir=str(tmp_path),
+                    checkpoint_every_ms=1_000,
+                ),
+                journal_factory=lambda path: FaultyJournal(path, ChaosSpec()),
+            )
+            send(service, op="register", alarm=spec())
+            service.journal.force_fsync_failures = True
+            send(service, op="checkpoint")  # attempted: raises, degrades
+            assert service.degraded
+            written = 1
+        assert observations() == written
+        send(service, op="advance", to=600_000)  # ticks past the cadence
+        reply = send(service, op="checkpoint")
+        assert reply["ok"]
+        assert observations() == written
+        assert reply["result"]["latency_ms"] == 0.0
+        assert set(reply["result"]) == {
+            "sim_time_ms", "latency_ms", "journal_entries", "journal_path",
+        }
+        assert send(service, op="shutdown")["ok"]
+        assert observations() == written
 
     def test_queue_depth_gauge_tracks_registrations(self):
         service = manual_service()
