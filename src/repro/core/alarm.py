@@ -143,7 +143,7 @@ class Alarm:
         self._perceptible = self._classify_perceptible()
         self.delivery_count = 0
         self.last_delivery: Optional[int] = None
-        #: Identity token of the Simulator that consumed this alarm.
+        #: Claim token of the Simulator run that consumed this alarm.
         #: Alarms are mutable and single-use; the simulator uses this to
         #: reject registration of an alarm another run already owns.
         self.claimed_by: Optional[object] = None

@@ -31,6 +31,12 @@ class Component(Enum):
     SCREEN = "screen"
     SPEAKER_VIBRATOR = "speaker_vibrator"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # exact and skips ``Enum.__hash__``, a Python-level call that task
+    # holds, the wakelock ledger and the metrics make per component.  Set
+    # iteration order was never fixed: the name hash varies per process.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Component.{self.name}"
 

@@ -62,25 +62,23 @@ class NativePolicy(AlignmentPolicy):
                 if _window_overlaps(cand, start, end) and cand is not entry
             ) + (1 if entry is not None else 0)
             disjoint = len(candidates) - overlapping
-            self._append_decision(
+        if entry is not None:
+            placed = self._place_in_entry(queue, entry, alarm)
+        else:
+            placed = self._place_in_new_entry(queue, alarm)
+        if seq is not None:
+            self._append_insert(
                 seq,
-                "insert",
                 now,
                 alarm,
+                entry,
                 scanned=len(candidates),
                 applicable=overlapping,
                 rejections=(("window-disjoint", disjoint),) if disjoint else (),
                 chosen_entry=entry.entry_id if entry is not None else None,
                 new_entry=entry is None,
-                deferral_ms=(
-                    entry.delivery_time(self.grace_mode) - alarm.nominal_time
-                    if entry is not None
-                    else 0
-                ),
             )
-        if entry is not None:
-            return self._place_in_entry(queue, entry, alarm)
-        return self._place_in_new_entry(queue, alarm)
+        return placed
 
     def _find_overlapping_entry(
         self, queue: AlarmQueue, alarm: Alarm

@@ -135,6 +135,27 @@ class AlignmentPolicy(ABC):
             )
         )
 
+    def _append_insert(
+        self,
+        seq: int,
+        now: int,
+        alarm: Alarm,
+        joined: Optional[QueueEntry],
+        **outcome,
+    ) -> None:
+        """Buffer a sampled insert decision once ``alarm`` is placed.
+
+        ``joined`` is the existing entry the alarm joined (None for a new
+        entry).  Its deferral is read after the join, when the entry's
+        delivery time already reflects the alarm's own window, so it is
+        never negative.
+        """
+        if joined is not None:
+            outcome["deferral_ms"] = (
+                joined.delivery_time(self.grace_mode) - alarm.nominal_time
+            )
+        self._append_decision(seq, "insert", now, alarm, **outcome)
+
     def _place_in_new_entry(
         self, queue: AlarmQueue, alarm: Alarm
     ) -> QueueEntry:

@@ -22,7 +22,7 @@ The hardware-similarity granularity is pluggable (Sec. 3.1.1 sketches 2- and
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from .alarm import Alarm
 from .entry import QueueEntry
@@ -109,16 +109,22 @@ class SimtyPolicy(AlignmentPolicy):
         # is kept off the unobserved path (a null span per insert costs
         # about 1% of a heavy run).  The observed path queries the
         # candidates once, for the search and its explain pass.
+        decision = None
         if self.telemetry.enabled or self.audit.enabled:
             with self.telemetry.span("simty.search", alarm=alarm.label):
                 candidates = queue.grace_candidates(alarm.grace_interval())
                 best = self._search_and_select(queue, alarm, now, candidates)
-            self._explain(queue, alarm, now, best, candidates)
+            decision = self._explain(queue, alarm, now, best, candidates)
         else:
             best = self._search_and_select(queue, alarm, now)
         if best is not None:
-            return self._place_in_entry(queue, best, alarm)
-        return self._place_in_new_entry(queue, alarm)
+            entry = self._place_in_entry(queue, best, alarm)
+        else:
+            entry = self._place_in_new_entry(queue, alarm)
+        if decision is not None:
+            seq, outcome = decision
+            self._append_insert(seq, now, alarm, best, **outcome)
+        return entry
 
     # ------------------------------------------------------------------
     # Phases
@@ -165,7 +171,7 @@ class SimtyPolicy(AlignmentPolicy):
         now: int,
         best: Optional[QueueEntry],
         candidates: List[QueueEntry],
-    ) -> None:
+    ) -> Optional[Tuple[int, dict]]:
         """Telemetry and decision audit for one finished search.
 
         Runs only when either is enabled, after the search and before the
@@ -175,7 +181,9 @@ class SimtyPolicy(AlignmentPolicy):
         hardware×time similarity cell (the Table 1 breakdown), rejections
         by reason, and the winner's labels and Table 1 rank.  Which
         candidate won comes from the search, so subclasses that select
-        differently (SIMTY+DUR) share this pass.
+        differently (SIMTY+DUR) share this pass.  Returns the sampled
+        decision's ``seq`` and fields, or None; :meth:`insert` seals it
+        once the alarm is placed.
         """
         tel = self.telemetry
         seq = self._sampled_seq()
@@ -213,8 +221,6 @@ class SimtyPolicy(AlignmentPolicy):
                     "hw": hw,
                     "time_sim": time_label,
                     "table1_rank": int(preference(hardware_rank, time_sim)),
-                    "deferral_ms": entry.delivery_time(self.grace_mode)
-                    - alarm.nominal_time,
                 }
         tel.observe("simty.candidates_scanned", scanned)
         tel.observe("simty.candidates_pruned", len(queue) - scanned)
@@ -224,14 +230,11 @@ class SimtyPolicy(AlignmentPolicy):
             tel.count(
                 "simty.selected", hw=winner["hw"], time=winner["time_sim"]
             )
-        if seq is not None:
-            self._append_decision(
-                seq,
-                "insert",
-                now,
-                alarm,
-                scanned=scanned,
-                applicable=applicable,
-                rejections=tuple(sorted(rejections.items())),
-                **winner,
-            )
+        if seq is None:
+            return None
+        return seq, dict(
+            scanned=scanned,
+            applicable=applicable,
+            rejections=tuple(sorted(rejections.items())),
+            **winner,
+        )

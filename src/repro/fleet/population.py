@@ -29,6 +29,7 @@ material.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -209,6 +210,19 @@ class PopulationSpec:
         object.__setattr__(self, "_digest", digest)
         return digest
 
+    @functools.cached_property
+    def _simulator(self) -> Optional[SimulatorConfig]:
+        """The simulator config every device shares, built once.
+
+        Memoized like the digest: the config is frozen, so every device
+        shares one instance instead of validating a fresh one.
+        """
+        if self.queue_backend is None and self.monitor is None:
+            return None
+        return SimulatorConfig(
+            queue_backend=self.queue_backend, monitor=self.monitor
+        )
+
     # ------------------------------------------------------------------
     # Device derivation (pure in (digest, index); shard-independent)
     # ------------------------------------------------------------------
@@ -240,17 +254,12 @@ class PopulationSpec:
             kwargs = dict(archetype.workload_kwargs)
             for key, spec in archetype.sampled_kwargs:
                 kwargs[key] = _sample(spec, sampler_rng)
-        simulator = None
-        if self.queue_backend is not None or self.monitor is not None:
-            simulator = SimulatorConfig(
-                queue_backend=self.queue_backend, monitor=self.monitor
-            )
         run = RunSpec(
             workload=workload_name,
             policy=archetype.policy,
             policy_kwargs=archetype.policy_kwargs,
             workload_kwargs=kwargs,
-            simulator=simulator,
+            simulator=self._simulator,
             seed=device_seed,
             policy_label=f"{archetype.policy}@{archetype.name}",
         )

@@ -32,6 +32,7 @@ process, which the parallel-equivalence tests assert byte-for-byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -61,6 +62,20 @@ from .supervision import (
 ON_ERROR_MODES = ("raise", "keep_going")
 
 
+@functools.lru_cache(maxsize=64)
+def _with_horizon(
+    config: Optional[SimulatorConfig], horizon: int
+) -> SimulatorConfig:
+    """``config`` (or the default) set to ``horizon``, built once per pair.
+
+    Configs are frozen, so runs of one population or sweep share a single
+    instance instead of validating a fresh copy each.
+    """
+    if config is None:
+        return SimulatorConfig(horizon=horizon)
+    return dataclasses.replace(config, horizon=horizon)
+
+
 def run_built(
     workload: Workload,
     policy: AlignmentPolicy,
@@ -82,9 +97,9 @@ def run_built(
     decisions onto ``result.trace.decisions`` (see
     :class:`repro.obs.audit.DecisionAudit`).
     """
-    config = simulator_config or SimulatorConfig(horizon=workload.horizon)
-    if config.horizon != workload.horizon:
-        config = dataclasses.replace(config, horizon=workload.horizon)
+    config = simulator_config
+    if config is None or config.horizon != workload.horizon:
+        config = _with_horizon(config, workload.horizon)
     if workload.externals:
         merged = list(external_events) + list(workload.externals)
         merged.sort(key=lambda event: event.time)

@@ -42,6 +42,9 @@ DIGEST_SCHEMA = 4
 
 KwargsLike = Union[Mapping[str, Any], Tuple[Tuple[str, Any], ...]]
 
+#: The scenario of every spec that names none (frozen, so shared).
+_DEFAULT_SCENARIO = ScenarioConfig()
+
 
 def _freeze_kwargs(kwargs: KwargsLike) -> Tuple[Tuple[str, Any], ...]:
     """Normalize a kwargs mapping to a sorted, hashable tuple of pairs."""
@@ -84,7 +87,7 @@ class RunSpec:
             self, "workload_kwargs", _freeze_kwargs(self.workload_kwargs)
         )
         if self.scenario is None:
-            object.__setattr__(self, "scenario", ScenarioConfig())
+            object.__setattr__(self, "scenario", _DEFAULT_SCENARIO)
 
     # ------------------------------------------------------------------
     # Content addressing

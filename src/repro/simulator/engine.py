@@ -152,6 +152,8 @@ class Simulator:
     ) -> None:
         self.config = config or SimulatorConfig()
         self.policy = policy
+        # The run's claim on its alarms: a token, not ``self`` (see add_alarm).
+        self._claim = object()
         # The hub is threaded through every decision point of the run —
         # the manager and the policy record onto the same timeline, so a
         # Chrome trace shows the SIMTY search *inside* its registration.
@@ -209,6 +211,11 @@ class Simulator:
         were advanced by that run and a second run over the same object
         would silently produce wrong metrics.  Build a fresh workload for
         every run instead.
+
+        The claim is a token private to this run, not the simulator
+        itself: the alarm keeps the token alive, so the claim outlives the
+        run, while no reference cycle runs back through the simulator and
+        a finished run is freed as soon as its last reference drops.
         """
         if at < 0:
             raise ValueError("registration time must be non-negative")
@@ -218,13 +225,14 @@ class Simulator:
                 f"({self.config.horizon}); the alarm would silently never "
                 "fire — register earlier or extend the horizon"
             )
-        if alarm.claimed_by is not None and alarm.claimed_by is not self:
+        claim = alarm.claimed_by
+        if claim is not None and claim is not self._claim:
             raise ValueError(
                 f"alarm {alarm.label!r} was already consumed by a previous "
                 "Simulator run; alarms are mutable and single-use — build a "
                 "fresh workload (same builder, same config) for every run"
             )
-        alarm.claimed_by = self
+        alarm.claimed_by = self._claim
         pending = _PendingRegistration(at, self._registration_seq, alarm)
         self._registration_seq += 1
         self._enqueue_pending(
@@ -304,12 +312,13 @@ class Simulator:
             )
         if nominal_offset is not None and nominal_offset < 0:
             raise ValueError("nominal offset must be non-negative")
-        if alarm.claimed_by is not None and alarm.claimed_by is not self:
+        claim = alarm.claimed_by
+        if claim is not None and claim is not self._claim:
             raise ValueError(
                 f"alarm {alarm.label!r} was already consumed by a previous "
                 "Simulator run; build a fresh workload for every run"
             )
-        alarm.claimed_by = self
+        alarm.claimed_by = self._claim
         pending = _PendingReRegistration(
             at, self._registration_seq, alarm, nominal_offset
         )

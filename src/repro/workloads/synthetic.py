@@ -10,7 +10,7 @@ property-based tests can shrink failures to reproducible cases.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.alarm import Alarm, RepeatKind
@@ -78,9 +78,9 @@ def generate(config: SyntheticConfig, seed: Optional[int] = None) -> Workload:
     ``random`` state — so concurrent generation in a process pool cannot
     perturb it.
     """
-    if seed is not None:
-        config = replace(config, seed=seed)
-    rng = random.Random(config.seed)
+    if seed is None:
+        seed = config.seed
+    rng = random.Random(seed)
     hardware_sets = [entry[0] for entry in config.hardware_pool]
     weights = [entry[1] for entry in config.hardware_pool]
     registrations: List[Registration] = []
@@ -111,7 +111,7 @@ def generate(config: SyntheticConfig, seed: Optional[int] = None) -> Workload:
         )
         registrations.append(Registration(time=start_time, alarm=alarm))
     return Workload(
-        name=f"synthetic-{config.app_count}-seed{config.seed}",
+        name=f"synthetic-{config.app_count}-seed{seed}",
         registrations=registrations,
         horizon=config.horizon,
     )

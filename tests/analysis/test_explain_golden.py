@@ -65,6 +65,23 @@ def test_explain_output_matches_the_pin(case, fresh_ids):
     assert actual["stdout"] == pinned["stdout"]
 
 
+def test_the_replayed_alarm_is_never_deferred_backwards(fresh_ids):
+    # Decision seq 4 joins YeeCall to an entry whose window opened before
+    # the alarm's nominal time.  Read before the alarm joined, the entry's
+    # delivery time put the deferral at -127474 ms.
+    lines = explain(CASES["heavy-simty-alarm-5"])["stdout"]
+    start = lines.index("decision seq 4 at t=0 ms (SIMTY insert):")
+    assert "'YeeCall'" in lines[start + 1]
+    joined = next(line for line in lines[start:] if "-> joined" in line)
+    assert joined.endswith("; deferral +0 ms")
+    deferrals = [
+        int(line.rsplit("deferral ", 1)[1].split()[0])
+        for line in lines
+        if "; deferral " in line
+    ]
+    assert deferrals and min(deferrals) >= 0
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_explain_golden.py --record")

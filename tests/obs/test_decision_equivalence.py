@@ -74,18 +74,21 @@ WORKLOADS = {
 
 #: (workload, policy) -> (audit-log digest, counters+histograms digest).
 #: SIMTY+DUR's counter digests are the only ones recorded after the
-#: consolidation (see the module docstring).
+#: consolidation (see the module docstring).  The SIMTY, SIMTY+DUR and
+#: NATIVE audit-log digests were re-recorded when an insert's
+#: ``deferral_ms`` came to be read after the alarm joins its entry; the
+#: logs differ from the earlier ones only in that field.
 PINNED = {
     ("churned", "simty"): (
-        "aeb16b5f88c4b5d308a4c98c3ae1a84c9b2f4fc99c8a481fdf54bb8eed377121",
+        "ad8cc96cd141879ec7428323ea86b06d4565aa7efc4f16dbf18cd4e7e51c3749",
         "fa98f13f508da74da8a5a589e884fcf004176c2355b6f6705f0978ed1588186c",
     ),
     ("churned", "simty+dur"): (
-        "8bf02c2ab19d08052a79893015ea40e962e802ba5cdb7d49e6034211a2c86294",
+        "34196d0e162c6c5409b26362b73bff0e43ee0fb326991bb896934b25f7197e29",
         "fd9a2d39f994ce0c9b0da31a7522796f864ce71afa6cee3ed31e03b6131da011",
     ),
     ("churned", "native"): (
-        "174e35018ad2a268594488f1da5434ae5bf2ab11fa240a2378fa65244ca4dd04",
+        "86d8cf4becd304832e79710432e8b6376fbdd01db6632c2a057380762fdafcc3",
         "72bc6eb572a667368f2fddf384af45ca6161a924cf24c3f63f1ae0af831e0be3",
     ),
     ("churned", "bucket"): (
@@ -93,15 +96,15 @@ PINNED = {
         "567d03c09442eb184d3214368932c8d86e219d9e853f6e4934195e2b4c4d0ed5",
     ),
     ("heavy", "simty"): (
-        "4338bfe1ab2afa097cb7519b67467a848295abb0d10923d580e7144535325eb1",
+        "8a2919da38f5b1f5f4debec112b31584dfd4d6256079a921f00c2125436a1bfb",
         "7d82ee45df0cbb79cf92b17b9c35a598eba38867cb23e453e2f976f7c54f0421",
     ),
     ("heavy", "simty+dur"): (
-        "324e9b1bb21b1481ad12905ef3a7eb4a3e332d129b6d827e1cf89df74de94c89",
+        "1f04490950c734eb50e85b036b924c7f756ba49d75b723f3005cd18fdbe6ab11",
         "c1b3de43f6dc95e72283c75a7eb067641835958d4e475a588744db3546d4fb66",
     ),
     ("heavy", "native"): (
-        "ee54ec3fa32304c6cdc9d6ce82958ced76f99093a33bef181a2509bc7f5940f1",
+        "56e7e353762bd811c289b9a3ce23f622f9add54f1bdd457530e94654164c353e",
         "4ab39df0991a65ad6b18676976875bd5a01deb8eee3c5576bace74eabc6a125f",
     ),
     ("heavy", "bucket"): (
@@ -109,15 +112,15 @@ PINNED = {
         "bdac9d6726d655d7f2a3b37c7ea6133662f90b08483a36872c7d90fd5181edf2",
     ),
     ("light", "simty"): (
-        "c31efa6e18526c7c8bff252aaeaf90c386cd5c8763565a41066678da4347f6eb",
+        "bb2c31092ed13d360a784410394ae27922663eb9d22ea94b5462788d5df1a043",
         "8d9b51122a9d918cdbcecf85b1946a0eb96ee7fb767417bdda9f6cc30c8fad87",
     ),
     ("light", "simty+dur"): (
-        "84db5e68a7d42d2add79f70ee2b1473d4dd24fb51836a78eb41e524fc0e22ebe",
+        "fe8a4d174349a5717f1210ea781c8829691b7ef1fa7ab08ee94d9caab5f4f40b",
         "dcaf8324176580044806cbdd0202368b7dab1d815fd0fe5c600946b1fe57ad81",
     ),
     ("light", "native"): (
-        "7d6081d9ed803c08acbf82d4fd0781781ae73ec183be9be5105056b3437193d1",
+        "58c94bc97c7867652c20d7ccb6607d6076010934f77e12db6c5ca066e94fe7ee",
         "b53069782182da87c2cf6fe2a5a080f4b2f5115a18265b233e5c4e49d952d716",
     ),
     ("light", "bucket"): (
@@ -225,6 +228,37 @@ def test_churned_scenario_reanchors_through_the_policy():
     summary = trace.telemetry
     assert summary.counter("manager.cancel") == 16
     assert summary.counter("manager.reanchored") > 0
+
+
+@pytest.mark.parametrize("policy", ("simty", "simty+dur", "native"))
+@pytest.mark.parametrize("workload", ("light", "heavy"))
+def test_no_insert_decision_reports_a_negative_deferral(workload, policy):
+    trace, _ = observe(workload, policy)
+    inserts = [d for d in trace.decisions if d.kind == "insert"]
+    assert any(not d.new_entry for d in inserts)
+    negative = [
+        (d.seq, d.label, d.deferral_ms) for d in inserts if d.deferral_ms < 0
+    ]
+    assert negative == []
+
+
+def test_native_insert_deferral_is_read_after_the_join():
+    policy = NativePolicy()
+    audit = DecisionAudit(seed=0, sample_rate=1.0)
+    policy.bind_audit(audit)
+    queue = policy.make_queue()
+    a = make_alarm(nominal=3_000, window=2_000, label="a")
+    b = make_alarm(nominal=2_500, window=2_000, label="b")
+    c = make_alarm(nominal=3_500, window=2_000, label="c")
+    for alarm in (a, b, c):
+        entry = policy.insert(queue, alarm, 0)
+    assert len(entry) == 3
+    # b waits for a's window to open; c arrives after the intersection
+    # [3000, 4500] opened, and moves the entry's delivery to its own
+    # nominal time rather than reporting -500 ms.
+    deferrals = {r.label: r.deferral_ms for r in audit.records()}
+    assert deferrals == {"a": 0, "b": 500, "c": 0}
+    assert entry.delivery_time(policy.grace_mode) == c.nominal_time
 
 
 def test_native_rebatch_record():

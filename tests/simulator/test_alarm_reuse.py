@@ -1,5 +1,7 @@
 """Alarms are mutable and single-use; the simulator now enforces it."""
 
+import gc
+
 import pytest
 
 from repro.core.alarm import Alarm, RepeatKind
@@ -27,6 +29,27 @@ class TestReuseGuard:
         fresh = Simulator(ExactPolicy(), SimulatorConfig(horizon=300_000))
         with pytest.raises(ValueError, match="single-use"):
             fresh.add_alarm(alarm)
+
+    def test_claim_outlives_its_simulator(self):
+        # The alarm holds its run's claim token, not the run: once the
+        # simulator and its trace are gone and collected, the claim must
+        # still stand (a weak reference to the run would let it lapse).
+        alarm = make_alarm()
+        first = Simulator(ExactPolicy(), SimulatorConfig(horizon=300_000))
+        first.add_alarm(alarm)
+        trace = first.run()
+        assert trace.delivery_count() > 0
+        with pytest.raises(ValueError) as while_alive:
+            Simulator(ExactPolicy()).add_alarm(alarm)
+        del first, trace
+        gc.collect()
+        fresh = Simulator(ExactPolicy(), SimulatorConfig(horizon=300_000))
+        with pytest.raises(ValueError) as after_collect:
+            fresh.add_alarm(alarm)
+        assert str(after_collect.value) == str(while_alive.value)
+        assert "single-use" in str(after_collect.value)
+        with pytest.raises(ValueError, match="previous Simulator run"):
+            fresh.reregister_alarm(alarm, at=1_000)
 
     def test_unran_alarm_still_claimed_by_its_simulator(self):
         # The claim happens at registration: even before run(), handing the
