@@ -14,8 +14,9 @@ chaos-smoke` runs):
    TCP proxy (drops + disconnects) with bounded retries;
 3. assert the merged journal's mutation history equals the reference
    exactly (the event-sourced state is byte-identical), that no mutation
-   was applied twice despite the client retries, and that the final
-   daemon reports zero invariant violations;
+   was applied twice despite the client retries, that every resume
+   reported exactly the torn lines made so far as skipped, and that the
+   final daemon reports zero invariant violations;
 4. finish with SIGTERM and assert a graceful exit 0.
 
 Daemon stderr lands in --log (default chaos-smoke.log) and the journal
@@ -44,7 +45,7 @@ from repro.service import (  # noqa: E402
     ServiceJournal,
     TcpTransport,
 )
-from repro.service.chaos import tear_tail  # noqa: E402
+from repro.durable import damage_log  # noqa: E402
 
 HORIZON = 3_600_000
 JOURNAL_CHAOS = "dup=0.3,jlat=2:0.3,seed=9"
@@ -182,7 +183,11 @@ def main():
         journal_path = ServiceJournal.at(checkpoint_dir).path
         process = None
         faults = 0
+        tears = 0
+        expected_skips = []  # torn lines each resume must report
         for index, piece in enumerate(chunks):
+            if index > 0:
+                expected_skips.append(tears)
             process, address = start_daemon(
                 checkpoint_dir, log_handle,
                 chaos=JOURNAL_CHAOS, resume=index > 0,
@@ -198,7 +203,8 @@ def main():
                 process.send_signal(signal.SIGKILL)
                 process.wait(timeout=30)
                 if index % 2 == 0:
-                    tear_tail(journal_path)  # crash mid-append
+                    damage_log(journal_path, "tear")  # crash mid-append
+                    tears += 1
                 print(f"cycle {index + 1}/{len(chunks) - 1}: "
                       f"SIGKILL after {len(piece)} requests, resuming")
 
@@ -224,6 +230,12 @@ def main():
             "merged journal diverged from the uninterrupted reference"
         )
         assert final["violations"] == 0, final
+        skips = [
+            int(count) for count in re.findall(
+                r"(\d+) skipped lines", log_path.read_text(encoding="utf-8")
+            )
+        ]
+        assert skips == expected_skips, (skips, expected_skips)
         assert faults > 0, "the proxy injected no faults; chaos is miswired"
         assert final["registered"] == sum(
             1 for r in requests if r["op"] == "register"

@@ -35,14 +35,15 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
+from repro.durable import damage_log  # noqa: E402
 from repro.fleet import (  # noqa: E402
     FleetChaos,
     FleetConfig,
     MICRO_ARCHETYPES,
     PopulationSpec,
-    corrupt_shard_journal,
     poison_archetype,
     run_fleet,
+    shard_journal_path,
 )
 
 KILLED_SHARDS = {0: 1, 3: 1, 5: 2, 8: 1, 11: 1}  # 5 shards, 6 kills
@@ -128,7 +129,7 @@ def main():
 
         # 3. Corrupt surviving journals, resume, compare again.
         for shard, mode in CORRUPTIONS:
-            corrupt_shard_journal(journal_dir, shard, mode=mode)
+            damage_log(shard_journal_path(journal_dir, shard), mode)
         log_line(log, f"corrupted journals: {CORRUPTIONS}")
         started = time.perf_counter()
         resumed = run_fleet(

@@ -7,7 +7,10 @@ The CI-facing acceptance drill for the scenario source registry (what
 1. every canonical scenario config (``light``, ``heavy``, ``synthetic``,
    ``diurnal-light``, ``diurnal-heavy``) compiles to the same
    alarm-by-alarm fingerprint — times, labels, parameters, order — as
-   the legacy builder it replaced, including external wake events;
+   the legacy builder it replaced, including external wake events.
+   ``light`` and ``heavy`` are checked against the signature digests
+   pinned in ``tests/workloads/scenario_signature_golden.json`` (default
+   and non-default config), the others against their live builders;
 2. every example config in ``examples/scenarios/`` loads with total
    validation, compiles, and survives every fuzz detector: both
    policies run crash-free with the invariant monitor armed, and the
@@ -24,6 +27,8 @@ Run:  PYTHONPATH=src python scripts/scenario_smoke.py
 """
 
 import argparse
+import hashlib
+import json
 import sys
 import time
 from pathlib import Path
@@ -32,12 +37,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.analysis.fuzz import ScenarioCase, run_case  # noqa: E402
-from repro.workloads.apps import heavy_apps, light_apps  # noqa: E402
 from repro.workloads.diurnal import DiurnalConfig, build_diurnal  # noqa: E402
-from repro.workloads.scenarios import ScenarioConfig, _build  # noqa: E402
+from repro.workloads.scenarios import ScenarioConfig  # noqa: E402
 from repro.workloads.sources import (  # noqa: E402
     CANONICAL_SCENARIOS,
     ScenarioConfigError,
+    canonical_scenario,
     compile_scenario,
     load_scenario,
     scenario_from_dict,
@@ -49,12 +54,13 @@ try:
 except ModuleNotFoundError:
     tomllib = None
 
-EXAMPLES = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = ROOT / "examples" / "scenarios"
+GOLDEN = ROOT / "tests" / "workloads" / "scenario_signature_golden.json"
 
-#: name -> () -> (legacy workload, legacy external events or None)
+#: name -> () -> (legacy workload, legacy external events or None), for
+#: the canonical scenarios whose legacy builder still exists.
 LEGACY_BUILDERS = {
-    "light": lambda: (_build("light", light_apps(), ScenarioConfig()), None),
-    "heavy": lambda: (_build("heavy", heavy_apps(), ScenarioConfig()), None),
     "synthetic": lambda: (generate(SyntheticConfig(), seed=5), None),
     "diurnal-light": lambda: build_diurnal(DiurnalConfig(), heavy=False),
     "diurnal-heavy": lambda: build_diurnal(DiurnalConfig(), heavy=True),
@@ -101,8 +107,32 @@ def signature(workload):
     ]
 
 
+def signature_digest(workload):
+    """SHA-256 of :func:`signature` as JSON (repeat kinds by value)."""
+    rows = [[*row[:7], row[7].value, *row[8:]] for row in signature(workload)]
+    return hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+
+
+def check_pinned_signatures(log):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for name, pins in sorted(golden["signatures"].items()):
+        for config_name, pinned in sorted(pins.items()):
+            config = ScenarioConfig(**golden["configs"][config_name])
+            compiled = compile_scenario(canonical_scenario(name, config))
+            if signature_digest(compiled) != pinned["sha256"]:
+                log_line(log, f"FAIL: canonical '{name}' ({config_name} "
+                              f"config) diverges from its pinned signature")
+                return False
+            log_line(log, f"canonical '{name}' ({config_name} config): "
+                          f"{len(compiled.registrations)} registrations "
+                          f"match the pinned signature digest")
+    return True
+
+
 def check_canonical_equivalence(log):
-    for name in sorted(CANONICAL_SCENARIOS):
+    if not check_pinned_signatures(log):
+        return False
+    for name in sorted(LEGACY_BUILDERS):
         legacy, legacy_events = LEGACY_BUILDERS[name]()
         compiled = compile_scenario(
             CANONICAL_SCENARIOS[name](), seed=CANONICAL_SEEDS.get(name)

@@ -1127,20 +1127,21 @@ def _command_serve(args: argparse.Namespace) -> int:
     from ..obs.telemetry import Telemetry
     from ..service import (
         AlarmService,
-        FaultyJournal,
+        ChaosSpec,
+        FaultyLog,
         ServiceConfig,
+        ServiceJournal,
         SkewedWallClock,
         SlowRequestWatchdog,
         SocketServer,
         Ticker,
-        parse_chaos_spec,
         serve_stdio,
     )
 
     chaos_spec = None
     if args.chaos is not None:
         try:
-            chaos_spec = parse_chaos_spec(args.chaos)
+            chaos_spec = ChaosSpec.parse(args.chaos)
         except ValueError as error:
             raise SystemExit(f"--chaos: {error}")
 
@@ -1172,7 +1173,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         print(f"chaos armed: {chaos_spec.describe()}", file=sys.stderr)
 
         def journal_factory(path, _spec=chaos_spec, _hub=telemetry):
-            return FaultyJournal(path, _spec, telemetry=_hub)
+            return ServiceJournal(path, FaultyLog(path, _spec, telemetry=_hub))
 
     if args.resume:
         if args.checkpoint_dir is None:
@@ -1182,7 +1183,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
         print(
             f"resumed {config.policy.upper()} at sim t={service.simulator.now} ms "
-            f"({len(service.journal)} journal entries)",
+            f"({len(service.journal)} journal entries, "
+            f"{service.journal.skipped} skipped lines)",
             file=sys.stderr,
         )
     else:

@@ -20,7 +20,12 @@ discipline, implemented once here:
 * A failed append closes the handle before re-raising, so the next
   append reopens the file and seals whatever the failure left behind.
 * :func:`read_jsonl` is the tolerant reader: a crash corrupts at most the
-  final line, and garbage, blank or non-object lines are skipped.
+  final line, and garbage, blank or non-object lines are skipped.  It
+  returns how many lines it skipped (blank ones aside) beside the
+  entries, so a resume can say what it dropped.
+* :func:`damage_log` is the one way tests and smokes damage a log on
+  disk (a torn tail, a truncation, garbage, a lost file), to exercise
+  the two promises above.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Optional, Union
+from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -115,14 +120,16 @@ class AppendLog:
             _fsync_dir(self.path.parent)
 
 
-def read_jsonl(path: Union[str, Path]) -> List[Dict]:
-    """Every JSON object line of ``path``, skipping torn or foreign lines.
+def read_jsonl(path: Union[str, Path]) -> Tuple[List[Dict], int]:
+    """Every JSON object line of ``path``, and how many lines were skipped.
 
-    A missing or unreadable file reads as empty; undecodable bytes are
-    replaced, so a corrupted log parses as garbage lines rather than
-    crashing a resume scan.
+    A torn, garbage or non-object line is skipped and counted; a blank
+    line is neither.  A missing or unreadable file reads as ``([], 0)``;
+    undecodable bytes are replaced, so a corrupted log parses as garbage
+    lines rather than crashing a resume scan.
     """
     entries: List[Dict] = []
+    skipped = 0
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as handle:
             for line in handle:
@@ -132,9 +139,42 @@ def read_jsonl(path: Union[str, Path]) -> List[Dict]:
                 try:
                     entry = json.loads(line)
                 except ValueError:
-                    continue
+                    entry = None
                 if isinstance(entry, dict):
                     entries.append(entry)
+                else:
+                    skipped += 1
     except OSError:
-        return []
-    return entries
+        return [], 0
+    return entries, skipped
+
+
+#: The ways :func:`damage_log` can damage a log.
+DAMAGE_MODES = ("tear", "truncate", "garbage", "delete")
+
+
+def damage_log(path: Union[str, Path], mode: str) -> None:
+    """Damage the log at ``path`` on disk, as a crash or a bad disk would.
+
+    * ``"tear"`` appends the first half of a plausible mutation line with
+      no newline: a crash cut the final append short.  The reader skips
+      it; the next append seals it onto its own line.
+    * ``"truncate"`` cuts the last 40 bytes, mid final line.
+    * ``"garbage"`` overwrites the whole file with non-JSON bytes.
+    * ``"delete"`` removes the file.
+    """
+    path = Path(path)
+    if mode == "tear":
+        with path.open("ab") as handle:
+            handle.write(b'{"kind": "register", "t": 9999999, "alarm": {"al')
+    elif mode == "truncate":
+        data = path.read_bytes()
+        path.write_bytes(data[: max(1, len(data) - 40)])
+    elif mode == "garbage":
+        path.write_bytes(b"\x00\xffnot json at all\x1f" * 8)
+    elif mode == "delete":
+        path.unlink()
+    else:
+        raise ValueError(
+            f"unknown damage mode {mode!r}; modes are {list(DAMAGE_MODES)}"
+        )

@@ -12,7 +12,6 @@ Entry points:
 from .chaos import (
     FLEET_CHAOS_WORKLOAD,
     FleetChaos,
-    corrupt_shard_journal,
     install_chaos_workload,
     poison_archetype,
     uninstall_chaos_workload,
@@ -62,7 +61,6 @@ __all__ = [
     "STANDARD_ARCHETYPES",
     "ShardPlan",
     "ShardSummary",
-    "corrupt_shard_journal",
     "histogram_percentile",
     "install_chaos_workload",
     "make_population",

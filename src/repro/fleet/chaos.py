@@ -1,8 +1,8 @@
-"""Fleet chaos: kill shard workers mid-flight, poison devices, hurt journals.
+"""Fleet chaos: kill shard workers mid-flight, poison devices.
 
 The runner-level chaos harness (``tests/runner/chaos.py``) injects faults
 *per spec*; fleet chaos injects them *per shard* — the failure unit the
-fleet executor supervises.  Faults come in three flavours:
+fleet executor supervises.  Faults come in two flavours:
 
 * **Worker faults** (:class:`FleetChaos`): a plain-data plan carried on
   :class:`~repro.fleet.executor.FleetConfig` telling shard workers to
@@ -14,9 +14,9 @@ fleet executor supervises.  Faults come in three flavours:
   healthy micro-devices or deterministically crashes, driving the
   executor's per-device quarantine path.  Registered on the default
   registry (idempotently) only when a population actually references it.
-* **Journal corruption**: helpers that garble or truncate a shard
-  journal on disk, for asserting resume re-runs exactly the damaged
-  shards.
+
+Damaged shard journals come from :func:`repro.durable.damage_log`, the
+one on-disk damage helper every durable log's tests share.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Tuple, Union
 
 from ..runner.registry import DEFAULT_REGISTRY
@@ -156,30 +155,3 @@ class FleetChaos:
 
     def kill_now(self) -> None:  # pragma: no cover - exits the process
         os._exit(137)
-
-
-# ----------------------------------------------------------------------
-# Journal corruption
-# ----------------------------------------------------------------------
-def corrupt_shard_journal(
-    fleet_dir: Union[str, Path], shard: int, mode: str = "garbage"
-) -> Path:
-    """Damage a shard journal on disk; resume must re-run that shard.
-
-    ``"garbage"`` overwrites the whole file with non-JSON bytes,
-    ``"truncate"`` cuts the file mid-seal (a torn final write), and
-    ``"delete"`` removes it entirely.
-    """
-    from .executor import shard_journal_path  # local import: avoid cycle
-
-    path = shard_journal_path(fleet_dir, shard)
-    if mode == "garbage":
-        path.write_bytes(b"\x00\xffnot json at all\x1f" * 8)
-    elif mode == "truncate":
-        data = path.read_bytes()
-        path.write_bytes(data[: max(1, len(data) - 40)])
-    elif mode == "delete":
-        path.unlink()
-    else:
-        raise ValueError(f"unknown corruption mode {mode!r}")
-    return path

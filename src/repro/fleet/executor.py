@@ -226,7 +226,7 @@ def load_sealed_summary(
     error rather than silently re-run — resuming someone else's fleet
     directory is a user mistake worth surfacing.
     """
-    entries = read_jsonl(path)
+    entries, _ = read_jsonl(path)
     header = next((e for e in entries if e.get("kind") == "header"), None)
     seal = next((e for e in reversed(entries) if e.get("kind") == "seal"), None)
     if header is None or seal is None:
@@ -249,7 +249,7 @@ def load_sealed_summary(
 
 def journal_population(path: Path) -> Optional[str]:
     """The population digest a journal claims, or None."""
-    for entry in read_jsonl(path):
+    for entry in read_jsonl(path)[0]:
         if entry.get("kind") == "header":
             return entry.get("population")
     return None
@@ -259,7 +259,7 @@ def scan_attempted(path: Path) -> int:
     """Devices attempted by the journal's (latest) shard attempt."""
     return sum(
         1
-        for entry in read_jsonl(path)
+        for entry in read_jsonl(path)[0]
         if entry.get("kind") in ("device", "quarantine")
     )
 

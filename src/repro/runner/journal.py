@@ -58,7 +58,7 @@ class RunJournal:
         self._log.close()
         self._completed.clear()
         self._seen.clear()
-        for entry in read_jsonl(self.path):
+        for entry in read_jsonl(self.path)[0]:
             try:
                 digest = entry["digest"]
                 status = RunStatus(entry.get("status", "ok"))

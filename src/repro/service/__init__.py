@@ -19,7 +19,7 @@ Hardening layers (see ``docs/robustness.md``):
 * graceful degradation — a daemon whose journal turns unwritable keeps
   serving reads and rejects mutations with ``read-only``;
 * :mod:`repro.service.chaos` — seeded fault injection (transport and
-  journal) for torture-testing all of the above.
+  journal log) for torture-testing all of the above.
 
 See ``docs/service.md`` for the protocol, clock modes and the
 checkpoint/resume contract.
@@ -27,11 +27,10 @@ checkpoint/resume contract.
 
 from .chaos import (
     ChaosSpec,
-    FaultyJournal,
+    FaultyLog,
     FaultyTransport,
     FlakyTransport,
     SkewedWallClock,
-    parse_chaos_spec,
 )
 from .client import (
     BREAKER_CLOSED,
@@ -106,8 +105,7 @@ __all__ = [
     "CircuitOpenError",
     "ServerError",
     "ChaosSpec",
-    "parse_chaos_spec",
-    "FaultyJournal",
+    "FaultyLog",
     "FaultyTransport",
     "FlakyTransport",
     "SkewedWallClock",

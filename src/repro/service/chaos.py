@@ -5,11 +5,12 @@ something hostile exercises them.  This module is the hostile something,
 with one seeded :class:`ChaosSpec` driving every injector so a torture
 run is reproducible:
 
-* :class:`FaultyJournal` — a :class:`~repro.service.journal.ServiceJournal`
-  whose appends can stall (latency), silently double-write (the replay
-  dedupe path), or fail fsync with ``OSError`` (the degraded read-only
-  path); the module-level :func:`tear_tail` emulates a crash interrupting
-  the final append (a torn half-line that resume must skip);
+* :class:`FaultyLog` — the :class:`~repro.durable.AppendLog` a
+  :class:`~repro.service.journal.ServiceJournal` writes through, whose
+  appends can stall (latency), silently double-write (the replay dedupe
+  path), or fail fsync with ``OSError`` (the degraded read-only path).
+  A crash interrupting the final append (a torn half-line that resume
+  must skip) is :func:`repro.durable.damage_log`'s ``"tear"``;
 * :class:`FaultyTransport` — a line-aware TCP proxy between a client and
   the daemon that injects latency, swallows frames (drops), and cuts the
   connection mid-frame;
@@ -31,7 +32,6 @@ in front of a daemon (``scripts/chaos_smoke.py`` does both).
 
 from __future__ import annotations
 
-import json
 import random
 import socket
 import threading
@@ -40,10 +40,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Tuple, Union
 
+from ..durable import AppendLog
 from ..obs.telemetry import Telemetry
 from ..simulator.clock import WallClock
 from .client import Transport, TransportError
-from .journal import ServiceJournal
 
 #: Fault kinds the spec understands, with their spec-string keys.
 CHAOS_KEYS = (
@@ -148,22 +148,13 @@ class ChaosSpec:
         return ", ".join(parts) or "no faults"
 
 
-def parse_chaos_spec(text: str) -> ChaosSpec:
-    return ChaosSpec.parse(text)
-
-
 class _Injector:
     """Shared seeded-RNG + telemetry plumbing for every fault source."""
 
-    def __init__(
-        self,
-        spec: ChaosSpec,
-        telemetry: Optional[Telemetry],
-        rng: Optional[random.Random],
-    ) -> None:
+    def __init__(self, spec: ChaosSpec, telemetry: Optional[Telemetry]) -> None:
         self.spec = spec
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.rng = rng if rng is not None else spec.rng()
+        self.rng = spec.rng()
         self._rng_lock = threading.Lock()
 
     def _roll(self, probability: float) -> bool:
@@ -179,8 +170,15 @@ class _Injector:
 # ----------------------------------------------------------------------
 # Journal faults
 # ----------------------------------------------------------------------
-class FaultyJournal(ServiceJournal):
-    """A service journal with injected disk faults.
+class FaultyLog(AppendLog):
+    """An fsync-per-line append-log with injected disk faults.
+
+    Each append rolls, in order: a stall (``jlat``), an fsync failure
+    (``fsync``) and a duplicate (``dup``).  A failure takes the log's own
+    failure path before any byte is written: the handle closes, then
+    ``OSError`` is raised.  A duplicate appends the same line a second
+    time, like a torn-then-retried write whose first copy did land;
+    replay dedupes it by ``seq``.
 
     ``force_fsync_failures`` is a deterministic override for tests: set
     it and every subsequent append raises ``OSError`` regardless of the
@@ -194,44 +192,24 @@ class FaultyJournal(ServiceJournal):
         spec: ChaosSpec,
         *,
         telemetry: Optional[Telemetry] = None,
-        rng: Optional[random.Random] = None,
     ) -> None:
-        self._chaos = _Injector(spec, telemetry, rng)
+        super().__init__(path, fsync_every=1)
+        self._chaos = _Injector(spec, telemetry)
         self.force_fsync_failures = False
-        super().__init__(path)
 
-    def append(self, entry: dict) -> None:
+    def append(self, line: str, sync: bool = False) -> None:
         chaos = self._chaos
         if chaos._roll(chaos.spec.journal_latency_p):
             chaos._inject("journal-latency")
             time.sleep(chaos.spec.journal_latency_ms / 1_000.0)
         if self.force_fsync_failures or chaos._roll(chaos.spec.fsync_p):
             chaos._inject("journal-fsync")
+            self.close()
             raise OSError("chaos: injected fsync failure")
-        super().append(entry)
+        super().append(line, sync)
         if chaos._roll(chaos.spec.dup_p):
             chaos._inject("journal-dup")
-            self._duplicate_last_line()
-
-    def _duplicate_last_line(self) -> None:
-        """Write the just-appended entry a second time, byte for byte.
-
-        The duplicate goes straight to disk — the in-memory entry list
-        stays truthful, exactly like a torn-then-retried write where the
-        first copy did land.  Replay dedupes it by ``seq``.
-        """
-        self._log.append(json.dumps(self._entries[-1], sort_keys=True))
-
-
-def tear_tail(path: Union[str, Path]) -> None:
-    """Emulate a crash interrupting an append: a torn half-entry.
-
-    Appends the first half of a plausible mutation line with no newline —
-    the bytes a dying process would leave if the kernel flushed part of a
-    write.  Resume must skip it and seal it off before the next append.
-    """
-    with Path(path).open("a", encoding="utf-8") as handle:
-        handle.write('{"kind": "register", "t": 9999999, "alarm": {"al')
+            super().append(line, sync)
 
 
 # ----------------------------------------------------------------------
@@ -252,10 +230,9 @@ class SkewedWallClock(WallClock):
         spec: ChaosSpec,
         *,
         telemetry: Optional[Telemetry] = None,
-        rng: Optional[random.Random] = None,
     ) -> None:
         self.inner = inner
-        self._chaos = _Injector(spec, telemetry, rng)
+        self._chaos = _Injector(spec, telemetry)
         self._high_water = 0
 
     def now_ms(self) -> int:
@@ -303,10 +280,9 @@ class FaultyTransport:
         host: str = "127.0.0.1",
         port: int = 0,
         telemetry: Optional[Telemetry] = None,
-        rng: Optional[random.Random] = None,
     ) -> None:
         self.upstream = upstream
-        self._chaos = _Injector(spec, telemetry, rng)
+        self._chaos = _Injector(spec, telemetry)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))

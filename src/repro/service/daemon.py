@@ -266,6 +266,9 @@ class AlarmService:
 
         Replay is deliberately *tolerant* of a hostile journal tail:
 
+        * a **torn**, garbage or foreign line was already dropped by
+          :meth:`ServiceJournal.load`; the count lands in
+          ``service.replay_skipped{kind=line}``;
         * a **duplicated** line (torn-then-retried write, or the chaos
           layer's injected double write) is recognised by its ``seq``
           number and applied once;
@@ -279,6 +282,10 @@ class AlarmService:
           process's.
         """
         assert self.journal is not None
+        if self.journal.skipped:
+            self.telemetry.count(
+                "service.replay_skipped", self.journal.skipped, kind="line"
+            )
         seen_seq: set = set()
         for entry in self.journal.entries:
             seq = entry.get("seq")

@@ -49,13 +49,24 @@ MUTATION_KINDS = ("register", "cancel", "reanchor")
 
 
 class ServiceJournal:
-    """Append-only, fsync'd log of the daemon's accepted mutations."""
+    """Append-only, fsync'd log of the daemon's accepted mutations.
 
-    def __init__(self, path: Union[str, Path]) -> None:
+    ``log`` is the :class:`~repro.durable.AppendLog` it writes through
+    (an fsync-per-line log at ``path`` by default); the chaos layer
+    passes a :class:`~repro.service.chaos.FaultyLog` here.
+    """
+
+    def __init__(
+        self, path: Union[str, Path], log: Optional[AppendLog] = None
+    ) -> None:
         self.path = Path(path)
-        self._log = AppendLog(self.path, fsync_every=1)
+        self.log = log if log is not None else AppendLog(self.path, fsync_every=1)
+        if self.log.path != self.path:
+            raise ValueError(f"log {self.log.path} is not at {self.path}")
         self._entries: List[Dict] = []
         self._next_seq = 0
+        #: Lines the last :meth:`load` dropped: torn, garbage or foreign.
+        self.skipped = 0
         self.load()
 
     @classmethod
@@ -66,18 +77,21 @@ class ServiceJournal:
     # Persistence
     # ------------------------------------------------------------------
     def load(self) -> None:
-        """(Re)read the journal from disk, skipping torn or foreign lines.
+        """(Re)read the journal from disk, skipping (and counting in
+        :attr:`skipped`) torn or foreign lines.
 
         The log is closed first, so the next :meth:`append` reopens it and
         seals a torn tail onto its own line instead of gluing an entry
         onto the garbage.
         """
-        self._log.close()
+        self.log.close()
         self._entries.clear()
         self._next_seq = 0
-        for entry in read_jsonl(self.path):
+        entries, self.skipped = read_jsonl(self.path)
+        for entry in entries:
             if not isinstance(entry.get("kind"), str):
-                continue  # foreign line
+                self.skipped += 1  # foreign line
+                continue
             seq = entry.get("seq")
             if isinstance(seq, int):
                 self._next_seq = max(self._next_seq, seq + 1)
@@ -91,7 +105,7 @@ class ServiceJournal:
         """
         if "seq" not in entry:
             entry = dict(entry, seq=self._next_seq)
-        self._log.append(json.dumps(entry, sort_keys=True))
+        self.log.append(json.dumps(entry, sort_keys=True))
         self._next_seq = max(self._next_seq, int(entry["seq"]) + 1)
         self._entries.append(entry)
 
@@ -99,11 +113,11 @@ class ServiceJournal:
         """Start a fresh journal (non-resume daemon birth)."""
         self._entries.clear()
         self._next_seq = 0
-        self._log.reset()
+        self.log.reset()
 
     def close(self) -> None:
         """Release the held append handle (a later append reopens it)."""
-        self._log.close()
+        self.log.close()
 
     # ------------------------------------------------------------------
     # Queries

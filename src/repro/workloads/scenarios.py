@@ -15,7 +15,8 @@ workload — including light and heavy — is expressed as a declarative
 composition of sources and compiled by
 :func:`repro.workloads.sources.compile_scenario`; the builders below are
 back-compat shims over those canonical scenario configs, proven
-byte-identical to the historical construction by the equivalence suite.
+byte-identical to the historical construction by the signature digests
+the equivalence suite pins.
 
 Table 4's CPU row "also count[s] one-shot and system alarms": real phones
 run framework services and sporadic one-shot timers besides the major app
@@ -37,7 +38,7 @@ from ..core.alarm import Alarm, RepeatKind
 from ..core.hardware import EMPTY_HARDWARE
 from ..core.units import THREE_HOURS_MS, seconds
 from ..simulator.engine import Simulator
-from .apps import PAPER_BETA, AppSpec, heavy_apps, light_apps
+from .apps import PAPER_BETA, AppSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..simulator.external import ExternalWake
@@ -230,16 +231,6 @@ def _oneshot_stream(
         )
         registrations.append(Registration(time=register_at, alarm=alarm))
     return registrations
-
-
-def _build(name: str, apps: List[AppSpec], config: ScenarioConfig) -> Workload:
-    """The pre-registry construction, kept verbatim as the equivalence
-    reference: the compiled canonical configs must reproduce its output
-    byte-for-byte (tests/workloads/test_scenario_equivalence.py)."""
-    registrations = major_registrations(apps, config)
-    registrations.extend(background_registrations(config))
-    registrations.sort(key=lambda registration: registration.time)
-    return Workload(name=name, registrations=registrations, horizon=config.horizon)
 
 
 def build_light(config: Optional[ScenarioConfig] = None) -> Workload:

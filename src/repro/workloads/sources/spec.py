@@ -254,7 +254,7 @@ def compile_scenario(
         directives.extend(build.directives)
         externals.extend(build.externals)
         transforms.extend(build.transforms)
-    # Exactly the legacy ``_build`` merge: stable sort by registration
+    # Exactly the legacy builders' merge: stable sort by registration
     # time, preserving source order within a tick (and alarm-id creation
     # order overall) so canonical configs replay byte-identically.
     registrations = sorted(registrations, key=lambda r: r.time)

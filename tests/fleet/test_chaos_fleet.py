@@ -11,12 +11,12 @@ import json
 
 import pytest
 
+from repro.durable import damage_log
 from repro.fleet import (
     FleetChaos,
     FleetConfig,
     MICRO_ARCHETYPES,
     PopulationSpec,
-    corrupt_shard_journal,
     poison_archetype,
     run_fleet,
     shard_journal_path,
@@ -89,7 +89,7 @@ class TestCorruptedJournals:
     @pytest.mark.parametrize("mode", ["garbage", "truncate", "delete"])
     def test_each_corruption_mode_forces_rerun(self, reference, tmp_path, mode):
         run_fleet(POPULATION, BASE, fleet_dir=tmp_path)
-        corrupt_shard_journal(tmp_path, 1, mode=mode)
+        damage_log(shard_journal_path(tmp_path, 1), mode)
         resumed = run_fleet(POPULATION, BASE, fleet_dir=tmp_path, resume=True)
         assert resumed.shard_stats["resumed"] == 3
         assert resumed.shard_stats["completed"] == 1
@@ -105,8 +105,8 @@ class TestCorruptedJournals:
         chaotic = run_fleet(POPULATION, config, fleet_dir=tmp_path)
         assert payload(chaotic) == payload(reference)
 
-        corrupt_shard_journal(tmp_path, 0, mode="garbage")
-        corrupt_shard_journal(tmp_path, 3, mode="truncate")
+        damage_log(shard_journal_path(tmp_path, 0), "garbage")
+        damage_log(shard_journal_path(tmp_path, 3), "truncate")
         resumed = run_fleet(POPULATION, BASE, fleet_dir=tmp_path, resume=True)
         assert resumed.shard_stats["resumed"] == 2
         assert payload(resumed) == payload(reference)

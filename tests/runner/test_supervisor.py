@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.durable import damage_log
 from repro.runner import (
     Registry,
     ResultCache,
@@ -272,8 +273,8 @@ class TestCheckpointResume:
         journal = RunJournal.at(tmp_path)
         journal.record("aaa")
         journal.record("bbb")
-        with journal.path.open("a", encoding="utf-8") as handle:
-            handle.write('{"digest": "to')  # torn mid-write
+        journal.close()
+        damage_log(journal.path, "tear")
         reopened = RunJournal(journal.path)
         reopened.record("ccc")
         assert RunJournal(journal.path).completed() == {"aaa", "bbb", "ccc"}
@@ -281,8 +282,8 @@ class TestCheckpointResume:
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         journal = RunJournal.at(tmp_path)
         journal.record("a" * 64)
-        with journal.path.open("a", encoding="utf-8") as handle:
-            handle.write('{"digest": "bbbb')  # torn mid-write
+        journal.close()
+        damage_log(journal.path, "tear")
         reloaded = RunJournal(journal.path)
         assert "a" * 64 in reloaded
         assert len(reloaded) == 1

@@ -15,11 +15,12 @@ import socket
 
 import pytest
 
+from repro.durable import damage_log
 from repro.obs.telemetry import Telemetry
 from repro.service import (
     AlarmService,
     ChaosSpec,
-    FaultyJournal,
+    FaultyLog,
     FaultyTransport,
     ServiceClient,
     ServiceConfig,
@@ -27,9 +28,7 @@ from repro.service import (
     SkewedWallClock,
     SocketServer,
     TcpTransport,
-    parse_chaos_spec,
 )
-from repro.service.chaos import tear_tail
 from repro.simulator import trace_to_dict
 from repro.simulator.clock import ManualWallClock
 
@@ -91,7 +90,7 @@ def counter(hub, name):
 
 class TestChaosSpec:
     def test_parses_the_full_token_set(self):
-        spec = parse_chaos_spec(
+        spec = ChaosSpec.parse(
             "latency=5:0.2,drop=0.05,disconnect=0.02,jlat=3:0.4,"
             "dup=0.1,fsync=0.01,skew=250,seed=7"
         )
@@ -101,37 +100,42 @@ class TestChaosSpec:
         assert spec.journal_latency_p == 0.4
         assert spec.dup_p == 0.1 and spec.fsync_p == 0.01
         assert spec.skew_ms == 250 and spec.seed == 7
-        # Torn tails come from tear_tail() at a crash boundary, not a knob.
+        # Torn tails come from damage_log() at a crash boundary, not a knob.
         with pytest.raises(ValueError):
-            parse_chaos_spec("torn=0.5")
+            ChaosSpec.parse("torn=0.5")
 
     def test_latency_probability_defaults_to_always(self):
-        assert parse_chaos_spec("latency=5").latency_p == 1.0
+        assert ChaosSpec.parse("latency=5").latency_p == 1.0
 
     def test_empty_spec_is_all_quiet(self):
-        assert parse_chaos_spec("") == ChaosSpec()
+        assert ChaosSpec.parse("") == ChaosSpec()
 
     @pytest.mark.parametrize(
         "bad", ["nonsense=1", "drop", "drop=", "drop=2.0", "seed=x"]
     )
     def test_rejects_malformed_tokens(self, bad):
         with pytest.raises(ValueError):
-            parse_chaos_spec(bad)
+            ChaosSpec.parse(bad)
 
     def test_seeded_rng_is_reproducible(self):
-        spec = parse_chaos_spec("drop=0.5,seed=42")
+        spec = ChaosSpec.parse("drop=0.5,seed=42")
         a = [spec.rng().random() for _ in range(5)]
         b = [spec.rng().random() for _ in range(5)]
         assert a == b
 
 
-class TestFaultyJournal:
+def faulty_journal(path, spec, **kwargs):
+    return ServiceJournal(path, FaultyLog(path, spec, **kwargs))
+
+
+class TestFaultyLog:
     def test_duplicated_writes_land_twice_on_disk_once_in_memory(self, tmp_path):
         hub = Telemetry()
-        journal = FaultyJournal(
+        journal = faulty_journal(
             tmp_path / "j.jsonl", ChaosSpec(dup_p=1.0, seed=1), telemetry=hub
         )
         journal.append({"kind": "watermark", "t": 100})
+        journal.close()
         assert len(journal.entries) == 1
         lines = (tmp_path / "j.jsonl").read_text().splitlines()
         assert len(lines) == 2
@@ -139,29 +143,36 @@ class TestFaultyJournal:
         assert counter(hub, "chaos.injected") == 1
 
     def test_fsync_fault_raises_oserror(self, tmp_path):
-        journal = FaultyJournal(
+        journal = faulty_journal(
             tmp_path / "j.jsonl", ChaosSpec(fsync_p=1.0, seed=1)
         )
         with pytest.raises(OSError, match="chaos"):
             journal.append({"kind": "watermark", "t": 100})
         assert not (tmp_path / "j.jsonl").exists()
+        assert len(journal) == 0
 
     def test_forced_fsync_failures_override_probability(self, tmp_path):
-        journal = FaultyJournal(tmp_path / "j.jsonl", ChaosSpec())
+        journal = faulty_journal(tmp_path / "j.jsonl", ChaosSpec())
         journal.append({"kind": "watermark", "t": 1})
-        journal.force_fsync_failures = True
+        journal.log.force_fsync_failures = True
         with pytest.raises(OSError):
             journal.append({"kind": "watermark", "t": 2})
+        # The failure took the log's own path: the handle is released.
+        assert journal.log._handle is None
+        assert [e["t"] for e in ServiceJournal(journal.path).entries] == [1]
 
     def test_torn_tail_is_skipped_and_next_append_survives(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = ServiceJournal(path)
         journal.append({"kind": "watermark", "t": 100})
-        tear_tail(path)
+        journal.close()
+        damage_log(path, "tear")
 
         reopened = ServiceJournal(path)
         assert len(reopened.entries) == 1  # garbage skipped
+        assert reopened.skipped == 1
         reopened.append({"kind": "watermark", "t": 200})
+        reopened.close()
         # The entry after the tear must not be glued onto the garbage.
         final = ServiceJournal(path)
         assert [e["t"] for e in final.entries] == [100, 200]
@@ -206,7 +217,7 @@ class TestCrashResumeTorture:
         hub = Telemetry()
 
         def factory(path):
-            return FaultyJournal(path, spec, telemetry=hub)
+            return faulty_journal(path, spec, telemetry=hub)
 
         config = ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
         chunk = -(-len(TORTURE_REQUESTS) // (self.CYCLES + 1))  # ceil
@@ -225,7 +236,7 @@ class TestCrashResumeTorture:
             if index < len(chunks) - 1:
                 del service  # SIGKILL in miniature
                 if index % 2 == 0:
-                    tear_tail(journal_path)  # crash mid-append
+                    damage_log(journal_path, "tear")  # crash mid-append
 
         result = service.handle_request({"op": "query"})["result"]
         assert result["violations"] == 0
@@ -236,7 +247,7 @@ class TestCrashResumeTorture:
         spec = ChaosSpec(dup_p=1.0, seed=5)
         config = ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
         victim = AlarmService(
-            config, journal_factory=lambda path: FaultyJournal(path, spec)
+            config, journal_factory=lambda path: faulty_journal(path, spec)
         )
         drive(victim, TORTURE_REQUESTS[:6])
         del victim

@@ -11,8 +11,9 @@ from repro.obs.stream import MetricsEndpoint
 from repro.service import (
     AlarmService,
     ChaosSpec,
-    FaultyJournal,
+    FaultyLog,
     ServiceConfig,
+    ServiceJournal,
     SocketServer,
     Ticker,
     request_once,
@@ -264,10 +265,12 @@ class TestServiceTelemetry:
                     checkpoint_dir=str(tmp_path),
                     checkpoint_every_ms=1_000,
                 ),
-                journal_factory=lambda path: FaultyJournal(path, ChaosSpec()),
+                journal_factory=lambda path: ServiceJournal(
+                    path, FaultyLog(path, ChaosSpec())
+                ),
             )
             send(service, op="register", alarm=spec())
-            service.journal.force_fsync_failures = True
+            service.journal.log.force_fsync_failures = True
             send(service, op="checkpoint")  # attempted: raises, degrades
             assert service.degraded
             written = 1

@@ -11,8 +11,9 @@ import pytest
 from repro.service import (
     AlarmService,
     ChaosSpec,
-    FaultyJournal,
+    FaultyLog,
     ServiceConfig,
+    ServiceJournal,
     SlowRequestWatchdog,
     SocketServer,
 )
@@ -130,7 +131,9 @@ class TestDegradedMode:
     def _service(self, tmp_path):
         return AlarmService(
             ServiceConfig(clock="manual", checkpoint_dir=str(tmp_path)),
-            journal_factory=lambda path: FaultyJournal(path, ChaosSpec()),
+            journal_factory=lambda path: ServiceJournal(
+                path, FaultyLog(path, ChaosSpec())
+            ),
         )
 
     def test_journal_failure_degrades_to_read_only(self, tmp_path):
@@ -138,7 +141,7 @@ class TestDegradedMode:
         assert service.handle_request(
             {"op": "register", "alarm": dict(ALARM)}
         )["ok"]
-        service.journal.force_fsync_failures = True
+        service.journal.log.force_fsync_failures = True
 
         rejected = service.handle_request(
             {"op": "register", "alarm": dict(ALARM, label="late")}
@@ -161,7 +164,7 @@ class TestDegradedMode:
 
     def test_rejected_mutation_never_reaches_the_engine(self, tmp_path):
         service = self._service(tmp_path)
-        service.journal.force_fsync_failures = True
+        service.journal.log.force_fsync_failures = True
         rejected = service.handle_request(
             {"op": "register", "alarm": dict(ALARM)}
         )
@@ -171,9 +174,9 @@ class TestDegradedMode:
 
     def test_degraded_mode_is_sticky(self, tmp_path):
         service = self._service(tmp_path)
-        service.journal.force_fsync_failures = True
+        service.journal.log.force_fsync_failures = True
         service.handle_request({"op": "register", "alarm": dict(ALARM)})
-        service.journal.force_fsync_failures = False  # disk "recovers"
+        service.journal.log.force_fsync_failures = False  # disk "recovers"
         # Still read-only: an unjournaled window cannot be ruled out, so
         # the operator must restart into a verified-writable journal.
         rejected = service.handle_request(

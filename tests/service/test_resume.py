@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.durable import damage_log
 from repro.service import AlarmService, ServiceConfig, ServiceJournal
 from repro.simulator import trace_to_dict
 from repro.workloads import build_light, workload_request_lines
@@ -122,14 +123,26 @@ class TestInProcessResume:
         )
         drive(victim, REQUESTS[:5])
         del victim
-        journal_path = ServiceJournal.at(tmp_path).path
-        with journal_path.open("a", encoding="utf-8") as handle:
-            handle.write('{"kind": "register", "t": 1300000, "ala')  # torn
+        damage_log(ServiceJournal.at(tmp_path).path, "tear")
         survivor = AlarmService.resume(
             ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
         )
         drive(survivor, REQUESTS[5:])
         assert survivor.simulator.now >= 2_400_000
+
+    def test_one_tear_reads_as_one_skipped_line(self, tmp_path):
+        config = ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
+        victim = AlarmService(config)
+        drive(victim, REQUESTS[:5])
+        del victim
+        clean = AlarmService.resume(config)
+        assert clean.journal.skipped == 0
+        assert "service.replay_skipped{kind=line}" not in clean.telemetry.counters
+        del clean
+        damage_log(ServiceJournal.at(tmp_path).path, "tear")
+        survivor = AlarmService.resume(config)
+        assert survivor.journal.skipped == 1
+        assert survivor.telemetry.counters["service.replay_skipped{kind=line}"] == 1
 
 
 class TestSubprocessCrash:
@@ -153,6 +166,26 @@ class TestSubprocessCrash:
             env=env,
             text=True,
         )
+
+    def test_resume_states_skipped_lines_on_stderr(self, tmp_path):
+        argv = [
+            sys.executable, "-m", "repro.analysis.cli", "serve",
+            "--policy", "simty", "--horizon", str(HORIZON),
+            "--clock", "manual", "--checkpoint-dir", str(tmp_path),
+        ]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        requests = "".join(json.dumps(r) + "\n" for r in REQUESTS[:5])
+        subprocess.run(
+            argv, input=requests, capture_output=True, text=True, env=env,
+            timeout=60, check=True,
+        )
+        damage_log(ServiceJournal.at(tmp_path).path, "tear")
+        resumed = subprocess.run(
+            argv + ["--resume"], input="", capture_output=True, text=True,
+            env=env, timeout=60, check=True,
+        )
+        assert "1 skipped lines)" in resumed.stderr, resumed.stderr
 
     def test_sigkill_mid_stream_then_resume_matches(self, tmp_path):
         workload = build_light(None)

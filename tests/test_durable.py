@@ -4,9 +4,10 @@ Four writers share :class:`repro.durable.AppendLog`: the sweep checkpoint
 (``RunJournal``), the daemon journal (``ServiceJournal``), the fleet shard
 journal (``ShardJournal``) and the telemetry spool (``SpoolSink``).  These
 tests pin the crash discipline they share — a torn tail is sealed, never
-glued onto — the fsyncs each one makes, and the start/stop lifecycle of
-the log and of the two socket servers beside it (``MetricsEndpoint``,
-``CollectorListener``).
+glued onto — each resumable log's contract under every kind of on-disk
+damage (:func:`repro.durable.damage_log`), the fsyncs each one makes,
+and the start/stop lifecycle of the log and of the two socket servers
+beside it (``MetricsEndpoint``, ``CollectorListener``).
 
 CI runs this file under ``python -X dev`` with ``ResourceWarning`` as an
 error, so a held handle or socket that is never closed fails here.
@@ -21,9 +22,9 @@ import urllib.request
 
 import pytest
 
-from repro.durable import AppendLog, read_jsonl
-from repro.fleet.executor import ShardJournal, ShardPlan
-from repro.fleet.reduce import QuarantineRecord
+from repro.durable import DAMAGE_MODES, AppendLog, damage_log, read_jsonl
+from repro.fleet.executor import ShardJournal, ShardPlan, load_sealed_summary
+from repro.fleet.reduce import QuarantineRecord, ShardSummary
 from repro.obs.stream import (
     Collector,
     CollectorListener,
@@ -34,8 +35,7 @@ from repro.obs.stream import (
 )
 from repro.obs.telemetry import Telemetry
 from repro.runner import RunJournal, RunStatus
-from repro.service import ChaosSpec, FaultyJournal, ServiceJournal
-from repro.service.chaos import tear_tail
+from repro.service import ChaosSpec, FaultyLog, ServiceJournal
 
 PLAN = ShardPlan(shard=0, lo=0, hi=200)
 QUARANTINED = QuarantineRecord(
@@ -96,7 +96,7 @@ class ShardWriter:
     def read(self, path):
         return [
             str(entry["device"])
-            for entry in read_jsonl(path)
+            for entry in read_jsonl(path)[0]
             if entry.get("kind") == "device"
         ]
 
@@ -115,7 +115,7 @@ class SpoolWriter:
         assert sink.dropped == 0
 
     def read(self, path):
-        return [entry["key"] for entry in read_jsonl(path)]
+        return [entry["key"] for entry in read_jsonl(path)[0]]
 
 
 WRITERS = [RunWriter(), ServiceWriter(), ShardWriter(), SpoolWriter()]
@@ -125,7 +125,7 @@ WRITERS = [RunWriter(), ServiceWriter(), ShardWriter(), SpoolWriter()]
 def test_torn_tail_is_sealed_and_only_the_fragment_is_lost(writer, tmp_path):
     path = writer.path(tmp_path)
     writer.write(path, ["1", "2"])
-    tear_tail(path)  # a crash cut the next append short
+    damage_log(path, "tear")  # a crash cut the next append short
     writer.write(path, ["3"])  # the reopened writer appends
     writer.write(path, ["4"])
 
@@ -166,9 +166,8 @@ def _script_service(tmp_path):
 
 
 def _script_faulty(tmp_path):
-    journal = FaultyJournal(
-        tmp_path / "state" / "j.jsonl", ChaosSpec(dup_p=1.0, seed=1)
-    )
+    path = tmp_path / "state" / "j.jsonl"
+    journal = ServiceJournal(path, FaultyLog(path, ChaosSpec(dup_p=1.0, seed=1)))
     journal.append({"kind": "watermark", "t": 1})
     journal.append({"kind": "watermark", "t": 2})
     journal.close()
@@ -246,10 +245,10 @@ def test_failed_fsync_closes_so_the_next_append_starts_its_own_line(
     with pytest.raises(OSError, match="disk on fire"):
         log.append(json.dumps({"n": 1}))
     assert log._handle is None
-    tear_tail(path)  # whatever the failure left half-written
+    damage_log(path, "tear")  # whatever the failure left half-written
     log.append(json.dumps({"n": 2}))
     log.close()
-    assert read_jsonl(path) == [{"n": 1}, {"n": 2}]
+    assert read_jsonl(path) == ([{"n": 1}, {"n": 2}], 1)
     assert path.read_text().endswith('{"n": 2}\n')
 
 
@@ -263,8 +262,95 @@ def test_flush_only_log_never_fsyncs(tmp_path, monkeypatch):
 def test_read_jsonl_skips_garbage_and_reads_missing_as_empty(tmp_path):
     path = tmp_path / "mixed.jsonl"
     path.write_bytes(b'{"a": 1}\n\n\x00\xffnot json\n[1, 2]\n{"b": 2}\n{"c": ')
-    assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
-    assert read_jsonl(tmp_path / "missing.jsonl") == []
+    # Garbage, a non-object and a torn tail are counted; a blank is not.
+    assert read_jsonl(path) == ([{"a": 1}, {"b": 2}], 3)
+    assert read_jsonl(tmp_path / "missing.jsonl") == ([], 0)
+
+
+def test_damage_log_rejects_an_unknown_mode(tmp_path):
+    with pytest.raises(ValueError, match="unknown damage mode"):
+        damage_log(tmp_path / "log.jsonl", "shred")
+
+
+# ----------------------------------------------------------------------
+# Crash matrix: each resumable log's contract under each kind of damage
+# ----------------------------------------------------------------------
+# Every case writes a log whose final write is then damaged: a "tear" is
+# that write cut short (only its fragment reaches disk), "truncate" cuts
+# it after it landed, "garbage" and "delete" lose the whole file.  What
+# survives is exactly the entries written before the final one.
+def _survives(mode):
+    return mode in ("tear", "truncate")
+
+
+class RunCase:
+    name = "run"
+    DIGESTS = ["a" * 64, "b" * 64, "c" * 64]
+
+    def write(self, path, final):
+        journal = RunJournal(path)
+        for digest in self.DIGESTS if final else self.DIGESTS[:2]:
+            journal.record(digest)
+        journal.close()
+
+    def check(self, path, mode):
+        survivors = set(self.DIGESTS[:2]) if _survives(mode) else set()
+        assert RunJournal(path).completed() == survivors
+        journal = RunJournal(path)
+        journal.record("d" * 64)
+        journal.close()
+        assert RunJournal(path).completed() == survivors | {"d" * 64}
+
+
+class ServiceCase:
+    name = "service"
+
+    def write(self, path, final):
+        journal = ServiceJournal(path)
+        for t in [100, 200, 300] if final else [100, 200]:
+            journal.append({"kind": "watermark", "t": t})
+        journal.close()
+
+    def check(self, path, mode):
+        journal = ServiceJournal(path)
+        survivors = [100, 200] if _survives(mode) else []
+        assert [entry["t"] for entry in journal.entries] == survivors
+        assert journal.skipped == (0 if mode == "delete" else 1)
+        journal.append({"kind": "watermark", "t": 400})
+        journal.close()
+        assert [e["t"] for e in ServiceJournal(path).entries] == survivors + [400]
+        last = json.loads(path.read_bytes().splitlines()[-1])
+        assert last == {"kind": "watermark", "t": 400, "seq": len(survivors)}
+
+
+class ShardCase:
+    name = "shard"
+    SUMMARY = ShardSummary(population="population", shard=0, lo=0, hi=200)
+
+    def write(self, path, final):
+        journal = ShardJournal(path)
+        journal.begin("population", PLAN, attempt=1)
+        for index in range(3):
+            journal.device(index, "ok")
+        if final:
+            journal.seal(self.SUMMARY.to_dict())
+            assert load_sealed_summary(path, "population", PLAN) is not None
+        journal.close()
+
+    def check(self, path, mode):
+        assert load_sealed_summary(path, "population", PLAN) is None
+
+
+CASES = [RunCase(), ServiceCase(), ShardCase()]
+
+
+@pytest.mark.parametrize("mode", DAMAGE_MODES)
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_crash_matrix(case, mode, tmp_path):
+    path = tmp_path / "log.jsonl"
+    case.write(path, final=mode != "tear")
+    damage_log(path, mode)
+    case.check(path, mode)
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +383,7 @@ class TestAppendLogLifecycle:
         log.append('{"n": 2}')
         assert log._handle is not None
         log.close()
-        assert read_jsonl(log.path) == [{"n": 1}, {"n": 2}]
+        assert read_jsonl(log.path) == ([{"n": 1}, {"n": 2}], 0)
 
     def test_reset_deletes_and_restarts(self, tmp_path):
         log = AppendLog(tmp_path / "log.jsonl")
@@ -306,7 +392,7 @@ class TestAppendLogLifecycle:
         assert log._handle is None and not log.path.exists()
         log.append('{"n": 2}')
         log.close()
-        assert read_jsonl(log.path) == [{"n": 2}]
+        assert read_jsonl(log.path) == ([{"n": 2}], 0)
 
 
 def _scrape(url):

@@ -1,16 +1,21 @@
 """Compiled scenario configs replay the legacy builders byte-for-byte.
 
-``repro.workloads.scenarios._build`` is kept verbatim as the equivalence
-reference; every canonical scenario config must reproduce its output —
-same registration times, same labels, same alarm parameters, in the same
-order.  The diurnal and synthetic generators get the same treatment.
+The light and heavy configs are checked against the SHA-256 digests of
+the pre-registry construction's signatures, under the default and a
+non-default :class:`ScenarioConfig` (``scenario_signature_golden.json``,
+recorded while that construction still existed): same registration
+times, same labels, same alarm parameters, in the same order.  The
+diurnal and synthetic generators are compared with their live builders.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.workloads.apps import heavy_apps, light_apps
 from repro.workloads.diurnal import DiurnalConfig, build_diurnal
-from repro.workloads.scenarios import ScenarioConfig, _build
+from repro.workloads.scenarios import ScenarioConfig
 from repro.workloads.sources import (
     canonical_diurnal,
     canonical_scenario,
@@ -18,7 +23,9 @@ from repro.workloads.sources import (
 )
 from repro.workloads.synthetic import SyntheticConfig, generate
 
-APP_SETS = {"light": light_apps, "heavy": heavy_apps}
+GOLDEN = json.loads(
+    (Path(__file__).parent / "scenario_signature_golden.json").read_text()
+)
 
 
 def signature(workload):
@@ -41,24 +48,30 @@ def signature(workload):
     ]
 
 
+def signature_digest(workload):
+    """SHA-256 of :func:`signature` as JSON (repeat kinds by value)."""
+    rows = [[*row[:7], row[7].value, *row[8:]] for row in signature(workload)]
+    return hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+
+
+def check_against_golden(name, config_name):
+    config = ScenarioConfig(**GOLDEN["configs"][config_name])
+    pinned = GOLDEN["signatures"][name][config_name]
+    compiled = compile_scenario(canonical_scenario(name, config))
+    assert compiled.name == name
+    assert compiled.horizon == pinned["horizon"]
+    assert len(compiled.registrations) == pinned["registrations"]
+    assert signature_digest(compiled) == pinned["sha256"]
+
+
 class TestCanonicalEquivalence:
     @pytest.mark.parametrize("name", ["light", "heavy"])
     def test_default_config(self, name):
-        legacy = _build(name, APP_SETS[name](), ScenarioConfig())
-        compiled = compile_scenario(canonical_scenario(name))
-        assert compiled.name == legacy.name
-        assert compiled.horizon == legacy.horizon
-        assert signature(compiled) == signature(legacy)
+        check_against_golden(name, "default")
 
     @pytest.mark.parametrize("name", ["light", "heavy"])
     def test_non_default_config(self, name):
-        config = ScenarioConfig(
-            beta=0.85, horizon=7_200_000, install_window_ms=120_000, phase_seed=9
-        )
-        legacy = _build(name, APP_SETS[name](), config)
-        compiled = compile_scenario(canonical_scenario(name, config))
-        assert compiled.horizon == legacy.horizon
-        assert signature(compiled) == signature(legacy)
+        check_against_golden(name, "non-default")
 
     def test_synthetic_matches_generator(self):
         legacy = generate(SyntheticConfig(), seed=5)
