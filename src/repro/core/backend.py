@@ -27,9 +27,11 @@ Two implementations ship:
 :class:`IndexedBackend`
     The default.  One ``bisect``-sorted list of ``(delivery_time,
     entry_id, entry)`` records is the queue order and the start index of
-    every interval.  Its candidate sets are *exact* for interval overlap,
-    so a policy that re-checks overlap (all of ours do) makes
-    bit-identical decisions on either backend.
+    every interval.  A queue of at most :data:`SHORT_QUEUE` entries is
+    answered by one in-order scan; only a longer one builds the end index
+    its queries need.  Its candidate sets are *exact* for interval
+    overlap in either regime, so a policy that re-checks overlap (all of
+    ours do) makes bit-identical decisions on either backend.
 
 Mutation discipline (enforced by the facade): an entry is mutated in
 place and then handed to :meth:`QueueBackend.refresh`; a backend never
@@ -197,20 +199,41 @@ class ListBackend(QueueBackend):
 #: Sentinel larger than any real entry id, for inclusive bisect bounds.
 _MAX_ID = float("inf")
 
+#: The longest queue :class:`IndexedBackend` answers with one in-order
+#: scan instead of an end index.  Up to it, filing every mutation in an
+#: end index costs more than the index saves a query: the crossover table
+#: in ``BENCH_queue_backend.json`` (written by
+#: ``benchmarks/test_bench_policy_overhead.py``) has the forced scan
+#: ahead of the forced index, or level with it, at every size through 64
+#: on both policies; at 128 the index starts to win.
+SHORT_QUEUE = 64
 
-def _windows_reaching(records: List[Record], start: int) -> List[QueueEntry]:
-    """The entries in ``records`` whose window ends at or after ``start``."""
-    return [e for _, _, e in records if (w := e.window) is not None and w.end >= start]
+
+def _windows_overlapping(
+    records: List[Record], start: int, end: int
+) -> List[QueueEntry]:
+    """The entries in ``records`` whose window meets ``[start, end]``."""
+    return [
+        e
+        for _, _, e in records
+        if (w := e.window) is not None and w.end >= start and w.start <= end
+    ]
 
 
-def _graces_reaching(records: List[Record], start: int) -> List[QueueEntry]:
-    """The entries in ``records`` whose grace ends at or after ``start``."""
-    return [e for _, _, e in records if (g := e.grace) is not None and g.end >= start]
+def _graces_overlapping(
+    records: List[Record], start: int, end: int
+) -> List[QueueEntry]:
+    """The entries in ``records`` whose grace meets ``[start, end]``."""
+    return [
+        e
+        for _, _, e in records
+        if (g := e.grace) is not None and g.end >= start and g.start <= end
+    ]
 
 
-#: The filter every query side shares, per interval kind; it reads the
+#: The filter every query path shares, per interval kind; it reads the
 #: attribute inline (an ``attrgetter`` call per entry costs ~40% more).
-_REACHING = {"window": _windows_reaching, "grace": _graces_reaching}
+_OVERLAPPING = {"window": _windows_overlapping, "grace": _graces_overlapping}
 
 
 class _EndIndex:
@@ -222,11 +245,10 @@ class _EndIndex:
     key: while any exists, queries of this kind scan every entry.
     """
 
-    __slots__ = ("kind", "reaching", "ends", "indexed", "strays")
+    __slots__ = ("kind", "ends", "indexed", "strays")
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
-        self.reaching = _REACHING[kind]
         self.ends: List[Tuple[int, int]] = []
         self.indexed: Dict[int, int] = {}
         self.strays: Set[int] = set()
@@ -262,7 +284,12 @@ class IndexedBackend(QueueBackend):
     returns, in queue order, the straddlers of the probe's start (from
     the key prefix or, when shorter, an end-sorted suffix), then the
     intervals starting inside the probe (a bisect range of the keys).
-    A kind's end list (:class:`_EndIndex`) is built on its first query;
+
+    A query on a queue of at most :data:`SHORT_QUEUE` entries instead
+    tests every entry's interval in one in-order pass: the same entries,
+    in the same order.  A kind's end list (:class:`_EndIndex`) is built
+    on the first query that finds the queue longer; until then mutations
+    file nothing, and once built it is kept until :meth:`clear`.
     :meth:`refresh` moves only the records whose value changed.
     """
 
@@ -330,16 +357,17 @@ class IndexedBackend(QueueBackend):
     def _overlapping(self, kind: str, probe: Interval) -> List[QueueEntry]:
         """Every entry whose ``kind`` interval overlaps ``probe`` (closed
         intervals: touching endpoints count), in queue order."""
+        order, overlapping = self._order, _OVERLAPPING[kind]
+        start, end = probe.start, probe.end
+        if len(order) <= SHORT_QUEUE:
+            return overlapping(order, start, end)
         index = self._kinds.get(kind)
         if index is None:
             index = self._kinds[kind] = _EndIndex(kind)
-            for record in self._order:
+            for record in order:
                 index.file(record)
-        reaching, order = index.reaching, self._order
-        start, end = probe.start, probe.end
         if index.strays:
-            found = reaching(order, start)
-            return [entry for entry in found if getattr(entry, kind).start <= end]
+            return overlapping(order, start, end)
         # Keys up to ``lo`` start at or before ``start``; keys in
         # ``[lo, hi)`` start inside ``(start, end]``, so overlap it.
         lo = bisect_right(order, (start, _MAX_ID))
@@ -350,7 +378,7 @@ class IndexedBackend(QueueBackend):
         suffix_lo = bisect_left(ends, (start,))
         if lo <= len(ends) - suffix_lo:
             # An interval starting inside the probe also ends after start.
-            return reaching(order[:hi], start)
+            return overlapping(order[:hi], start, end)
         records = self._records
         straddling = sorted(
             record
@@ -358,7 +386,7 @@ class IndexedBackend(QueueBackend):
             if (record := records[entry_id])[0] <= start
         )
         found = [entry for _, _, entry in straddling]
-        found += reaching(order[lo:hi], start)
+        found += overlapping(order[lo:hi], start, end)
         return found
 
 

@@ -52,6 +52,7 @@ from ..durable import AppendLog, read_jsonl
 from ..obs.stream import SpoolSink, TelemetryStream
 from ..obs.summary import TelemetrySummary
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
+from ..runner.spec import encode_value
 from ..runner.supervision import Outcome, run_supervised_serial
 from .chaos import FLEET_CHAOS_WORKLOAD, FleetChaos, install_chaos_workload
 from .population import DeviceSpec, PopulationSpec
@@ -400,7 +401,14 @@ def _write_quarantine_file(
     record: QuarantineRecord,
     outcome: Outcome,
 ) -> None:
-    """Persist a reproducer for a quarantined device (never raises)."""
+    """Persist a reproducer for a quarantined device (never raises).
+
+    The workload kwargs go through :func:`~repro.runner.spec.encode_value`,
+    the encoding the spec digest is built from, so a scenario device's
+    ``ScenarioSpec`` is written as plain data.  A reproducer that cannot be
+    encoded or written is skipped: the quarantine record is journaled
+    either way, and the shard must seal.
+    """
     try:
         quarantine_dir.mkdir(parents=True, exist_ok=True)
         path = quarantine_dir / f"device-{device.index:08d}.json"
@@ -412,7 +420,7 @@ def _write_quarantine_file(
             "workload": device.run.workload,
             "policy": device.run.policy,
             "seed": device.run.seed,
-            "workload_kwargs": [list(p) for p in device.run.workload_kwargs],
+            "workload_kwargs": encode_value(device.run.workload_kwargs),
             "error_type": outcome.error_type,
             "error_message": outcome.error_message,
             "attempts": outcome.attempts,
@@ -421,7 +429,7 @@ def _write_quarantine_file(
         tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
         tmp.replace(path)
-    except OSError:  # pragma: no cover - quarantine IO must not kill shards
+    except (OSError, TypeError, ValueError):  # pragma: no cover - keep the shard
         pass
 
 

@@ -163,9 +163,11 @@ class PopulationSpec:
     """A frozen, digestible description of a device population.
 
     ``queue_backend``/``monitor`` apply to every device's simulator
-    config (fleets default to the indexed backend — population scale is
-    exactly what it exists for — and a recording invariant monitor so
-    violation rates are measurable per archetype).
+    config.  Fleets default to the indexed backend because it is the
+    simulator's default, not for scale: population scale means many
+    devices, and a micro device's queues hold at most 3 entries, which the
+    indexed backend answers with its short-queue scan.  The recording
+    invariant monitor makes violation rates measurable per archetype.
     """
 
     size: int

@@ -1,10 +1,14 @@
 """The scheduling-kernel queue backends and their overlap index."""
 
+import random
+
 import pytest
 
+from repro.core import backend as backend_module
 from repro.core.backend import (
     BACKEND_NAMES,
     DEFAULT_BACKEND,
+    SHORT_QUEUE,
     IndexedBackend,
     ListBackend,
     make_backend,
@@ -44,7 +48,13 @@ class TestIntervalIndex:
 
     Each case files entries in an :class:`IndexedBackend` and reads the
     window (or grace) candidates of a probe: the exact overlapping set.
+    The cases use queues of at most ``SHORT_QUEUE`` entries, so the
+    threshold is patched to 0 to make every query take the index path.
     """
+
+    @pytest.fixture(autouse=True)
+    def index_every_queue(self, monkeypatch):
+        monkeypatch.setattr(backend_module, "SHORT_QUEUE", 0)
 
     def overlapping_ids(self, backend, probe):
         return sorted(entry.entry_id for entry in backend.window_candidates(probe))
@@ -276,3 +286,131 @@ class TestIndexedBackend:
         # Probe beyond the window but inside the grace interval.
         assert backend.grace_candidates(Interval(4_000, 4_500)) == [entry]
         assert backend.window_candidates(Interval(4_000, 4_500)) == []
+
+
+def overlapping(entries, kind, probe):
+    """The oracle: the entries whose ``kind`` interval meets ``probe``."""
+    return [
+        entry
+        for entry in entries
+        if (interval := getattr(entry, kind)) is not None
+        and interval.overlaps(probe)
+    ]
+
+
+class TestShortQueueScan:
+    """A queue of at most ``SHORT_QUEUE`` entries is answered by one
+    in-order scan, a longer one by the end indexes.  Both regimes must
+    return the exact overlapping entries, in queue order."""
+
+    def varied_entry(self, position, rng):
+        # Paired positions share a nominal time (keys tie on entry id);
+        # windows of 500/1000 touch their neighbours' starts exactly.
+        nominal = 1_000 * (position // 2) + rng.choice([0, 0, 500])
+        shape = position % 4
+        if shape == 0:  # zero-width window
+            return entry_at(nominal, window=0, grace=rng.choice([0, 2_000]))
+        if shape == 1:  # disjoint windows inside overlapping graces
+            return QueueEntry(
+                [
+                    make_alarm(nominal=nominal, window=100, grace=5_000),
+                    make_alarm(nominal=nominal + 1_000, window=100, grace=5_000),
+                ]
+            )
+        return entry_at(nominal, window=rng.choice([500, 1_000]), grace=3_000)
+
+    def probes(self, entries, rng):
+        probes = [Interval(0, 10_000_000)]
+        for entry in entries:
+            for interval in (entry.window, entry.grace):
+                if interval is not None:
+                    probes += [
+                        Interval(interval.start, interval.start),
+                        Interval(interval.end, interval.end),
+                        Interval(interval.end + 1, interval.end + 1),
+                        Interval(max(0, interval.start - 300), interval.start - 1)
+                        if interval.start > 0
+                        else Interval(0, 0),
+                    ]
+        for _ in range(10):
+            start = rng.randrange(0, 30_000)
+            probes.append(Interval(start, start + rng.choice([0, 400, 2_500])))
+        return probes
+
+    def assert_regimes_agree(self, queue, rng):
+        backend = queue._backend
+        entries = list(backend.entries())
+        for kind in ("window", "grace"):
+            query = getattr(backend, f"{kind}_candidates")
+            for probe in self.probes(entries, rng):
+                expected = overlapping(entries, kind, probe)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(backend_module, "SHORT_QUEUE", len(backend))
+                    scanned = query(probe)
+                    patch.setattr(backend_module, "SHORT_QUEUE", 0)
+                    indexed = query(probe)
+                assert scanned == expected, (kind, probe)
+                assert indexed == expected, (kind, probe)
+                assert query(probe) == expected, (kind, probe)
+
+    def pin_stray(self, queue, entry, offset):
+        # Pinning the interval the key does not follow breaks "interval
+        # start == key" (as BUCKET does), forcing the stray path.
+        pinned = "window" if queue.grace_mode else "grace"
+        start = entry.delivery_time(queue.grace_mode) + offset
+        queue.update_entry(
+            entry, lambda e: setattr(e, pinned, Interval(start, start + 200))
+        )
+
+    @pytest.mark.parametrize("grace_mode", [False, True])
+    @pytest.mark.parametrize(
+        "size", [SHORT_QUEUE - 1, SHORT_QUEUE, SHORT_QUEUE + 1]
+    )
+    def test_regimes_agree_around_the_threshold(self, size, grace_mode):
+        rng = random.Random(size * 2 + grace_mode)
+        queue = AlarmQueue(grace_mode=grace_mode)
+        entries = [self.varied_entry(position, rng) for position in range(size)]
+        for entry in entries:
+            queue.add_entry(entry)
+        self.assert_regimes_agree(queue, rng)
+        self.pin_stray(queue, entries[size // 2], 700)
+        self.assert_regimes_agree(queue, rng)
+
+    @pytest.mark.parametrize("grace_mode", [False, True])
+    def test_regimes_agree_growing_past_and_shrinking_below(self, grace_mode):
+        rng = random.Random(7 + grace_mode)
+        queue = AlarmQueue(grace_mode=grace_mode)
+        entries = []
+        for position in range(SHORT_QUEUE + 4):
+            entries.append(self.varied_entry(position, rng))
+            queue.add_entry(entries[-1])
+            if position == SHORT_QUEUE - 2:
+                self.pin_stray(queue, entries[3], -400)
+            self.assert_regimes_agree(queue, rng)
+        # Back in line: the stray is re-pinned where its key says.
+        self.pin_stray(queue, entries[3], 0)
+        while len(queue):
+            if len(queue) % 3:
+                queue.remove_entry(rng.choice(list(queue.entries())))
+            else:
+                queue.pop_due(queue.next_delivery_time())
+            self.assert_regimes_agree(queue, rng)
+
+    def test_end_index_is_built_on_the_first_long_query(self):
+        rng = random.Random(3)
+        queue = AlarmQueue(grace_mode=True)
+        backend = queue._backend
+        for position in range(SHORT_QUEUE):
+            queue.add_entry(self.varied_entry(position, rng))
+        probe = Interval(0, 10_000_000)
+        queue.window_candidates(probe)
+        queue.grace_candidates(probe)
+        assert backend._kinds == {}
+        queue.add_entry(self.varied_entry(SHORT_QUEUE, rng))
+        assert backend._kinds == {}
+        found = queue.grace_candidates(probe)
+        assert set(backend._kinds) == {"grace"}
+        assert len(backend._kinds["grace"].ends) == SHORT_QUEUE + 1
+        assert found == list(queue.entries())
+        queue.window_candidates(probe)
+        assert set(backend._kinds) == {"grace", "window"}

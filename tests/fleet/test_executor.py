@@ -30,6 +30,7 @@ from repro.fleet.executor import load_sealed_summary, run_shard, ShardPlan
 from repro.obs import Telemetry
 from repro.runner import RunSpec
 from repro.runner.executor import execute_spec
+from repro.runner.spec import encode_value
 
 CFG = FleetConfig(
     shards=4,
@@ -224,6 +225,47 @@ class TestQuarantine:
         )
         run_fleet(poisoned(), config, fleet_dir=tmp_path / "fleet")
         assert list((tmp_path / "poison-box").glob("device-*.json"))
+
+    def test_poison_scenario_device_quarantined_and_shard_seals(
+        self, tmp_path, monkeypatch
+    ):
+        """A scenario device's workload kwargs hold a ``ScenarioSpec``:
+        its reproducer must still be written, so the device is quarantined
+        and its shard seals instead of being retried until it fails."""
+        population = make_population(12, "scenario", seed=1)
+        poison = population.device(3).run
+
+        def failing(spec, *args, **kwargs):
+            if spec == poison:
+                raise RuntimeError("poison scenario device")
+            return execute_spec(spec, *args, **kwargs)
+
+        monkeypatch.setattr("repro.runner.executor.execute_spec", failing)
+        config = dataclasses.replace(CFG, shards=2)
+        report = run_fleet(population, config, fleet_dir=tmp_path)
+        assert report.completed == population.size - 1
+        assert [record.device for record in report.summary.quarantined] == [3]
+        assert report.shard_stats.get("failed", 0) == 0
+        assert report.shard_stats.get("retried", 0) == 0
+        files = sorted((tmp_path / "quarantine").glob("device-*.json"))
+        assert [path.name for path in files] == ["device-00000003.json"]
+        payload = json.loads(files[0].read_text())
+        assert payload["spec_digest"] == poison.digest()
+        assert payload["workload_kwargs"] == encode_value(poison.workload_kwargs)
+
+    def test_unencodable_reproducer_is_skipped_not_fatal(
+        self, tmp_path, monkeypatch
+    ):
+        def unencodable(value):
+            raise TypeError("no stable encoding")
+
+        monkeypatch.setattr(executor, "encode_value", unencodable)
+        population = poisoned()
+        report = run_fleet(population, CFG, fleet_dir=tmp_path)
+        assert report.quarantined > 0
+        assert report.completed + report.quarantined == population.size
+        assert report.shard_stats.get("failed", 0) == 0
+        assert not list((tmp_path / "quarantine").glob("device-*"))
 
 
 class TestViolationCarryThrough:

@@ -9,7 +9,9 @@ backend.  Three layers enforce it here:
   sequence (zero-width windows included) and asserts identical entry
   membership, delivery order and due-popping after every step, and that
   the indexed window and grace candidates of random probes are exactly
-  the list queue's overlapping entries, in queue order;
+  the list queue's overlapping entries, in queue order.  It runs twice:
+  with the indexed backend's short-queue scan, and with the scan
+  threshold at 0 so every query goes through the end indexes;
 * a seeded fuzz corpus (the same generator the ``simty fuzz`` CLI uses,
   invariant monitor armed) asserts byte-identical serialized traces and
   zero violations across 200 cases;
@@ -27,6 +29,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.analysis.fuzz import generate_case, run_case
 from repro.analysis.experiments import run_experiment
+from repro.core import backend as backend_module
 from repro.core.alarm import Alarm, RepeatKind
 from repro.core.hardware import (
     ACCELEROMETER_ONLY,
@@ -106,6 +109,18 @@ class BackendLockstepMachine(RuleBasedStateMachine):
     """Drive both backends through one op sequence; they must never differ."""
 
     policy_factory = SimtyPolicy
+    #: The indexed backend's short-queue threshold for the run; ``None``
+    #: keeps the module's own.
+    short_queue = None
+
+    def __init__(self):
+        super().__init__()
+        self.saved_short_queue = backend_module.SHORT_QUEUE
+        if self.short_queue is not None:
+            backend_module.SHORT_QUEUE = self.short_queue
+
+    def teardown(self):
+        backend_module.SHORT_QUEUE = self.saved_short_queue
 
     @initialize()
     def setup(self):
@@ -208,15 +223,24 @@ class NativeLockstepMachine(BackendLockstepMachine):
     policy_factory = NativePolicy
 
 
-TestSimtyLockstep = SimtyLockstepMachine.TestCase
-TestNativeLockstep = NativeLockstepMachine.TestCase
+class SimtyIndexedLockstepMachine(SimtyLockstepMachine):
+    short_queue = 0
 
-SimtyLockstepMachine.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None
-)
-NativeLockstepMachine.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None
-)
+
+class NativeIndexedLockstepMachine(NativeLockstepMachine):
+    short_queue = 0
+
+
+def lockstep_case(machine):
+    case = machine.TestCase
+    case.settings = settings(max_examples=25, stateful_step_count=30, deadline=None)
+    return case
+
+
+TestSimtyLockstep = lockstep_case(SimtyLockstepMachine)
+TestNativeLockstep = lockstep_case(NativeLockstepMachine)
+TestSimtyIndexedLockstep = lockstep_case(SimtyIndexedLockstepMachine)
+TestNativeIndexedLockstep = lockstep_case(NativeIndexedLockstepMachine)
 
 
 class TestFuzzCorpus:
