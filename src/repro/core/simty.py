@@ -183,12 +183,15 @@ class SimtyPolicy(AlignmentPolicy):
         candidate won comes from the search, so subclasses that select
         differently (SIMTY+DUR) share this pass.  Returns the sampled
         decision's ``seq`` and fields, or None; :meth:`insert` seals it
-        once the alarm is placed.
+        once the alarm is placed.  Only that record reads the rejection
+        reasons, so an unsampled decision skips them.
         """
         tel = self.telemetry
         seq = self._sampled_seq()
+        sampled = seq is not None
         probe = Probe.of(alarm)
-        window, grace = alarm.window_interval(), alarm.grace_interval()
+        if sampled:
+            window, grace = alarm.window_interval(), alarm.grace_interval()
         hardware = alarm.hardware
         rank = self.hardware_classifier.rank
         rank_names = self.hardware_classifier.rank_names
@@ -201,6 +204,8 @@ class SimtyPolicy(AlignmentPolicy):
             scanned += 1
             level = applicability(probe, entry)
             if level is None:
+                if not sampled:
+                    continue
                 if probe.perceptible or entry.perceptible:
                     time_sim = classify_time(
                         window, grace, entry.window, entry.grace
@@ -230,7 +235,7 @@ class SimtyPolicy(AlignmentPolicy):
             tel.count(
                 "simty.selected", hw=winner["hw"], time=winner["time_sim"]
             )
-        if seq is None:
+        if not sampled:
             return None
         return seq, dict(
             scanned=scanned,

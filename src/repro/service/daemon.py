@@ -726,7 +726,9 @@ class AlarmService:
         self.wall.advance_to(to)
         # The lock is re-entrant, so ticking inside the request is safe.
         processed = self.tick()
-        self._watermark()
+        if self._last_watermark != self.simulator.now:
+            # Unless tick() just journaled one here: one watermark per t.
+            self._watermark()
         return {"sim_time_ms": self.simulator.now, "processed": processed}
 
     def _op_checkpoint(self, payload: Dict) -> Dict:

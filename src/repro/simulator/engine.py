@@ -195,6 +195,8 @@ class Simulator:
         self._session_fresh = False
         self._started = False
         self._finished = False
+        #: True while :meth:`_drive` runs its steps (see there).
+        self._driving = False
         self._events = 0
         self._stalled = 0
         self._last_instant = -1
@@ -382,6 +384,9 @@ class Simulator:
 
         Returns the instant processed, or ``None`` when no event remains
         before the horizon (the run is drained; call :meth:`finish`).
+        :meth:`run`, :meth:`drain` and :meth:`advance_to` send every step
+        through this method, so perfbench's step layer and its ``advance``
+        latency probe, which patch it, see them all.
         """
         if not self._started:
             raise RuntimeError("call start() before step()")
@@ -390,6 +395,9 @@ class Simulator:
         instant = self._next_event_time()
         if instant is None or instant >= self.config.horizon:
             return None
+        if not self._driving and self.monitor is not None:
+            # A public call: the queues may have changed since the last step.
+            self.monitor.on_entry()
         # Watchdog: a policy or injected fault that stops the clock
         # from advancing (or floods the loop past its event budget)
         # must raise a structured error rather than hang the process.
@@ -416,15 +424,8 @@ class Simulator:
             raise RuntimeError("call start() before advance_to()")
         if self._finished:
             raise RuntimeError("the run already finished; build a new Simulator")
-        processed = 0
-        horizon = self.config.horizon
-        while True:
-            due = self._next_event_time()
-            if due is None or due > instant or due >= horizon:
-                break
-            self.step()
-            processed += 1
-        park = min(instant, horizon)
+        processed = self._drive(instant)
+        park = min(instant, self.config.horizon)
         if park > self.clock.now:
             self.clock.advance_to(park)
         return processed
@@ -466,8 +467,7 @@ class Simulator:
         """
         if not self._started:
             self.start()
-        while self.step() is not None:
-            pass
+        self._drive()
         return self.finish()
 
     def run(self) -> SimulationTrace:
@@ -476,9 +476,37 @@ class Simulator:
         with self.telemetry.span(
             "engine.run", policy=self.policy.name, horizon=self.config.horizon
         ):
-            while self.step() is not None:
-                pass
+            self._drive()
         return self.finish()
+
+    def _drive(self, until: Optional[int] = None) -> int:
+        """Step while an event is due before the horizon (and at or before
+        ``until``, when given); returns the number of steps.
+
+        Every step goes through :meth:`step`.  The call is one entry from
+        outside the engine, so the monitor drops its clean audit once;
+        between the steps it drives only engine code runs, so a clean
+        audit may carry from one step end to the next.
+        """
+        if self.monitor is not None:
+            self.monitor.on_entry()
+        self._driving = True
+        processed = 0
+        try:
+            if until is None:
+                while self.step() is not None:
+                    processed += 1
+            else:
+                horizon = self.config.horizon
+                while True:
+                    due = self._next_event_time()
+                    if due is None or due > until or due >= horizon:
+                        break
+                    self.step()
+                    processed += 1
+        finally:
+            self._driving = False
+        return processed
 
     def _dispatch(self) -> None:
         """Process every phase due at the current instant, in fixed order.

@@ -20,21 +20,25 @@ The monitor accounts for legitimate slack: the RTC wake-from-sleep latency
 deadline, and an alarm (re-)registered after its window already passed is
 only required to be delivered promptly after registration.
 
-Within one engine step the step-end audit may reuse an earlier one.  The
-structural part of an audit reads only the two queues, their entries and
-member alarms, and the registered set.  Inside a step only engine and
-policy code runs; every policy call (registration, cancellation,
-reinsert) is followed by an audit, and everything else the engine does to
-that state between two audits is a delivery: a pop, the members'
-delivery bookkeeping and reschedule, and :meth:`InvariantMonitor.
-on_delivery`.  So a *clean* audit (no violation) made earlier in the
-step, with no delivery after it, still describes the queues at the step's
-end, and :meth:`~InvariantMonitor.on_step_end` runs only the overdue check
-on top of it, which a clean audit's queue order lets stop at the first
-entry not yet due.  An unclean audit, any delivery and every step end
-drop the reuse, so the first audit of each step is full and a change made
-outside the engine between steps is always seen; the end-of-run audit is
-always full.
+The step-end audit may reuse an earlier clean one, across the steps the
+engine drives itself.  The structural part of an audit reads only the two
+queues, their entries and member alarms, and the registered set; only its
+overdue check depends on the time.  While the engine drives consecutive
+steps itself (the ``run``, ``drain`` and ``advance_to`` loops), only
+engine and policy code runs; every policy call (registration,
+cancellation, reinsert) is followed by an audit, and everything else the
+engine does to that state between two audits is a delivery: a pop, the
+members' delivery bookkeeping and reschedule, and :meth:`InvariantMonitor.
+on_delivery`.  So a *clean* audit (no violation) with no delivery after
+it still describes the queues at a later step end, in the same step or a
+later one, and :meth:`~InvariantMonitor.on_step_end` runs only the
+overdue check on top of it, which a clean audit's queue order lets stop
+at the first entry not yet due.  An unclean audit and any delivery drop
+the reuse, and so does every entry from outside the engine
+(:meth:`~InvariantMonitor.on_entry`: a public ``step()`` call and the
+start of each ``run``, ``drain`` or ``advance_to`` call), so a change
+made by outside code between steps is always seen by the next step end.
+The end-of-run audit is always full.
 """
 
 from __future__ import annotations
@@ -96,8 +100,9 @@ class InvariantMonitor:
         self._delivered_nominals: Dict[int, List[int]] = {}
         self._last_delivery: Dict[int, object] = {}
         self._checks = 0
-        #: True while the last structural audit was clean and no delivery
-        #: followed it in the current step (see the module docstring).
+        #: True while the last structural audit was clean and neither a
+        #: delivery nor an entry from outside followed it (see the module
+        #: docstring).
         self._clean = False
 
     # ------------------------------------------------------------------
@@ -172,6 +177,14 @@ class InvariantMonitor:
     def on_reinsert(self, alarm: Alarm, now: int) -> None:
         self._audit(now)
 
+    def on_entry(self) -> None:
+        """The engine is entered from outside; drop the clean audit.
+
+        Code outside the engine may have changed the queues in place since
+        the last audit, so the next step end audits in full.
+        """
+        self._clean = False
+
     def on_step_end(self, now: int) -> None:
         """Audit at the end of one main-loop iteration (a quiescent point).
 
@@ -181,20 +194,24 @@ class InvariantMonitor:
         registration or mid-delivery the queue legally holds entries that
         are about to be popped in the same iteration.
 
-        After a clean audit earlier in this step with no delivery since,
-        the queues are as that audit saw them, and only the overdue check
-        runs; otherwise the audit is full.
+        After a clean audit with no delivery and no entry from outside
+        since, the queues are as that audit saw them, and only the
+        overdue check runs; otherwise the audit is full.  A clean result
+        stays reusable at the next step end.
         """
         if self._clean:
+            # Cleared first, so a check that raises is never taken for a
+            # clean one.
             self._clean = False
             self._checks += 1
-            for violation in check_overdue(
+            overdue = check_overdue(
                 self._manager.wakeup_queue, now, tolerance_ms=0
-            ):
+            )
+            for violation in overdue:
                 self._emit(violation)
+            self._clean = not overdue
             return
         self._audit(now, overdue_tolerance_ms=0)
-        self._clean = False
 
     def on_run_end(self, horizon: int) -> None:
         """Final audit: nothing deliverable may be left behind.

@@ -8,11 +8,14 @@ field-for-field equal violations — same kinds, same order, byte-identical
 details — on hand-corrupted queues and on every audit point of monitored
 runs that do and do not breach the entry algebra.
 
-The last part checks the monitor's within-step reuse of a clean audit at
-the step end against a monitor whose step end always audits in full:
-after in-place corruptions made between two steps with no queue call,
-and over whole runs of every workload and policy pair, the violations
-and the check count must be the same.
+The last part checks the monitor's reuse of a clean audit at the step end
+against a monitor whose step end always audits in full: after in-place
+corruptions made between two steps with no queue call (between public
+``step()`` calls, and between two ``advance_to`` calls), and over whole
+runs of every workload and policy pair, driven by ``run`` and by
+``advance_to`` in the daemon's 60 s stride, the violations and the check
+count must be the same.  The reuse must also really carry a clean audit
+from one step to a later one.
 """
 
 import itertools
@@ -685,8 +688,54 @@ def with_churn(workload):
     return workload
 
 
-def replay_run(monkeypatch, monitor_cls, policy, workload, churn):
-    """One monitored run; returns (violations, check count, reuses)."""
+def count_carried(monitor) -> List[int]:
+    """Count the step ends that reuse a clean audit made in an earlier step.
+
+    Wraps the monitor instance's ``_audit`` and ``on_step_end``: a step end
+    that audits nothing itself reused a clean audit, and when no audit ran
+    since the previous step end either, that audit came from an earlier
+    step.  Returns a one-item list the count lands in.
+    """
+    carried = [0]
+    audited = [False]
+    audit, step_end = monitor._audit, monitor.on_step_end
+
+    def auditing(*args, **kwargs):
+        audited[0] = True
+        return audit(*args, **kwargs)
+
+    def ending(now):
+        in_step = audited[0]
+        audited[0] = False
+        step_end(now)
+        if not audited[0] and not in_step:
+            carried[0] += 1
+        audited[0] = False
+
+    monitor._audit = auditing
+    monitor.on_step_end = ending
+    return carried
+
+
+#: ``simty serve``'s advance stride in the replays below.
+STRIDE_MS = 60_000
+
+
+def advance_through(simulator) -> None:
+    """Drive a built simulator to its horizon in :data:`STRIDE_MS`
+    ``advance_to`` calls, as a client of the daemon does, then seal."""
+    simulator.start()
+    horizon = simulator.config.horizon
+    for to in range(STRIDE_MS, horizon + STRIDE_MS, STRIDE_MS):
+        simulator.advance_to(to)
+    simulator.finish()
+
+
+def replay(
+    monkeypatch, monitor_cls, policy, workload, churn, drive=Simulator.run
+):
+    """One monitored run, driven by ``drive``; returns (violations, check
+    count, reuses, reuses of a clean audit from an earlier step)."""
     _fresh_ids(monkeypatch)
     reuses = [0]
 
@@ -701,8 +750,15 @@ def replay_run(monkeypatch, monitor_cls, policy, workload, churn):
     )
     built = DEFAULT_REGISTRY.build_workload(workload)
     (with_churn(built) if churn else built).apply(simulator)
-    simulator.run()
-    return fields(monitor.violations), monitor.check_count, reuses[0]
+    carried = count_carried(monitor)
+    drive(simulator)
+    checks = monitor.check_count
+    return fields(monitor.violations), checks, reuses[0], carried[0]
+
+
+def replay_run(monkeypatch, monitor_cls, policy, workload, churn):
+    """One monitored ``run()``; returns (violations, check count, reuses)."""
+    return replay(monkeypatch, monitor_cls, policy, workload, churn)[:3]
 
 
 @pytest.mark.parametrize("churn", [False, True], ids=["steady", "churn"])
@@ -726,3 +782,89 @@ def test_step_end_reuse_replays_like_the_full_audit(
         assert reuses == 0 and expected
     else:
         assert reuses > 0
+
+
+@pytest.mark.parametrize("churn", [False, True], ids=["steady", "churn"])
+@pytest.mark.parametrize("policy", ["simty", "native", "bucket", "simty+dur"])
+@pytest.mark.parametrize("workload", ["light", "heavy", "synthetic"])
+def test_step_end_reuse_across_advances_replays_like_the_full_audit(
+    monkeypatch, workload, policy, churn
+):
+    expected, expected_checks, _, _ = replay(
+        monkeypatch, FullStepEndMonitor, policy, workload, churn,
+        drive=advance_through,
+    )
+    actual, checks, reuses, carried = replay(
+        monkeypatch, InvariantMonitor, policy, workload, churn,
+        drive=advance_through,
+    )
+    assert checks == expected_checks
+    assert len(actual) == len(expected)
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got == want, f"violation {index} differs"
+    if policy == "bucket":
+        assert reuses == 0 and expected
+    else:
+        # Some step ends reuse a clean audit from an earlier step: the
+        # reuse spans the steps one advance_to drives.
+        assert 0 < carried <= reuses
+
+
+@pytest.mark.parametrize(
+    "drive", [Simulator.run, Simulator.drain], ids=lambda f: f.__name__
+)
+def test_clean_audit_carries_across_run_steps(monkeypatch, drive):
+    _, _, reuses, carried = replay(
+        monkeypatch, InvariantMonitor, "simty", "light", False, drive=drive
+    )
+    assert 0 < carried <= reuses
+
+
+def gated_advance_run(monkeypatch, monitor_cls, policy, corrupt):
+    """Drive churned light in :data:`STRIDE_MS` advances; corrupt once,
+    between two ``advance_to`` calls, when the next step is sleep-only and
+    the last audit was clean.  Returns (violations, check count, instant
+    of the corrupted step)."""
+    _fresh_ids(monkeypatch)
+    monitor = monitor_cls(on_violation="record")
+    simulator = Simulator(
+        DEFAULT_REGISTRY.create_policy(policy), monitor=monitor
+    )
+    churned_light().apply(simulator)
+    simulator.start()
+    corrupted_at = None
+    horizon = simulator.config.horizon
+    for to in range(STRIDE_MS, horizon + STRIDE_MS, STRIDE_MS):
+        if (
+            corrupted_at is None
+            and simulator.now >= CORRUPT_AFTER_MS
+            and _upcoming(simulator) == {"sleep"}
+            and monitor._clean
+        ):
+            corrupt(simulator)
+            corrupted_at = simulator.next_event_time()
+            assert corrupted_at <= to
+        simulator.advance_to(to)
+    simulator.finish()
+    assert corrupted_at is not None, "no sleep-only step after an advance"
+    return fields(monitor.violations), monitor.check_count, corrupted_at
+
+
+@pytest.mark.parametrize("corrupt", STEP_CORRUPTIONS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("policy", ["simty", "native"])
+def test_advance_entry_sees_a_corruption_made_between_advances(
+    monkeypatch, policy, corrupt
+):
+    expected, expected_checks, at = gated_advance_run(
+        monkeypatch, FullStepEndMonitor, policy, corrupt
+    )
+    actual, checks, _ = gated_advance_run(
+        monkeypatch, InvariantMonitor, policy, corrupt
+    )
+    # Both report it at the end of the corrupted (sleep-only) step.
+    for found in (expected, actual):
+        assert min(v[1] for v in found if v[0] == ENTRY_ALGEBRA) == at
+    assert checks == expected_checks
+    assert len(actual) == len(expected)
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got == want, f"violation {index} differs"

@@ -295,3 +295,48 @@ class TestServiceTelemetry:
         send(service, op="advance", to=1_000)
         assert "service_queue_depth 2" in service.render_metrics()
         assert "service_pending_ops 0" in service.render_metrics()
+
+
+class TestWatermarks:
+    """Each advance journals one watermark, at the simulation time it
+    reached (past ``to`` when a delivery's wake latency moved the clock)."""
+
+    @staticmethod
+    def watermarks(tmp_path):
+        # Read back from disk: what a resume would replay.
+        journal = ServiceJournal.at(tmp_path)
+        return [
+            entry["t"] for entry in journal.entries
+            if entry["kind"] == "watermark"
+        ]
+
+    def test_one_watermark_per_advance(self, tmp_path):
+        # Every stride crosses the 60 s cadence, so tick() journals one too.
+        service = manual_service(checkpoint_dir=str(tmp_path))
+        send(service, op="register", alarm=spec())
+        reached = []
+        for step in range(1, 11):
+            reply = send(service, op="advance", to=120_000 * step)
+            assert reply["ok"]
+            reached.append(reply["result"]["sim_time_ms"])
+        assert len(set(reached)) == 10
+        assert self.watermarks(tmp_path) == reached
+
+    def test_advance_shorter_than_the_cadence_still_journals(self, tmp_path):
+        service = manual_service(
+            checkpoint_dir=str(tmp_path), checkpoint_every_ms=600_000
+        )
+        send(service, op="register", alarm=spec())
+        assert send(service, op="advance", to=30_000)["ok"]
+        assert send(service, op="advance", to=45_000)["ok"]
+        assert self.watermarks(tmp_path) == [30_000, 45_000]
+
+    def test_explicit_checkpoint_always_writes(self, tmp_path):
+        service = manual_service(checkpoint_dir=str(tmp_path))
+        send(service, op="register", alarm=spec())
+        assert send(service, op="advance", to=120_000)["ok"]
+        before = self.watermarks(tmp_path)
+        assert before[-1] == 120_000
+        assert send(service, op="checkpoint")["ok"]
+        assert send(service, op="checkpoint")["ok"]
+        assert self.watermarks(tmp_path) == before + [120_000, 120_000]

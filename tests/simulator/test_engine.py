@@ -10,6 +10,8 @@ from repro.core.simty import SimtyPolicy
 from repro.simulator.device import WakeReason
 from repro.simulator.engine import Simulator, SimulatorConfig, simulate
 from repro.simulator.external import ExternalWake
+from repro.simulator.monitor import InvariantMonitor
+from repro.workloads.scenarios import build_light
 
 from ..conftest import make_alarm, oneshot
 
@@ -260,3 +262,46 @@ class TestPolicyIntegration:
         assert native_trace.wake_count() == 2
         assert simty_trace.wake_count() == 1
         assert simty_trace.batches[0].delivered_at == 40_000
+
+
+class TestEveryStepGoesThroughStep:
+    """``run``, ``drain`` and ``advance_to`` send every step through
+    ``Simulator.step``: perfbench's ``simulator.steps`` layer and its
+    ``advance`` latency probe patch exactly that method, so a loop that
+    dispatched on its own would take their samples away."""
+
+    @staticmethod
+    def count(monkeypatch, owner, name, calls):
+        """Patch ``owner.name`` to count its calls that did work."""
+        original = getattr(owner, name)
+
+        def counting(self, *args):
+            result = original(self, *args)
+            # A step that returns None found nothing to do.
+            if name != "step" or result is not None:
+                calls[name] += 1
+            return result
+
+        monkeypatch.setattr(owner, name, counting)
+
+    @pytest.mark.parametrize("driver", ["run", "drain", "advance_to"])
+    def test_every_dispatch_is_a_step(self, monkeypatch, driver):
+        calls = {"step": 0, "_dispatch": 0, "on_step_end": 0}
+        self.count(monkeypatch, Simulator, "step", calls)
+        self.count(monkeypatch, Simulator, "_dispatch", calls)
+        self.count(monkeypatch, InvariantMonitor, "on_step_end", calls)
+        simulator = Simulator(
+            SimtyPolicy(), config=SimulatorConfig(monitor="record")
+        )
+        build_light().apply(simulator)
+        if driver == "advance_to":
+            simulator.start()
+            processed = 0
+            for to in range(60_000, simulator.config.horizon + 60_000, 60_000):
+                processed += simulator.advance_to(to)
+            simulator.finish()
+            assert processed == calls["step"]
+        else:
+            getattr(simulator, driver)()
+        assert calls["step"] > 100
+        assert calls["_dispatch"] == calls["on_step_end"] == calls["step"]
