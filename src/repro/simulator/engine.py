@@ -651,11 +651,7 @@ class Simulator:
     def _record_registration(self, alarm: Alarm, now: int) -> None:
         self.trace.registrations.append(
             RegistrationRecord(
-                time=now,
-                alarm_id=alarm.alarm_id,
-                app=alarm.app,
-                label=alarm.label,
-                wakeup=alarm.wakeup,
+                now, alarm.alarm_id, alarm.app, alarm.label, alarm.wakeup
             )
         )
         if self.monitor is not None:
@@ -782,13 +778,7 @@ class Simulator:
             repeats.append((alarm, alarm.reschedule(now)))
         self.trace.batches.append(
             BatchRecord(
-                index=self._batch_index,
-                scheduled_time=scheduled,
-                delivered_at=now,
-                woke_device=woke,
-                alarms=records,
-                tasks=tasks,
-                hardware_holds=holds,
+                self._batch_index, scheduled, now, woke, records, tasks, holds
             )
         )
         self._batch_index += 1

@@ -11,15 +11,13 @@ the core of the paper's hardware-similarity argument (Sec. 3.1.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, NamedTuple
 
 from ..core.alarm import Alarm
 from ..core.hardware import Component, HardwareSet
 
 
-@dataclass(frozen=True)
-class TaskExecution:
+class TaskExecution(NamedTuple):
     """One task run inside a batch.
 
     ``hold`` is how long the task's hardware stays wakelocked; for a
@@ -57,13 +55,13 @@ def schedule_batch_tasks(alarms: Iterable[Alarm], start: int) -> List[TaskExecut
         )
         executions.append(
             TaskExecution(
-                alarm_id=alarm.alarm_id,
-                app=alarm.app,
-                label=alarm.label,
-                start=cursor,
-                duration=alarm.task_duration,
-                hold=hold,
-                hardware=alarm.true_hardware,
+                alarm.alarm_id,
+                alarm.app,
+                alarm.label,
+                cursor,
+                alarm.task_duration,
+                hold,
+                alarm.true_hardware,
             )
         )
         cursor += alarm.task_duration

@@ -10,7 +10,7 @@ separated and makes runs easy to serialize for regression tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ..core.alarm import Alarm, RepeatKind
 from ..core.hardware import Component, HardwareSet
@@ -21,8 +21,7 @@ from .tasks import TaskExecution
 from .wakelock import WakelockLedger
 
 
-@dataclass(frozen=True)
-class RegistrationRecord:
+class RegistrationRecord(NamedTuple):
     """An alarm registration seen by the alarm manager."""
 
     time: int
@@ -32,8 +31,7 @@ class RegistrationRecord:
     wakeup: bool
 
 
-@dataclass(frozen=True)
-class AlarmDeliveryRecord:
+class AlarmDeliveryRecord(NamedTuple):
     """One delivery of one alarm.
 
     ``nominal_time``/``window_end``/``grace_end`` snapshot the occurrence
@@ -73,8 +71,9 @@ class AlarmDeliveryRecord:
         behind the window end normalized by the repeating interval.
 
         One-shot alarms normalize by their window length when it is
-        positive; a one-shot with a point window contributes its raw delay
-        in seconds — callers typically exclude one-shots anyway.
+        positive; a one-shot with a point window contributes 1.0 if it was
+        delivered late at all and 0.0 otherwise — callers typically
+        exclude one-shots anyway.
         """
         if self.repeat_interval > 0:
             return self.window_delay / self.repeat_interval
@@ -84,9 +83,12 @@ class AlarmDeliveryRecord:
         return float(self.window_delay > 0)
 
 
-@dataclass(frozen=True)
-class BatchRecord:
-    """One batch (queue entry) delivery."""
+class BatchRecord(NamedTuple):
+    """One batch (queue entry) delivery.
+
+    The ``index`` field shadows ``tuple.index``; nothing searches a batch
+    record by value, so the tuple method is not missed.
+    """
 
     index: int
     scheduled_time: int
@@ -105,23 +107,24 @@ def snapshot_delivery(
     alarm: Alarm, delivered_at: int, batch_index: int
 ) -> AlarmDeliveryRecord:
     """Capture an alarm's occurrence state at the moment of delivery."""
+    nominal = alarm.nominal_time
     return AlarmDeliveryRecord(
-        alarm_id=alarm.alarm_id,
-        app=alarm.app,
-        label=alarm.label,
-        repeat_kind=alarm.repeat_kind,
-        repeat_interval=alarm.repeat_interval,
-        wakeup=alarm.wakeup,
-        perceptible=(
+        alarm.alarm_id,
+        alarm.app,
+        alarm.label,
+        alarm.repeat_kind,
+        alarm.repeat_interval,
+        alarm.wakeup,
+        (
             alarm.repeat_kind is RepeatKind.ONE_SHOT
             or alarm.true_hardware.is_perceptible()
         ),
-        hardware=alarm.true_hardware,
-        nominal_time=alarm.nominal_time,
-        window_end=alarm.nominal_time + alarm.window_length,
-        grace_end=alarm.nominal_time + alarm.grace_length,
-        delivered_at=delivered_at,
-        batch_index=batch_index,
+        alarm.true_hardware,
+        nominal,
+        nominal + alarm.window_length,
+        nominal + alarm.grace_length,
+        delivered_at,
+        batch_index,
     )
 
 
@@ -147,6 +150,43 @@ class SimulationTrace:
     #: backend-equivalence suites byte-compare serialized traces, and
     #: audit data must ride outside the digested payload.
     decisions: List = field(default_factory=list)
+
+    # ------------------------------------------------------------------
+    # Pickling (result caches and pool workers)
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> Dict:
+        # Records pickle as plain tuples, one C-level conversion each
+        # rather than one reduce call per named tuple.
+        state = self.__dict__.copy()
+        state["registrations"] = list(map(tuple, self.registrations))
+        state["batches"] = [
+            (
+                *batch[:4],
+                list(map(tuple, batch.alarms)),
+                list(map(tuple, batch.tasks)),
+                batch.hardware_holds,
+            )
+            for batch in self.batches
+        ]
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        state["registrations"] = list(
+            map(RegistrationRecord._make, state["registrations"])
+        )
+        state["batches"] = [
+            BatchRecord(
+                *head,
+                list(map(AlarmDeliveryRecord._make, alarms)),
+                list(map(TaskExecution._make, tasks)),
+                holds,
+            )
+            for *head, alarms, tasks, holds in state["batches"]
+        ]
+        # setattr interns the keys as pickle's default BUILD does, so a
+        # reloaded trace re-pickles to the same bytes.
+        for key, value in state.items():
+            setattr(self, key, value)
 
     # ------------------------------------------------------------------
     # Convenience accessors

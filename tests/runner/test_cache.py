@@ -4,7 +4,10 @@ import dataclasses
 
 from repro.power.profiles import NEXUS5
 from repro.runner import ResultCache, RunSpec, run_spec
+from repro.simulator import trace as trace_module
 from repro.workloads.scenarios import ScenarioConfig
+
+from .test_executor import trace_bytes
 
 SHORT = ScenarioConfig(horizon=900_000)
 
@@ -150,6 +153,43 @@ class TestCorruptEntries:
         third = ResultCache(disk_dir=tmp_path)
         assert third.get(record.digest) is not None
         assert third.stats.corrupt == 0
+
+    def test_pre_named_tuple_entry_is_quarantined_and_resimulated(
+        self, tmp_path, monkeypatch
+    ):
+        """An entry pickled while delivery records were frozen dataclasses
+        cannot load into the named tuples: it is quarantined once and the
+        spec re-simulates to the same trace."""
+        current = trace_module.AlarmDeliveryRecord
+        legacy = dataclasses.make_dataclass(
+            "AlarmDeliveryRecord",
+            current._fields,
+            frozen=True,
+            namespace={
+                name: getattr(current, name)
+                for name in ("window_delay", "grace_delay", "normalized_delay")
+            },
+        )
+        legacy.__module__ = trace_module.__name__
+        with monkeypatch.context() as patch:
+            patch.setattr(trace_module, "AlarmDeliveryRecord", legacy)
+            # The trace of that layout pickled its plain attribute dict.
+            patch.delattr(trace_module.SimulationTrace, "__getstate__")
+            writer = ResultCache(disk_dir=tmp_path)
+            record = run_spec(short_spec(), cache=writer)
+        assert type(record.result.trace.deliveries()[0]) is legacy
+        path = self._entry_path(tmp_path, record.digest)
+
+        reader = ResultCache(disk_dir=tmp_path)
+        assert reader.get(record.digest) is None
+        assert reader.stats.corrupt == 1
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").exists()
+        replay = run_spec(short_spec(), cache=reader)
+        assert not replay.cache_hit
+        assert trace_bytes(replay.result.trace) == trace_bytes(
+            record.result.trace
+        )
 
     def test_quarantine_does_not_clobber_prior_quarantine(self, tmp_path):
         writer = ResultCache(disk_dir=tmp_path)

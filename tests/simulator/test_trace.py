@@ -1,9 +1,23 @@
 """Trace records and accessors."""
 
+import pickle
+
+import pytest
+
 from repro.core.exact import ExactPolicy
 from repro.core.hardware import SPEAKER_VIBRATOR_ONLY, WIFI_ONLY
+from repro.obs import Telemetry
+from repro.runner import RunSpec, run_spec
 from repro.simulator.engine import SimulatorConfig, simulate
-from repro.simulator.trace import snapshot_delivery
+from repro.simulator.serialize import trace_to_dict
+from repro.simulator.tasks import TaskExecution
+from repro.simulator.trace import (
+    AlarmDeliveryRecord,
+    BatchRecord,
+    RegistrationRecord,
+    snapshot_delivery,
+)
+from repro.workloads.scenarios import ScenarioConfig
 
 from ..conftest import make_alarm, oneshot
 
@@ -95,3 +109,71 @@ class TestTraceAccessors:
         trace = run([oneshot(nominal=5_000), oneshot(nominal=9_000)])
         assert trace.batch_count() == 2
         assert trace.delivery_count() == 2
+
+
+def one_of_each():
+    """A trace holding at least one record of every type."""
+    trace = run([make_alarm(nominal=5_000, task_ms=10)], horizon=30_000)
+    batch = trace.batches[0]
+    return {
+        RegistrationRecord: trace.registrations[0],
+        BatchRecord: batch,
+        AlarmDeliveryRecord: batch.alarms[0],
+        TaskExecution: batch.tasks[0],
+    }, trace_to_dict(trace)
+
+
+class TestRecordTypes:
+    @pytest.mark.parametrize(
+        "kind",
+        [RegistrationRecord, BatchRecord, AlarmDeliveryRecord, TaskExecution],
+        ids=lambda kind: kind.__name__,
+    )
+    def test_every_field_is_read_only(self, kind):
+        records, _ = one_of_each()
+        record = records[kind]
+        assert type(record) is kind
+        for name in kind._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    def test_fields_follow_the_serialized_key_order(self):
+        _, payload = one_of_each()
+        batch = payload["batches"][0]
+        assert RegistrationRecord._fields == tuple(payload["registrations"][0])
+        assert BatchRecord._fields == tuple(batch)
+        assert AlarmDeliveryRecord._fields == tuple(batch["alarms"][0])
+        assert TaskExecution._fields == tuple(batch["tasks"][0])
+
+
+class TestPickleRoundTrip:
+    @pytest.mark.parametrize("policy", ["simty", "native", "bucket"])
+    def test_monitored_result_round_trips(self, policy):
+        spec = RunSpec(
+            workload="light",
+            policy=policy,
+            scenario=ScenarioConfig(horizon=900_000),
+            simulator=SimulatorConfig(horizon=900_000, monitor="record"),
+        )
+        result = run_spec(spec, telemetry=Telemetry()).result
+        trace = result.trace
+        assert trace.telemetry is not None
+        if policy == "bucket":
+            # BUCKET ignores windows, so the record-mode monitor fills
+            # the violations list the round trip must carry.
+            assert trace.violations
+        data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        loaded = pickle.loads(data)
+        # Compare through a flag: a failed equality of two large payloads
+        # would make pytest render a multi-megabyte diff.
+        same = trace_to_dict(loaded.trace) == trace_to_dict(trace)
+        assert same
+        assert all(
+            type(record) is RegistrationRecord
+            for record in loaded.trace.registrations
+        )
+        for batch in loaded.trace.batches:
+            assert type(batch) is BatchRecord
+            assert all(type(a) is AlarmDeliveryRecord for a in batch.alarms)
+            assert all(type(t) is TaskExecution for t in batch.tasks)
+        assert pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL) == data
