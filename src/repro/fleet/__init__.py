@@ -40,7 +40,6 @@ from .reduce import (
     Hist,
     QuarantineRecord,
     ShardSummary,
-    histogram_percentile,
     merge_shard_summaries,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "STANDARD_ARCHETYPES",
     "ShardPlan",
     "ShardSummary",
-    "histogram_percentile",
     "install_chaos_workload",
     "make_population",
     "merge_shard_summaries",

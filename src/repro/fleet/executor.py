@@ -60,7 +60,6 @@ from .reduce import (
     DeviceSummary,
     QuarantineRecord,
     ShardSummary,
-    histogram_percentile,
     merge_shard_summaries,
 )
 
@@ -521,7 +520,7 @@ class FleetReport:
         ):
             cell = {"mean": hist.mean}
             for quantile in REPORT_QUANTILES:
-                value = histogram_percentile(hist, quantile)
+                value = hist.percentile(quantile)
                 cell[f"p{int(quantile * 100)}"] = (
                     value if value is not None else 0.0
                 )

@@ -54,7 +54,6 @@ from .stream import (
 from .summary import (
     EMPTY_SUMMARY,
     GaugeSummary,
-    HistogramSummary,
     SpanSummary,
     TelemetrySummary,
     diff_summaries,
@@ -65,6 +64,7 @@ from .telemetry import (
     COUNTER_MAX,
     NULL_TELEMETRY,
     FakeClock,
+    Hist,
     NullTelemetry,
     SpanEvent,
     SpanMismatchError,
@@ -82,7 +82,7 @@ __all__ = [
     "EMPTY_SUMMARY",
     "FakeClock",
     "GaugeSummary",
-    "HistogramSummary",
+    "Hist",
     "MetricsEndpoint",
     "NULL_AUDIT",
     "NULL_TELEMETRY",

@@ -226,7 +226,7 @@ def prometheus_text(
         metric = _prom_name(name)
         declare(metric, "histogram", name)
         cumulative = 0
-        for bound, count in cell.buckets:
+        for bound, count in sorted(cell.buckets.items()):
             cumulative += count
             bucket_labels = dict(labels)
             bucket_labels["le"] = str(bound)

@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
-from .telemetry import Telemetry, split_metric
+from .telemetry import Hist, Telemetry, split_metric
 
 __all__ = [
     "EMPTY_SUMMARY",
     "GaugeSummary",
-    "HistogramSummary",
     "SpanSummary",
     "TelemetrySummary",
     "diff_summaries",
@@ -44,31 +43,6 @@ class GaugeSummary:
             "min": self.min,
             "max": self.max,
             "updates": self.updates,
-        }
-
-
-@dataclass(frozen=True)
-class HistogramSummary:
-    """Aggregate of one histogram cell (power-of-two buckets)."""
-
-    count: int
-    total: float
-    min: float
-    max: float
-    #: (bucket upper bound, observations in bucket), ascending bounds.
-    buckets: Tuple[Tuple[int, int], ...] = ()
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "buckets": [list(pair) for pair in self.buckets],
         }
 
 
@@ -100,11 +74,16 @@ class SpanSummary:
 
 @dataclass(frozen=True)
 class TelemetrySummary:
-    """Everything a finished hub can report, as plain data."""
+    """Everything a finished hub can report, as plain data.
+
+    Its :class:`~repro.obs.telemetry.Hist` cells are mutable; a summary
+    owns its own (:func:`summarize` and the merges copy), and nothing
+    mutates them once the summary is built.
+    """
 
     counters: Dict[str, int] = field(default_factory=dict)
     gauges: Dict[str, GaugeSummary] = field(default_factory=dict)
-    histograms: Dict[str, HistogramSummary] = field(default_factory=dict)
+    histograms: Dict[str, Hist] = field(default_factory=dict)
     spans: Dict[str, SpanSummary] = field(default_factory=dict)
     span_events: int = 0
     dropped_events: int = 0
@@ -177,16 +156,7 @@ class TelemetrySummary:
                 for key, cell in payload.get("gauges", {}).items()
             },
             histograms={
-                key: HistogramSummary(
-                    count=cell["count"],
-                    total=cell["total"],
-                    min=cell["min"],
-                    max=cell["max"],
-                    buckets=tuple(
-                        (int(bound), int(count))
-                        for bound, count in cell.get("buckets", [])
-                    ),
-                )
+                key: Hist.from_dict(cell)
                 for key, cell in payload.get("histograms", {}).items()
             },
             spans={
@@ -204,7 +174,7 @@ EMPTY_SUMMARY = TelemetrySummary()
 def _merge_into(
     counters: Dict[str, int],
     gauges: Dict[str, GaugeSummary],
-    histograms: Dict[str, HistogramSummary],
+    histograms: Dict[str, Hist],
     spans: Dict[str, SpanSummary],
     other: TelemetrySummary,
 ) -> None:
@@ -224,18 +194,10 @@ def _merge_into(
     for key, cell in other.histograms.items():
         seen = histograms.get(key)
         if seen is None:
-            histograms[key] = cell
+            # A copy: the merged cell is merged into later, in place.
+            histograms[key] = cell.copy()
         else:
-            merged = dict(seen.buckets)
-            for bound, count in cell.buckets:
-                merged[bound] = merged.get(bound, 0) + count
-            histograms[key] = HistogramSummary(
-                count=seen.count + cell.count,
-                total=seen.total + cell.total,
-                min=min(seen.min, cell.min),
-                max=max(seen.max, cell.max),
-                buckets=tuple(sorted(merged.items())),
-            )
+            seen.merge(cell)
     for key, cell in other.spans.items():
         seen = spans.get(key)
         if seen is None:
@@ -254,7 +216,7 @@ def merge_summaries(summaries: Iterable[TelemetrySummary]) -> TelemetrySummary:
     envelopes widen, with the last writer's ``last``)."""
     counters: Dict[str, int] = {}
     gauges: Dict[str, GaugeSummary] = {}
-    histograms: Dict[str, HistogramSummary] = {}
+    histograms: Dict[str, Hist] = {}
     spans: Dict[str, SpanSummary] = {}
     span_events = 0
     dropped = 0
@@ -306,27 +268,11 @@ def diff_summaries(
             max=cell.max,
             updates=cell.updates - (seen.updates if seen else 0),
         )
-    histograms: Dict[str, HistogramSummary] = {}
+    histograms: Dict[str, Hist] = {}
     for key, cell in current.histograms.items():
         seen = baseline.histograms.get(key)
-        if seen is None:
-            histograms[key] = cell
-            continue
-        if seen == cell:
-            continue
-        base_buckets = dict(seen.buckets)
-        buckets = tuple(
-            (bound, count - base_buckets.get(bound, 0))
-            for bound, count in cell.buckets
-            if count - base_buckets.get(bound, 0)
-        )
-        histograms[key] = HistogramSummary(
-            count=cell.count - seen.count,
-            total=cell.total - seen.total,
-            min=cell.min,
-            max=cell.max,
-            buckets=buckets,
-        )
+        if seen != cell:
+            histograms[key] = cell.diff(seen if seen is not None else Hist())
     spans: Dict[str, SpanSummary] = {}
     for key, cell in current.spans.items():
         seen = baseline.spans.get(key)
@@ -361,16 +307,7 @@ def summarize(
             )
             for key, cell in hub.gauges.items()
         },
-        histograms={
-            key: HistogramSummary(
-                count=cell.count,
-                total=cell.total,
-                min=cell.min if cell.min is not None else 0.0,
-                max=cell.max if cell.max is not None else 0.0,
-                buckets=tuple(sorted(cell.buckets.items())),
-            )
-            for key, cell in hub.histograms.items()
-        },
+        histograms={key: cell.copy() for key, cell in hub.histograms.items()},
         spans={
             key: SpanSummary(
                 count=cell.count,

@@ -14,7 +14,6 @@ from repro.fleet import (
     Hist,
     QuarantineRecord,
     ShardSummary,
-    histogram_percentile,
     merge_shard_summaries,
 )
 from repro.obs.summary import TelemetrySummary
@@ -84,16 +83,16 @@ class TestHist:
         hist = Hist()
         for value in (10, 10, 10, 1000):
             hist.observe(value)
-        p50 = histogram_percentile(hist, 0.5)
+        p50 = hist.percentile(0.5)
         assert p50 >= 10  # bucket upper bound, never below the value
-        assert histogram_percentile(hist, 1.0) <= 1000  # clamped to max
+        assert hist.percentile(1.0) <= 1000  # clamped to max
 
     def test_percentile_empty_and_bad_quantile(self):
-        assert histogram_percentile(Hist(), 0.5) is None
+        assert Hist().percentile(0.5) is None
         hist = Hist()
         hist.observe(1)
         with pytest.raises(ValueError):
-            histogram_percentile(hist, 0.0)
+            hist.percentile(0.0)
 
 
 class TestShardSummaryTallies:

@@ -107,6 +107,18 @@ def test_prometheus_cumulative_buckets_are_monotonic():
     assert counts[-1] == 6  # the +Inf bucket sees every observation
 
 
+def test_prometheus_le_bound_holds_an_exact_power_of_two():
+    # ``le`` means "less than or equal": 1 is counted under le="1" and 4
+    # under le="4", not one bucket higher.
+    tel = Telemetry(clock=FakeClock())
+    tel.observe("lat", 1)
+    tel.observe("lat", 4)
+    text = prometheus_text(tel)
+    assert 'lat_bucket{le="1"} 1' in text
+    assert 'lat_bucket{le="4"} 2' in text
+    assert 'lat_bucket{le="+Inf"} 2' in text
+
+
 def test_empty_hub_exports_cleanly(tmp_path):
     tel = Telemetry(clock=FakeClock())
     assert list(jsonl_lines(tel)) == []

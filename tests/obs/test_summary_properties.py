@@ -3,9 +3,11 @@
 ``merge_summaries`` must be associative (shard trees reduce in any
 shape) and commutative up to gauge last-writer (shards arrive in any
 order); ``diff_summaries`` deltas must reassemble the final snapshot.
-Values are integer-valued so float addition is exact and the equalities
-can be ``==``, not approximate.
+Histogram totals are integer milli-units, so the equalities are ``==``,
+not approximate, for fractional observations too.
 """
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,7 +80,10 @@ def _int_view(summary: TelemetrySummary):
     return (
         summary.counters,
         {
-            key: (cell.count, cell.min, cell.max, dict(cell.buckets))
+            key: (
+                cell.count, cell.total_milli, cell.min, cell.max,
+                dict(cell.buckets),
+            )
             for key, cell in summary.histograms.items()
         },
         {
@@ -98,9 +103,12 @@ def _int_view(summary: TelemetrySummary):
 @given(OPS, OPS, OPS)
 def test_merge_is_associative(ops_a, ops_b, ops_c):
     a, b, c = _summary(ops_a), _summary(ops_b), _summary(ops_c)
+    inputs = [part.to_dict() for part in (a, b, c)]
     left = merge_summaries((merge_summaries((a, b)), c))
     right = merge_summaries((a, merge_summaries((b, c))))
     assert left == right
+    # A merge copies the cells it adopts: its inputs are left as they were.
+    assert [part.to_dict() for part in (a, b, c)] == inputs
 
 
 @settings(max_examples=50)
@@ -110,6 +118,37 @@ def test_merge_is_commutative_up_to_gauge_last(ops_a, ops_b):
     forward = merge_summaries((a, b))
     backward = merge_summaries((b, a))
     assert _int_view(forward) == _int_view(backward)
+
+
+#: One device's fractional observations, e.g. ``round(random() * 10, 3)``.
+_DEVICE = st.lists(
+    st.tuples(
+        st.sampled_from(_NAMES),
+        st.integers(min_value=0, max_value=10_000).map(lambda n: n / 1000),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(_DEVICE, min_size=16, max_size=16))
+def test_fractional_merge_is_independent_of_grouping(devices):
+    """Per-device summaries merged in one group and in groups of two
+    serialize to the same bytes, totals included."""
+    summaries = []
+    for observations in devices:
+        hub = Telemetry(clock=FakeClock())
+        for name, value in observations:
+            hub.observe(name, value)
+        summaries.append(hub.summary())
+    flat = merge_summaries(summaries)
+    grouped = summaries
+    while len(grouped) > 1:
+        grouped = [
+            merge_summaries(grouped[index:index + 2])
+            for index in range(0, len(grouped), 2)
+        ]
+    assert json.dumps(grouped[0].to_dict()) == json.dumps(flat.to_dict())
 
 
 @settings(max_examples=50)

@@ -7,6 +7,7 @@ from repro.obs.telemetry import (
     COUNTER_MAX,
     NULL_TELEMETRY,
     FakeClock,
+    Hist,
     NullTelemetry,
     SpanMismatchError,
     Telemetry,
@@ -85,8 +86,20 @@ def test_histogram_buckets_and_mean():
     assert cell.total == 13
     assert cell.mean == pytest.approx(13 / 4)
     assert cell.min == 0 and cell.max == 9
-    # Power-of-two upper bounds: 0 -> 1, 1 -> 2, 3 -> 4, 9 -> 16.
-    assert dict(cell.buckets) == {1: 1, 2: 1, 4: 1, 16: 1}
+    # Inclusive power-of-two upper bounds: 0 -> 1, 1 -> 1, 3 -> 4, 9 -> 16.
+    assert dict(cell.buckets) == {1: 2, 4: 1, 16: 1}
+
+
+@pytest.mark.parametrize(
+    "value", [0, 0.5, 1, 1.001, 2, 2.5, 3, 4, 4.0001, 7.9, 8, 1023, 1024, 1025]
+)
+def test_histogram_bucket_is_the_smallest_power_of_two_at_least_the_value(value):
+    hist = Hist()
+    hist.observe(value)
+    bound = 1
+    while bound < value:
+        bound <<= 1
+    assert hist.buckets == {bound: 1}
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import dataclasses
 
+from repro.obs import summary as summary_module
+from repro.obs.telemetry import Telemetry
 from repro.power.profiles import NEXUS5
 from repro.runner import ResultCache, RunSpec, run_spec
 from repro.simulator import trace as trace_module
@@ -187,6 +189,55 @@ class TestCorruptEntries:
         assert path.with_name(path.name + ".corrupt").exists()
         replay = run_spec(short_spec(), cache=reader)
         assert not replay.cache_hit
+        assert trace_bytes(replay.result.trace) == trace_bytes(
+            record.result.trace
+        )
+
+    def test_histogram_summary_entry_is_quarantined_and_resimulated(
+        self, tmp_path, monkeypatch
+    ):
+        """An entry pickled while telemetry histograms were frozen
+        ``HistogramSummary`` cells (float totals) does not load into a
+        half-shaped ``Hist``: it is quarantined once and re-simulated."""
+        legacy = dataclasses.make_dataclass(
+            "HistogramSummary",
+            [("count", int), ("total", float), ("min", float), ("max", float),
+             ("buckets", tuple, dataclasses.field(default=()))],
+            frozen=True,
+        )
+        legacy.__module__ = summary_module.__name__
+        writer = ResultCache(disk_dir=tmp_path)
+        record = run_spec(short_spec(), cache=writer, telemetry=Telemetry())
+        telemetry = record.result.trace.telemetry
+        assert telemetry.histograms
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                summary_module, "HistogramSummary", legacy, raising=False
+            )
+            record.result.trace.telemetry = dataclasses.replace(
+                telemetry,
+                histograms={
+                    key: legacy(
+                        cell.count, cell.total, cell.min, cell.max,
+                        tuple(sorted(cell.buckets.items())),
+                    )
+                    for key, cell in telemetry.histograms.items()
+                },
+            )
+            writer.put(record.digest, record.result)
+        # Span timings are wall clock: compare the rest of the trace.
+        record.result.trace.telemetry = None
+        path = self._entry_path(tmp_path, record.digest)
+
+        reader = ResultCache(disk_dir=tmp_path)
+        assert reader.get(record.digest) is None
+        assert reader.stats.corrupt == 1
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").exists()
+        replay = run_spec(short_spec(), cache=reader, telemetry=Telemetry())
+        assert not replay.cache_hit
+        assert replay.result.trace.telemetry.histograms == telemetry.histograms
+        replay.result.trace.telemetry = None
         assert trace_bytes(replay.result.trace) == trace_bytes(
             record.result.trace
         )

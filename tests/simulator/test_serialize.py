@@ -1,5 +1,8 @@
 """Trace JSON serialization round trip."""
 
+import json
+from pathlib import Path
+
 from repro.core.simty import SimtyPolicy
 from repro.metrics.delay import delay_report
 from repro.metrics.wakeups import wakeup_breakdown
@@ -99,3 +102,17 @@ class TestRoundTrip:
         payload = trace_to_dict(sample_trace())
         payload.pop("violations", None)  # pre-monitor trace files
         assert trace_from_dict(payload).violations == []
+
+    def test_trace_with_float_histogram_totals_loads(self):
+        """``trace_float_histogram_totals.json`` was saved before histogram
+        totals were integer milli-units (a float ``total``, int min/max):
+        its cells keep their counts, buckets, min, max and total."""
+        path = Path(__file__).with_name("trace_float_histogram_totals.json")
+        written = json.loads(path.read_text())["telemetry"]["histograms"]
+        loaded = load_trace(path).telemetry.histograms
+        assert set(loaded) == set(written)
+        for key, cell in written.items():
+            hist = loaded[key].to_dict()
+            for field in ("count", "buckets", "min", "max"):
+                assert hist[field] == cell[field]
+            assert loaded[key].total == cell["total"]
