@@ -13,7 +13,9 @@ The library layers as follows (each importable on its own):
 * :mod:`repro.power` — calibrated energy accounting and battery projection;
 * :mod:`repro.workloads` — the Table 3 app catalog, the paper's light/heavy
   scenarios, a synthetic generator and trace replay;
-* :mod:`repro.metrics` — delivery delay, wakeup breakdown, periodicity;
+* :mod:`repro.metrics` — delivery delay, wakeup breakdown, energy,
+  fairness (the Sec. 3.2.2 periodicity guarantees are checked online by the
+  invariant monitor, ``SimulatorConfig(monitor="record")``);
 * :mod:`repro.runner` — the run harness: :class:`RunSpec` descriptions,
   the policy/workload registry, the parallel executor (:func:`run_many`)
   and the content-addressed result cache;

@@ -22,7 +22,6 @@ from typing import Callable, List
 
 from ..core.invariants import ViolationSummary
 from ..metrics.delay import max_grace_violation_ms, max_window_violation_ms
-from ..metrics.intervals import static_grid_consistency
 from ..simulator.engine import SimulatorConfig
 from ..workloads.scenarios import ScenarioConfig
 from .experiments import run_experiment
@@ -58,9 +57,9 @@ def _check_guarantees() -> CheckResult:
     """Run SIMTY with the online invariant monitor armed (``record``).
 
     Instead of coarse post-hoc maxima, the monitor enforces the Sec. 3.2.2
-    guarantees on every delivery and queue mutation; a failure names the
-    exact invariant and the simulated time it broke at.  The legacy grid
-    consistency metric rides along as a cross-check.
+    guarantees (static grids included) on every delivery and queue
+    mutation; a failure names the exact invariant and the simulated time
+    it broke at.
     """
     config = ScenarioConfig(horizon=QUICK_HORIZON_MS)
     result = run_experiment(
@@ -72,8 +71,7 @@ def _check_guarantees() -> CheckResult:
         ),
     )
     violations = result.trace.violations
-    grids = static_grid_consistency(result.trace)
-    passed = not violations and not grids
+    passed = not violations
     if violations:
         first = violations[0]
         detail = (
@@ -88,7 +86,7 @@ def _check_guarantees() -> CheckResult:
         detail = (
             f"monitor clean over {len(result.trace.batches)} batches "
             f"(max grace delay {grace} ms, max perceptible window delay "
-            f"{window} ms), broken static grids {grids or 'none'}"
+            f"{window} ms)"
         )
     return CheckResult("delivery-guarantees", passed, detail)
 

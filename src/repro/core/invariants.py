@@ -4,12 +4,11 @@ The paper proves three properties of SIMTY's delivery behaviour: every
 imperceptible repeating alarm is delivered exactly once per repeating
 interval; the gap between adjacent deliveries stays within
 ``[(1-beta)*ReIn, (1+beta)*ReIn]``; and perceptible alarms are delivered
-inside their window interval.  Until now these were asserted *post-hoc* on a
-handful of fixed scenarios; this module states them (plus the structural
-invariants the queues themselves must uphold) as pure functions over queue
-state and delivery records, so an online monitor
-(:class:`repro.simulator.monitor.InvariantMonitor`) can enforce them on
-every mutation of a live run.
+inside their window interval.  This module states them (plus the
+structural invariants the queues themselves must uphold) as pure functions
+over queue state and delivery records, and the online monitor
+(:class:`repro.simulator.monitor.InvariantMonitor`) enforces them on every
+mutation of a run; it is the one Sec. 3.2.2 checker.
 
 Every check returns a list of :class:`Violation` values — empty when the
 invariant holds — and never raises; escalation policy (raise / warn /
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from .alarm import RepeatKind
 from .entry import QueueEntry, _bounded
@@ -169,7 +168,7 @@ def check_delivery_gap(
     *,
     tolerance_ms: int = 0,
 ) -> List[Violation]:
-    """Check the adjacent-delivery gap bound (Sec. 3.2.2).
+    """Check the adjacent-delivery gap bound and the static grid (Sec. 3.2.2).
 
     For a repeating wakeup alarm delivered within its grace interval the gap
     between adjacent deliveries lies in ``[(1-beta)*ReIn, (1+beta)*ReIn]``
@@ -180,6 +179,12 @@ def check_delivery_gap(
     honoured.  A gap below the lower bound means a double delivery within
     one repeating interval; above the upper bound, a skipped occurrence —
     both break "exactly once per ReIn".
+
+    The gap bound alone cannot see a skipped static occurrence when
+    ``beta >= 0.5``: the skip's gap of ``(2-beta)*ReIn`` fits under
+    ``(1+beta)*ReIn``.  So a static record's nominal time must also lie
+    exactly one ``ReIn`` after the previous one; a breach of either is one
+    ``GAP_BOUNDS`` violation.
     """
     if record.repeat_kind is RepeatKind.ONE_SHOT or not record.wakeup:
         return []
@@ -187,39 +192,45 @@ def check_delivery_gap(
     if interval <= 0:
         return []
     grace_length = record.grace_end - record.nominal_time
-    if record.repeat_kind is RepeatKind.STATIC:
-        lower = interval - grace_length
-    else:
-        lower = interval
+    static = record.repeat_kind is RepeatKind.STATIC
+    lower = interval - grace_length if static else interval
     upper = interval + grace_length
     gap = record.delivered_at - previous.delivered_at
     if gap < lower - tolerance_ms or gap > upper + tolerance_ms:
-        return [
-            Violation(
-                kind=GAP_BOUNDS,
-                time=record.delivered_at,
-                alarm_id=record.alarm_id,
-                label=record.label,
-                detail=(
-                    f"adjacent-delivery gap {gap}ms outside "
-                    f"[{lower}, {upper}] (ReIn={interval}, "
-                    f"beta*ReIn={grace_length}, kind={record.repeat_kind.value})"
-                ),
-            )
-        ]
-    return []
+        detail = (
+            f"adjacent-delivery gap {gap}ms outside "
+            f"[{lower}, {upper}] (ReIn={interval}, "
+            f"beta*ReIn={grace_length}, kind={record.repeat_kind.value})"
+        )
+    elif static and record.nominal_time - previous.nominal_time != interval:
+        detail = (
+            f"static occurrence at nominal time {record.nominal_time} "
+            f"follows the one at {previous.nominal_time}, not one "
+            f"ReIn={interval} later"
+        )
+    else:
+        return []
+    return [
+        Violation(
+            kind=GAP_BOUNDS,
+            time=record.delivered_at,
+            alarm_id=record.alarm_id,
+            label=record.label,
+            detail=detail,
+        )
+    ]
 
 
-def check_exactly_once(
-    delivered_occurrences: Set[Tuple[int, int]], record
-) -> List[Violation]:
-    """Flag a second delivery of the same occurrence ``(alarm, nominal)``.
+def check_exactly_once(previous, record) -> List[Violation]:
+    """Flag a second delivery of an occurrence already delivered.
 
-    The caller owns ``delivered_occurrences`` and must add the record's key
-    after the check; keeping the state outside makes the predicate pure.
+    ``previous`` is the alarm's last delivery since its (re-)registration,
+    or ``None`` before its first.  Between registrations an alarm's nominal
+    times strictly increase (static: one ``ReIn`` per delivery; dynamic:
+    the delivery plus ``ReIn``; a one-shot is delivered once), so a record
+    whose nominal time is not past ``previous``'s repeats an occurrence.
     """
-    key = (record.alarm_id, record.nominal_time)
-    if key in delivered_occurrences:
+    if previous is not None and record.nominal_time <= previous.nominal_time:
         return [
             Violation(
                 kind=DOUBLE_DELIVERY,

@@ -1,5 +1,9 @@
 """Evaluation metrics: delay (Fig. 4), wakeups (Table 4), energy (Fig. 3),
-periodicity properties (Sec. 3.2.2) and standby projection."""
+fairness, no-sleep detection and standby projection.
+
+The Sec. 3.2.2 periodicity guarantees are checked online, by the invariant
+monitor (``SimulatorConfig(monitor="record")``, see
+:mod:`repro.core.invariants`), not by a metric over a finished trace."""
 
 from .anomaly import (
     AppWakelockProfile,
@@ -16,14 +20,6 @@ from .delay import (
 )
 from .energy import EnergyComparison, compare_energy
 from .fairness import AppDelay, delay_fairness, jain_index, per_app_delays
-from .intervals import (
-    GapStats,
-    PeriodicityViolation,
-    check_periodicity,
-    delivery_gaps,
-    gap_stats,
-    static_grid_consistency,
-)
 from .standby import StandbyEstimate, standby_estimate
 from .wakeups import (
     WakeupBreakdown,
@@ -48,12 +44,6 @@ __all__ = [
     "jain_index",
     "per_app_delays",
     "compare_energy",
-    "GapStats",
-    "PeriodicityViolation",
-    "check_periodicity",
-    "delivery_gaps",
-    "gap_stats",
-    "static_grid_consistency",
     "StandbyEstimate",
     "standby_estimate",
     "WakeupBreakdown",

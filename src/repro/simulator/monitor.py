@@ -44,7 +44,7 @@ The end-of-run audit is always full.
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..core.alarm import Alarm, RepeatKind
 from ..core.invariants import (
@@ -94,10 +94,8 @@ class InvariantMonitor:
         self._manager = None
         self._registered_ids: Set[int] = set()
         self._registered_at: Dict[int, int] = {}
-        self._delivered_occurrences: Set[Tuple[int, int]] = set()
-        #: Nominal times delivered per alarm id, so a re-registration can
-        #: forget that alarm's occurrences without scanning every delivery.
-        self._delivered_nominals: Dict[int, List[int]] = {}
+        #: Each alarm's last delivery record since its (re-)registration; a
+        #: cancel keeps it, so a delivery after the cancel is still checked.
         self._last_delivery: Dict[int, object] = {}
         self._checks = 0
         #: True while the last structural audit was clean and neither a
@@ -132,14 +130,11 @@ class InvariantMonitor:
         # any pre-churn delivery is no longer governed by the bound, and a
         # re-set one-shot (same nominal time) may legally fire again.
         self._last_delivery.pop(alarm.alarm_id, None)
-        for nominal in self._delivered_nominals.pop(alarm.alarm_id, ()):
-            self._delivered_occurrences.discard((alarm.alarm_id, nominal))
         self._audit(now)
 
     def on_cancel(self, alarm: Alarm, now: int, removed: bool) -> None:
         self._registered_ids.discard(alarm.alarm_id)
         self._registered_at.pop(alarm.alarm_id, None)
-        self._last_delivery.pop(alarm.alarm_id, None)
         self._audit(now)
 
     def on_delivery(self, record, now: int) -> None:
@@ -154,15 +149,9 @@ class InvariantMonitor:
             tolerance_ms=self.tolerance_ms or 0,
         ):
             self._emit(violation)
-        for violation in check_exactly_once(
-            self._delivered_occurrences, record
-        ):
-            self._emit(violation)
-        self._delivered_occurrences.add((record.alarm_id, record.nominal_time))
-        self._delivered_nominals.setdefault(record.alarm_id, []).append(
-            record.nominal_time
-        )
         previous = self._last_delivery.get(record.alarm_id)
+        for violation in check_exactly_once(previous, record):
+            self._emit(violation)
         if previous is not None:
             for violation in check_delivery_gap(
                 previous, record, tolerance_ms=self.tolerance_ms or 0

@@ -120,11 +120,42 @@ class TestCheckDeliveryGap:
         assert kinds(violations) == [GAP_BOUNDS]
 
     def test_gap_above_upper_bound_flagged(self):
-        # Upper bound: ReIn + beta*ReIn = 110_000.
+        # Upper bound: ReIn + beta*ReIn = 110_000.  The nominal time also
+        # skipped a grid step; the breach is still one gap violation.
         record = Record(nominal_time=180_000, window_end=210_000,
                         grace_end=230_000, delivered_at=180_000)
         violations = check_delivery_gap(self.previous(60_000), record)
         assert kinds(violations) == [GAP_BOUNDS]
+        assert violations[0].detail.startswith(
+            "adjacent-delivery gap 120000ms outside [10000, 110000]"
+        )
+
+    def test_skipped_static_occurrence_inside_gap_bound_flagged(self):
+        # beta = 0.96: a late delivery, then the occurrence two ReIn on,
+        # delivered on time.  The 70 s gap fits [2_400, 117_600], but the
+        # grid advanced by 2 ReIn: one occurrence was skipped.
+        previous = Record(grace_end=117_600, delivered_at=110_000)
+        record = Record(nominal_time=180_000, window_end=210_000,
+                        grace_end=237_600, delivered_at=180_000)
+        violations = check_delivery_gap(previous, record)
+        assert kinds(violations) == [GAP_BOUNDS]
+        assert "nominal time 180000" in violations[0].detail
+        assert "at 60000" in violations[0].detail
+
+    def test_dynamic_record_not_grid_checked(self):
+        # A dynamic nominal is re-appointed from the delivery, not a grid.
+        previous = Record(repeat_kind=RepeatKind.DYNAMIC,
+                          delivered_at=130_000)
+        record = Record(repeat_kind=RepeatKind.DYNAMIC, nominal_time=190_000,
+                        window_end=220_000, grace_end=240_000,
+                        delivered_at=200_000)
+        assert check_delivery_gap(previous, record) == []
+
+    def test_nonwakeup_static_record_not_grid_checked(self):
+        record = Record(wakeup=False, nominal_time=180_000,
+                        window_end=210_000, grace_end=230_000,
+                        delivered_at=180_000)
+        assert check_delivery_gap(self.previous(110_000), record) == []
 
     def test_dynamic_gap_may_not_undercut_interval(self):
         # Dynamic alarms re-appoint from the previous delivery: the gap may
@@ -145,22 +176,24 @@ class TestCheckDeliveryGap:
 
 class TestCheckExactlyOnce:
     def test_first_delivery_is_clean(self):
-        assert check_exactly_once(set(), Record()) == []
+        assert check_exactly_once(None, Record()) == []
 
     def test_forced_double_delivery_caught(self):
         # The known-bad injection: the same occurrence (alarm, nominal)
         # delivered twice must be flagged.
-        seen = set()
         record = Record()
-        assert check_exactly_once(seen, record) == []
-        seen.add((record.alarm_id, record.nominal_time))
-        violations = check_exactly_once(seen, record)
+        violations = check_exactly_once(record, record)
         assert kinds(violations) == [DOUBLE_DELIVERY]
         assert violations[0].alarm_id == record.alarm_id
 
     def test_new_occurrence_of_same_alarm_is_clean(self):
-        seen = {(1, 60_000)}
-        assert check_exactly_once(seen, Record(nominal_time=120_000)) == []
+        assert check_exactly_once(Record(), Record(nominal_time=120_000)) == []
+
+    def test_earlier_occurrence_flagged(self):
+        # Nominal times only increase between registrations.
+        previous = Record(nominal_time=120_000)
+        violations = check_exactly_once(previous, Record(nominal_time=60_000))
+        assert kinds(violations) == [DOUBLE_DELIVERY]
 
 
 class TestCheckQueue:
