@@ -83,7 +83,9 @@ class FleetConfig:
 
     ``workers=0`` runs every shard in-process (deterministic unit-test
     mode; incompatible with kill chaos).  ``device_timeout_s`` bounds one
-    device attempt; ``device_retries`` extra attempts precede quarantine.
+    device attempt's simulation, not its compile (with ``workers >= 1``
+    the straggler kill bounds a hung compile); ``device_retries`` extra
+    attempts precede quarantine.
     ``coverage_threshold`` is the completed-device fraction below which
     the report withholds percentiles.  Every shard keeps its own telemetry
     hub (progress/outcome counters, device wall-time histogram); the hubs
@@ -117,6 +119,8 @@ class FleetConfig:
             raise ValueError("workers must be non-negative (0 = in-process)")
         if self.device_retries < 0 or self.shard_retries < 0:
             raise ValueError("retries must be non-negative")
+        if self.device_timeout_s is not None and self.device_timeout_s <= 0:
+            raise ValueError("timeout_s must be positive (or None)")
         if not 0.0 <= self.coverage_threshold <= 1.0:
             raise ValueError("coverage_threshold must be in [0, 1]")
         if self.chaos is not None and self.chaos.kill_shards and self.workers == 0:

@@ -85,6 +85,7 @@ def run_built(
     external_events: tuple = (),
     telemetry: Optional[Telemetry] = None,
     audit=None,
+    deadline: Optional[float] = None,
 ) -> ExperimentResult:
     """Run an already-built workload under a policy instance.
 
@@ -95,7 +96,8 @@ def run_built(
     ``telemetry`` instruments the run; the hub's summary rides on
     ``result.trace.telemetry``.  ``audit`` records sampled alignment
     decisions onto ``result.trace.decisions`` (see
-    :class:`repro.obs.audit.DecisionAudit`).
+    :class:`repro.obs.audit.DecisionAudit`).  ``deadline`` is a
+    ``time.monotonic()`` instant past which the engine watchdog stops the run.
     """
     config = simulator_config
     if config is None or config.horizon != workload.horizon:
@@ -111,6 +113,7 @@ def run_built(
         external_events=external_events,
         telemetry=telemetry,
         audit=audit,
+        deadline=deadline,
     )
     workload.apply(simulator)
     trace = simulator.run()
@@ -139,6 +142,7 @@ def execute_spec(
     registry: Optional[Registry] = None,
     telemetry: Optional[Telemetry] = None,
     audit=None,
+    deadline: Optional[float] = None,
 ) -> ExperimentResult:
     """Resolve and simulate ``spec`` unconditionally (no cache)."""
     registry = registry or DEFAULT_REGISTRY
@@ -159,6 +163,7 @@ def execute_spec(
         policy_name=spec.display_name(),
         telemetry=telemetry,
         audit=audit,
+        deadline=deadline,
     )
 
 
@@ -264,8 +269,9 @@ def run_many(
 
     Supervision:
 
-    * ``timeout_s`` bounds each execution attempt (daemon-thread join on
-      the serial path; per-future wait on the pool path);
+    * ``timeout_s`` bounds each execution attempt: serially by a deadline
+      the engine watchdog enforces, which does not bound the compile; on
+      the pool path by the per-future wait and pool teardown, which do;
     * ``retries`` re-executes a failed or timed-out attempt up to that
       many extra times (exponential backoff + jitter serially,
       resubmission on a fresh pool in parallel); a success after a retry

@@ -8,15 +8,19 @@ gracefully instead:
 * every attempt runs through :func:`attempt_spec`, which captures the
   exception object, its type name and a formatted traceback rather than
   letting it unwind the batch;
-* :func:`run_supervised_serial` retries with exponential backoff plus
-  jitter and enforces ``timeout_s`` by running the attempt in a daemon
-  thread (an abandoned attempt keeps burning its CPU slice, but the
-  simulator's own watchdog — :class:`~repro.simulator.engine.SimulationStalled`
-  — bounds how long a runaway simulation can live);
+* :func:`run_supervised_serial` runs every attempt on the caller's
+  thread, retries with exponential backoff plus jitter, and gives each
+  attempt the deadline ``time.monotonic() + timeout_s``, which the
+  simulator's watchdog enforces
+  (:class:`~repro.simulator.engine.SimulationStalled`).  An attempt that
+  ends after its deadline is ``TIMEOUT`` whatever it returned.  Nothing
+  bounds a workload compile here: a build that hangs is ``TIMEOUT`` only
+  once it returns and the first step runs;
 * :func:`run_supervised_pool` supervises a ``ProcessPoolExecutor``:
   per-future timeouts, resubmission of failed attempts on a fresh pool,
   and recovery from a killed worker (``BrokenProcessPool``) by tearing the
-  broken pool down and rescheduling every interrupted spec.
+  broken pool down and rescheduling every interrupted spec.  The
+  per-future wait and the pool teardown bound a compile too.
 
 Outcomes come back as :class:`Outcome` values keyed by input index; the
 executor converts them into :class:`~repro.runner.record.RunRecord`\\ s and
@@ -27,7 +31,6 @@ from __future__ import annotations
 
 import pickle
 import random
-import threading
 import time
 import traceback as traceback_module
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -123,20 +126,23 @@ def _portable_exception(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def attempt_spec(spec: RunSpec, registry=None, telemetry=None) -> Tuple:
+def attempt_spec(
+    spec: RunSpec, registry=None, telemetry=None, deadline=None
+) -> Tuple:
     """Execute one attempt, capturing any exception instead of raising.
 
     Returns ``("ok", result, wall_s)`` or
     ``("error", exception, type_name, traceback_str, wall_s)``.  The
     exception is the original object, so an in-process caller can
     re-raise it; :func:`_attempt_pool` makes it picklable for the trip
-    back from a worker.
+    back from a worker.  ``deadline`` (a ``time.monotonic()`` instant)
+    reaches the engine watchdog.
     """
     from .executor import execute_spec  # local import to avoid a cycle
 
     started = time.perf_counter()
     try:
-        result = execute_spec(spec, registry, telemetry=telemetry)
+        result = execute_spec(spec, registry, telemetry=telemetry, deadline=deadline)
     except Exception as exc:  # noqa: BLE001 — supervision must isolate everything
         wall = time.perf_counter() - started
         return (
@@ -165,31 +171,6 @@ def _attempt_pool(spec: RunSpec, enable_telemetry: bool = False) -> Tuple:
     return payload
 
 
-def _attempt_with_timeout(
-    spec: RunSpec, registry, timeout_s: Optional[float], telemetry=None
-) -> Tuple:
-    """One serial attempt, bounded by ``timeout_s`` via a daemon thread.
-
-    On timeout the attempt thread is abandoned (daemon, so it never blocks
-    interpreter exit); the engine watchdog bounds truly runaway
-    simulations.
-    """
-    if timeout_s is None:
-        return attempt_spec(spec, registry, telemetry)
-    box: List[Tuple] = []
-    thread = threading.Thread(
-        target=lambda: box.append(attempt_spec(spec, registry, telemetry)),
-        # Cheap fields only: a digest would re-encode the whole spec.
-        name=f"run-attempt-{spec.workload}/{spec.policy}",
-        daemon=True,
-    )
-    thread.start()
-    thread.join(timeout_s)
-    if thread.is_alive() or not box:
-        return ("timeout",)
-    return box[0]
-
-
 def _outcome_from_payload(payload: Tuple, attempts: int) -> Outcome:
     if payload[0] == "ok":
         _, result, wall = payload
@@ -208,6 +189,17 @@ def _outcome_from_payload(payload: Tuple, attempts: int) -> Outcome:
     )
 
 
+def _timeout_outcome(timeout_s: Optional[float], attempts: int) -> Outcome:
+    return Outcome(
+        status=RunStatus.TIMEOUT,
+        result=None,
+        wall_time_s=timeout_s or 0.0,
+        attempts=attempts,
+        error_type="TimeoutError",
+        error_message=f"attempt exceeded timeout_s={timeout_s}",
+    )
+
+
 def run_supervised_serial(
     spec: RunSpec,
     registry=None,
@@ -217,23 +209,19 @@ def run_supervised_serial(
     backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
     telemetry=None,
 ) -> Outcome:
-    """Supervise one spec in-process: timeout, retries, backoff+jitter."""
+    """Supervise one spec on the caller's thread: timeout, retries,
+    backoff+jitter."""
     attempts = 0
     while True:
         attempts += 1
-        payload = _attempt_with_timeout(spec, registry, timeout_s, telemetry)
-        if payload[0] == "ok":
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        payload = attempt_spec(spec, registry, telemetry, deadline)
+        timed_out = deadline is not None and time.monotonic() > deadline
+        if payload[0] == "ok" and not timed_out:
             return _outcome_from_payload(payload, attempts)
         if attempts > retries:
-            if payload[0] == "timeout":
-                return Outcome(
-                    status=RunStatus.TIMEOUT,
-                    result=None,
-                    wall_time_s=timeout_s or 0.0,
-                    attempts=attempts,
-                    error_type="TimeoutError",
-                    error_message=f"attempt exceeded timeout_s={timeout_s}",
-                )
+            if timed_out:
+                return _timeout_outcome(timeout_s, attempts)
             return _outcome_from_payload(payload, attempts)
         time.sleep(backoff_delay(attempts, backoff_base_s, backoff_cap_s))
 
@@ -244,10 +232,7 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     Reaches into ``_processes`` (stable across CPython 3.9–3.13) so a
     worker stuck in a timed-out simulation cannot block interpreter exit.
     """
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # pragma: no cover - Python < 3.9 signature
-        pool.shutdown(wait=False)
+    pool.shutdown(wait=False, cancel_futures=True)
     processes = getattr(pool, "_processes", None) or {}
     for process in list(processes.values()):
         try:
@@ -317,14 +302,7 @@ def run_supervised_pool(
                 timed_out = True
                 future.cancel()
                 if attempt > retries:
-                    outcomes[index] = Outcome(
-                        status=RunStatus.TIMEOUT,
-                        result=None,
-                        wall_time_s=timeout_s or 0.0,
-                        attempts=attempt,
-                        error_type="TimeoutError",
-                        error_message=f"attempt exceeded timeout_s={timeout_s}",
-                    )
+                    outcomes[index] = _timeout_outcome(timeout_s, attempt)
                 else:
                     queue.append((index, spec, attempt + 1))
                 continue

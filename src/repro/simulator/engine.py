@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
@@ -110,7 +111,7 @@ class SimulationStalled(RuntimeError):
     tripped budget, so a supervisor can record a structured failure.
     """
 
-    def __init__(self, reason: str, time_ms: int, events: int, budget: int):
+    def __init__(self, reason: str, time_ms: int, events: int, budget: float):
         self.reason = reason
         self.time_ms = time_ms
         self.events = events
@@ -149,8 +150,12 @@ class Simulator:
         monitor: Optional[InvariantMonitor] = None,
         telemetry: Optional[Telemetry] = None,
         audit=None,
+        deadline: Optional[float] = None,
     ) -> None:
         self.config = config or SimulatorConfig()
+        # A time.monotonic() instant (the supervisor's timeout_s); wall
+        # clock, so it stays out of the digested SimulatorConfig.
+        self._deadline = deadline
         self.policy = policy
         # The run's claim on its alarms: a token, not ``self`` (see add_alarm).
         self._claim = object()
@@ -573,7 +578,7 @@ class Simulator:
         ``max_events`` bounds total steps (outer iterations plus
         same-instant delivery pops); ``max_stalled_events`` bounds how many
         *consecutive* steps may share one instant before the run is
-        declared stalled.
+        declared stalled; ``deadline`` bounds the run's wall-clock time.
         """
         self._events += 1
         if self._tel_enabled:
@@ -582,6 +587,11 @@ class Simulator:
         if max_events is not None and self._events > max_events:
             raise SimulationStalled(
                 "event budget exhausted", self.clock.now, self._events, max_events
+            )
+        deadline = self._deadline
+        if deadline is not None and time.monotonic() > deadline:
+            raise SimulationStalled(
+                "wall-clock deadline passed", self.clock.now, self._events, deadline
             )
         if instant <= self._last_instant:
             self._stalled += 1

@@ -9,6 +9,7 @@ import dataclasses
 import gc
 import gzip
 import json
+import threading
 import weakref
 from pathlib import Path
 
@@ -268,6 +269,30 @@ class TestQuarantine:
         assert not list((tmp_path / "quarantine").glob("device-*"))
 
 
+class TestDeviceTimeout:
+    def test_devices_past_their_deadline_are_quarantined(self, tmp_path):
+        """A deadline no run can meet quarantines every device as a
+        timeout, in the shard's own thread, and each shard still seals."""
+        population = micro(size=8)
+        config = dataclasses.replace(
+            CFG, device_timeout_s=1e-9, device_retries=0
+        )
+        threads = threading.active_count()
+        report = run_fleet(population, config, fleet_dir=tmp_path)
+        assert threading.active_count() == threads
+        assert report.completed == 0
+        assert report.quarantined == population.size
+        assert {
+            record.error_type for record in report.summary.quarantined
+        } == {"TimeoutError"}
+        for plan in plan_shards(population.size, config.shards):
+            assert load_sealed_summary(
+                shard_journal_path(tmp_path, plan.shard),
+                population.digest(),
+                plan,
+            ) is not None
+
+
 class TestViolationCarryThrough:
     def test_archetype_violations_sum_device_traces(self, tmp_path):
         """BUCKET micro devices trip the recording monitor; the report's
@@ -383,6 +408,11 @@ class TestReportPayloads:
             FleetConfig(workers=-1)
         with pytest.raises(ValueError):
             FleetConfig(coverage_threshold=1.5)
+
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0])
+    def test_device_timeout_must_be_positive(self, timeout_s):
+        with pytest.raises(ValueError, match="timeout_s must be positive"):
+            FleetConfig(workers=0, device_timeout_s=timeout_s)
 
 
 class TestFleetTelemetry:

@@ -49,7 +49,7 @@ class TestCrashOnNthSpec:
 
 class TestHang:
     def test_serial_hang_is_quarantined_as_timeout(self):
-        specs = [chaos_spec("ok"), chaos_spec("hang", sleep_s=4.0)]
+        specs = [chaos_spec("ok"), chaos_spec("hang", sleep_s=1.2)]
         records = run_many(
             specs, timeout_s=1.0, on_error="keep_going"
         )
@@ -74,7 +74,7 @@ class TestHang:
 
     def test_hang_retry_can_time_out_again(self):
         (record,) = run_many(
-            [chaos_spec("hang", sleep_s=3.0)],
+            [chaos_spec("hang", sleep_s=0.3)],
             timeout_s=0.2,
             retries=1,
             on_error="keep_going",

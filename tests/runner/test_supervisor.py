@@ -2,6 +2,7 @@
 
 import random
 import threading
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.runner import (
     run_many,
     summary_table,
 )
+from repro.runner.executor import execute_spec
 from repro.runner.supervision import run_supervised_serial
 from repro.workloads.scenarios import ScenarioConfig
 
@@ -50,10 +52,12 @@ class TestKeepGoing:
 
     @pytest.mark.parametrize("max_workers", [1, 2])
     def test_index_aligned_partial_batch(self, max_workers):
-        specs = [OK, BAD, HANG, OK2]
-        # The timeout must sit well clear of both sides: far above a
-        # healthy run (~0.1 s, but slower on a loaded CI box) and far
-        # below the hang's sleep.
+        # The timeout must sit far above a healthy run (~0.1 s, but slower
+        # on a loaded CI box).  A pool hang is killed at the timeout, so it
+        # may sleep far longer; a serial hang is stopped only once its
+        # build returns, so it sleeps just past the timeout.
+        hang = HANG if max_workers > 1 else chaos_spec("hang", sleep_s=2.2)
+        specs = [OK, BAD, hang, OK2]
         records = run_many(
             specs,
             max_workers=max_workers,
@@ -134,7 +138,7 @@ class TestOnErrorRaise:
 
     def test_timeout_raises_structured_error(self):
         with pytest.raises(SpecTimeoutError) as excinfo:
-            run_many([HANG], timeout_s=0.2)
+            run_many([chaos_spec("hang", sleep_s=0.3)], timeout_s=0.2)
         assert excinfo.value.timeout_s == 0.2
         assert excinfo.value.attempts == 1
 
@@ -164,6 +168,26 @@ class TestTimeoutAttempt:
         outcome = run_supervised_serial(OK, timeout_s=30.0)
         assert outcome.ok
         assert calls == []
+
+    def test_timed_out_attempt_is_stopped_not_abandoned(self):
+        """The engine watchdog stops a timed-out attempt: the call returns
+        before the full run would have, and no thread outlives it, so the
+        retry never runs beside its predecessor."""
+        spec = RunSpec(
+            "synthetic", "simty", workload_kwargs={"app_count": 1500}, seed=1
+        )
+        started = time.perf_counter()
+        execute_spec(spec)
+        full_run_s = time.perf_counter() - started
+
+        threads = threading.active_count()
+        started = time.perf_counter()
+        outcome = run_supervised_serial(spec, timeout_s=0.05, retries=1)
+        elapsed_s = time.perf_counter() - started
+        assert threading.active_count() == threads
+        assert outcome.status is RunStatus.TIMEOUT
+        assert outcome.attempts == 2
+        assert elapsed_s < full_run_s
 
 
 class TestRetries:

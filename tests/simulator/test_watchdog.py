@@ -1,4 +1,7 @@
-"""The engine watchdog: event budgets, stall detection, alarm-time bounds."""
+"""The engine watchdog: event budgets, stall detection, wall-clock
+deadlines, alarm-time bounds."""
+
+import time
 
 import pytest
 
@@ -75,6 +78,30 @@ class TestEventBudget:
         simulator = Simulator(NativePolicy(), config=config)
         simulator.add_alarm(make_alarm(nominal=1_000, repeat=10_000))
         simulator.run()  # must not raise
+
+
+class TestDeadline:
+    def test_passed_deadline_stops_the_first_step(self):
+        deadline = time.monotonic() - 1.0
+        simulator = Simulator(NativePolicy(), deadline=deadline)
+        simulator.add_alarm(make_alarm(nominal=1_000, repeat=10_000))
+        with pytest.raises(SimulationStalled) as excinfo:
+            simulator.run()
+        assert excinfo.value.reason == "wall-clock deadline passed"
+        assert excinfo.value.budget == deadline
+        assert excinfo.value.events == 1
+
+    def test_same_instant_storm_is_stopped_by_the_deadline(self):
+        # With the stall detector out of reach, only the deadline check in
+        # the delivery loop's tick can end a storm at one instant.
+        config = SimulatorConfig(horizon=100_000, max_stalled_events=10**12)
+        simulator = Simulator(
+            NativePolicy(), config=config, deadline=time.monotonic() + 0.05
+        )
+        simulator.add_alarm(stalling_alarm())
+        with pytest.raises(SimulationStalled) as excinfo:
+            simulator.run()
+        assert excinfo.value.reason == "wall-clock deadline passed"
 
 
 class TestConfigValidation:
