@@ -34,108 +34,70 @@ Quickstart::
           f"extends standby by {pair.comparison.standby_extension:.0%}")
 """
 
-from .analysis.experiments import (
-    ExperimentResult,
-    PairResult,
-    run_experiment,
-    run_pair,
-    run_paper_matrix,
-    run_workload,
-)
-from .core import (
-    Alarm,
-    AlarmQueue,
-    Component,
-    DurationAwareSimtyPolicy,
-    ExactPolicy,
-    HardwareSet,
-    Interval,
-    NativePolicy,
-    QueueEntry,
-    RepeatKind,
-    SimtyPolicy,
-    Violation,
-    ViolationSummary,
-)
-from .obs import (
-    NULL_TELEMETRY,
-    FakeClock,
-    Telemetry,
-    TelemetrySummary,
-    merge_summaries,
-    render_telemetry,
-)
-from .power import NEXUS5, PowerModel, account
-from .runner import (
-    ResultCache,
-    RunJournal,
-    RunRecord,
-    RunSpec,
-    RunStatus,
-    register_policy,
-    register_workload,
-    run_many,
-    run_spec,
-)
-from .simulator import (
-    InvariantMonitor,
-    InvariantViolationError,
-    SimulationTrace,
-    Simulator,
-    SimulatorConfig,
-    simulate,
-)
-from .workloads import ScenarioConfig, Workload, build_heavy, build_light
+from ._lazy import lazy_surface
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ExperimentResult",
-    "PairResult",
-    "run_experiment",
-    "run_pair",
-    "run_paper_matrix",
-    "run_workload",
-    "Alarm",
-    "AlarmQueue",
-    "Component",
-    "DurationAwareSimtyPolicy",
-    "ExactPolicy",
-    "HardwareSet",
-    "Interval",
-    "NativePolicy",
-    "QueueEntry",
-    "RepeatKind",
-    "SimtyPolicy",
-    "Violation",
-    "ViolationSummary",
-    "InvariantMonitor",
-    "InvariantViolationError",
-    "NULL_TELEMETRY",
-    "FakeClock",
-    "Telemetry",
-    "TelemetrySummary",
-    "merge_summaries",
-    "render_telemetry",
-    "NEXUS5",
-    "PowerModel",
-    "account",
-    "ResultCache",
-    "RunJournal",
-    "RunRecord",
-    "RunSpec",
-    "RunStatus",
-    "register_policy",
-    "register_workload",
-    "run_many",
-    "run_spec",
-    "SimulationTrace",
-    "Simulator",
-    "SimulatorConfig",
-    "simulate",
-    "ScenarioConfig",
-    "Workload",
-    "build_heavy",
-    "build_light",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_surface(
+    __name__,
+    {
+        ".analysis.experiments": (
+            "ExperimentResult",
+            "PairResult",
+            "run_experiment",
+            "run_pair",
+            "run_paper_matrix",
+            "run_workload",
+        ),
+        ".core": (
+            "Alarm",
+            "AlarmQueue",
+            "Component",
+            "DurationAwareSimtyPolicy",
+            "ExactPolicy",
+            "HardwareSet",
+            "Interval",
+            "NativePolicy",
+            "QueueEntry",
+            "RepeatKind",
+            "SimtyPolicy",
+            "Violation",
+            "ViolationSummary",
+        ),
+        ".obs": (
+            "NULL_TELEMETRY",
+            "FakeClock",
+            "Telemetry",
+            "TelemetrySummary",
+            "merge_summaries",
+            "render_telemetry",
+        ),
+        ".power": ("NEXUS5", "PowerModel", "account"),
+        ".runner": (
+            "ResultCache",
+            "RunJournal",
+            "RunRecord",
+            "RunSpec",
+            "RunStatus",
+            "register_policy",
+            "register_workload",
+            "run_many",
+            "run_spec",
+        ),
+        ".simulator": (
+            "InvariantMonitor",
+            "InvariantViolationError",
+            "SimulationTrace",
+            "Simulator",
+            "SimulatorConfig",
+            "simulate",
+        ),
+        ".workloads": (
+            "ScenarioConfig",
+            "Workload",
+            "build_heavy",
+            "build_light",
+        ),
+    },
+)
+__all__.append("__version__")

@@ -16,81 +16,36 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
-from ..fleet import ARCHETYPE_SETS, FleetConfig, make_population, run_fleet
-
-from ..metrics.delay import delay_report
-from ..metrics.wakeups import wakeup_breakdown
-from ..obs import (
-    Telemetry,
-    prometheus_text,
-    render_telemetry,
-    write_chrome_trace,
-    write_jsonl,
-)
-from ..power.accounting import account
-from ..power.attribution import attribution_table
-from ..power.profiles import NEXUS5
-from ..runner import (
-    ResultCache,
-    RunJournal,
-    RunSpec,
-    failure_table,
-    run_spec,
-    summary_table,
-)
+# The parser reads only these constant modules; each command imports
+# what it runs when it runs (docs/architecture.md, "What each entry point
+# imports").
 from ..core.backend import BACKEND_NAMES
+from ..runner.registry import DEFAULT_REGISTRY
 from ..simulator.clock import WALL_CLOCK_MODES
-from ..simulator.engine import SimulatorConfig
 from ..simulator.monitor import ON_VIOLATION_MODES
-from ..workloads.requests import DEFAULT_ADVANCE_EVERY_MS, workload_request_lines
-from ..simulator.events import event_log
-from ..simulator.serialize import load_trace, save_trace
-from ..workloads.scenarios import ScenarioConfig
-from .experiments import (
-    POLICY_FACTORIES,
-    WORKLOAD_BUILDERS,
-    run_experiment,
-    run_pair,
-    run_paper_matrix,
-)
-from .report import (
-    format_table,
-    render_all,
-    render_fig2,
-    render_fig3,
-    render_fig4,
-    render_summary,
-    render_table4,
-)
-from .timeline import render_timeline
-from .validation import render_validation, run_validation
-from .sweep import (
-    beta_sweep,
-    bucket_sweep,
-    classifier_sweep,
-    duration_sweep,
-    scale_sweep,
-    sensitivity_sweep,
-)
+from ..workloads.requests import DEFAULT_ADVANCE_EVERY_MS
 
+if TYPE_CHECKING:
+    from ..obs.telemetry import Telemetry
+    from ..runner.cache import ResultCache
+    from ..workloads.scenarios import ScenarioConfig
 
-#: ``simty sweep --kind`` → the sweep it runs; the keys are the choices.
-_SWEEPS = {
-    "beta": beta_sweep,
-    "classifier": classifier_sweep,
-    "scale": scale_sweep,
-    "duration": duration_sweep,
-    "bucket": bucket_sweep,
-    "sensitivity": sensitivity_sweep,
-}
+#: ``simty sweep --kind`` choices; each runs ``analysis.sweep.<kind>_sweep``.
+_SWEEP_KINDS = ("beta", "classifier", "scale", "duration", "bucket", "sensitivity")
+
+#: ``simty fleet --archetypes`` choices: the keys of
+#: ``fleet.population.ARCHETYPE_SETS`` (tests/test_import_budget.py holds
+#: them equal), named here because that module imports every scenario
+#: source, which ``serve`` never needs.
+_ARCHETYPE_SET_NAMES = ("micro", "scenario", "standard")
 
 
 def _add_workload_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workload",
-        choices=sorted(WORKLOAD_BUILDERS),
+        choices=DEFAULT_REGISTRY.workload_names(),
         default="light",
         help="evaluation scenario (Sec. 4.1)",
     )
@@ -98,7 +53,7 @@ def _add_workload_arg(parser: argparse.ArgumentParser) -> None:
 
 def _add_policy_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--policy", choices=sorted(POLICY_FACTORIES), default="simty"
+        "--policy", choices=DEFAULT_REGISTRY.policy_names(), default="simty"
     )
 
 
@@ -160,6 +115,8 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
 
 def _simulator_config(args: argparse.Namespace):
     """A SimulatorConfig override, or None when every knob is default."""
+    from ..simulator.engine import SimulatorConfig
+
     backend = getattr(args, "queue_backend", None)
     if backend is None:
         return None
@@ -223,10 +180,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_backend_arg(compare)
     _add_beta_arg(compare)
     compare.add_argument(
-        "--baseline", choices=sorted(POLICY_FACTORIES), default="native"
+        "--baseline", choices=DEFAULT_REGISTRY.policy_names(), default="native"
     )
     compare.add_argument(
-        "--improved", choices=sorted(POLICY_FACTORIES), default="simty"
+        "--improved", choices=DEFAULT_REGISTRY.policy_names(), default="simty"
     )
     _add_telemetry_args(compare)
 
@@ -323,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="ablations and scaling studies")
     sweep.add_argument(
         "--kind",
-        choices=tuple(_SWEEPS),
+        choices=_SWEEP_KINDS,
         default="beta",
     )
     _add_workload_arg(sweep)
@@ -600,7 +557,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--archetypes",
-        choices=sorted(ARCHETYPE_SETS),
+        choices=_ARCHETYPE_SET_NAMES,
         default="standard",
         help="device archetype mix",
     )
@@ -831,6 +788,8 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
 
 def _telemetry_hub(args: argparse.Namespace) -> Optional[Telemetry]:
     """The run's hub, or ``None`` (= zero-cost no-op instrumentation)."""
+    from ..obs.telemetry import Telemetry
+
     if getattr(args, "trace_out", None):
         args.telemetry = True
     return Telemetry() if getattr(args, "telemetry", False) else None
@@ -842,6 +801,9 @@ def _finish_telemetry(
     """Print the summary and write the Chrome trace, if instrumented."""
     if hub is None:
         return
+    from ..obs.exporters import write_chrome_trace
+    from ..obs.render import render_telemetry
+
     print()
     print(render_telemetry(hub.summary()))
     if args.trace_out:
@@ -852,6 +814,8 @@ def _finish_telemetry(
 def _scenario_config(beta: Optional[float]) -> Optional[ScenarioConfig]:
     if beta is None:
         return None
+    from ..workloads.scenarios import ScenarioConfig
+
     return ScenarioConfig(beta=beta)
 
 
@@ -862,6 +826,9 @@ def _harness(args: argparse.Namespace) -> Iterator[dict]:
     The checkpoint journal behind ``--cache-dir`` holds an append handle,
     so it is closed when the command's runs are done.
     """
+    from ..runner.cache import ResultCache
+    from ..runner.journal import RunJournal
+
     if args.resume and args.cache_dir is None:
         raise SystemExit("--resume requires --cache-dir (the journal lives there)")
     cache = ResultCache(disk_dir=args.cache_dir)
@@ -888,6 +855,8 @@ def _harness(args: argparse.Namespace) -> Iterator[dict]:
 
 
 def _print_stats(cache: ResultCache) -> None:
+    from ..runner.record import failure_table, summary_table
+
     print()
     print(summary_table(cache.records))
     failures = failure_table(cache.records)
@@ -899,6 +868,9 @@ def _print_stats(cache: ResultCache) -> None:
 
 
 def _command_paper(args: argparse.Namespace) -> int:
+    from .experiments import run_paper_matrix
+    from .report import render_all
+
     scenario_config = _scenario_config(args.beta)
     with _harness(args) as harness:
         matrix = run_paper_matrix(
@@ -925,6 +897,13 @@ def _command_paper(args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from ..power.attribution import attribution_table
+    from ..power.profiles import NEXUS5
+    from ..simulator.events import event_log
+    from ..simulator.serialize import save_trace
+    from .experiments import run_experiment
+    from .timeline import render_timeline
+
     hub = _telemetry_hub(args)
     workload, workload_kwargs = _resolve_workload(args)
     result = run_experiment(
@@ -962,6 +941,9 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_compare(args: argparse.Namespace) -> int:
+    from .experiments import run_pair
+    from .report import render_fig3, render_fig4, render_summary, render_table4
+
     hub = _telemetry_hub(args)
     workload, workload_kwargs = _resolve_workload(args)
     pair = run_pair(
@@ -986,6 +968,12 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _command_profile(args: argparse.Namespace) -> int:
+    from ..obs.exporters import prometheus_text, write_chrome_trace, write_jsonl
+    from ..obs.render import render_telemetry
+    from ..obs.telemetry import Telemetry
+    from ..runner.executor import run_spec
+    from ..runner.spec import RunSpec
+
     hub = Telemetry()
     spec = RunSpec(
         workload=args.workload,
@@ -1018,6 +1006,9 @@ def _command_profile(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    from . import sweep
+    from .report import format_table
+
     workload, workload_kwargs = _resolve_workload(args)
     if args.kind == "scale":
         if args.scenario is not None:
@@ -1029,7 +1020,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     else:
         grid = dict(workload=workload, workload_kwargs=workload_kwargs)
     with _harness(args) as harness:
-        rows = _SWEEPS[args.kind](
+        rows = getattr(sweep, f"{args.kind}_sweep")(
             simulator_config=_simulator_config(args), **grid, **harness
         )
     if not rows:
@@ -1055,6 +1046,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_validate(args: argparse.Namespace) -> int:
+    from .validation import render_validation, run_validation
+
     results = run_validation()
     print(render_validation(results))
     return 0 if all(result.passed for result in results) else 1
@@ -1091,6 +1084,15 @@ def _command_fuzz(args: argparse.Namespace) -> int:
 
 
 def _command_inspect(args: argparse.Namespace) -> int:
+    from ..metrics.delay import delay_report
+    from ..metrics.wakeups import wakeup_breakdown
+    from ..obs.render import render_telemetry
+    from ..power.accounting import account
+    from ..power.attribution import attribution_table
+    from ..power.profiles import NEXUS5
+    from ..simulator.serialize import load_trace
+    from .timeline import render_timeline
+
     trace = load_trace(args.trace)
     breakdown = account(trace, NEXUS5)
     delays = delay_report(trace)
@@ -1127,19 +1129,19 @@ def _command_serve(args: argparse.Namespace) -> int:
     from ..obs.telemetry import Telemetry
     from ..service import (
         AlarmService,
-        ChaosSpec,
-        FaultyLog,
         ServiceConfig,
         ServiceJournal,
-        SkewedWallClock,
         SlowRequestWatchdog,
         SocketServer,
         Ticker,
         serve_stdio,
     )
+    from ..simulator.serialize import save_trace
 
     chaos_spec = None
     if args.chaos is not None:
+        from ..service.chaos import ChaosSpec, FaultyLog, SkewedWallClock
+
         try:
             chaos_spec = ChaosSpec.parse(args.chaos)
         except ValueError as error:
@@ -1281,6 +1283,10 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_fleet(args: argparse.Namespace) -> int:
+    from ..fleet.executor import FleetConfig, run_fleet
+    from ..fleet.population import make_population
+    from ..obs.exporters import prometheus_text
+
     if args.resume and args.fleet_dir is None:
         print("--resume requires --fleet-dir (journals live there)", file=sys.stderr)
         return 2
@@ -1372,6 +1378,7 @@ def _command_explain(args: argparse.Namespace) -> int:
     from ..obs.audit import DecisionAudit
     from ..obs.render import render_decisions, render_wake_table
     from ..runner.executor import execute_spec
+    from ..runner.spec import RunSpec
 
     if not 0.0 <= args.sample_rate <= 1.0:
         raise SystemExit("--sample-rate must be in [0, 1]")
@@ -1543,8 +1550,10 @@ def _command_scenarios(args: argparse.Namespace) -> int:
 
 
 def _command_requests(args: argparse.Namespace) -> int:
+    from ..workloads.requests import workload_request_lines
+
     workload_name, workload_kwargs = _resolve_workload(args)
-    builder = WORKLOAD_BUILDERS[workload_name]
+    builder = DEFAULT_REGISTRY.workload_builder(workload_name)
     workload = builder(_scenario_config(args.beta), **workload_kwargs)
     lines = workload_request_lines(
         workload,

@@ -4,126 +4,72 @@ This subpackage is independent of the simulator and the power model; it can
 be reused directly inside any scheduler that manages batched timers.
 """
 
-from .alarm import Alarm, RepeatKind
-from .backend import (
-    BACKEND_NAMES,
-    DEFAULT_BACKEND,
-    IndexedBackend,
-    ListBackend,
-    QueueBackend,
-    make_backend,
-)
-from .bucket import FixedIntervalPolicy
-from .duration import DurationAwareSimtyPolicy, duration_dissimilarity
-from .entry import QueueEntry
-from .exact import ExactPolicy
-from .hardware import (
-    ACCELEROMETER_ONLY,
-    EMPTY_HARDWARE,
-    ENERGY_HUNGRY_COMPONENTS,
-    ESSENTIAL_COMPONENTS,
-    PERCEPTIBLE_COMPONENTS,
-    SPEAKER_VIBRATOR_ONLY,
-    WIFI_ONLY,
-    WPS_ONLY,
-    Component,
-    ComponentPower,
-    HardwareSet,
-)
-from .intervals import Interval, intersect_all, overlap_length
-from .invariants import (
-    Violation,
-    ViolationSummary,
-    check_delivery,
-    check_delivery_gap,
-    check_exactly_once,
-    check_queue,
-)
-from .native import NativePolicy
-from .oracle import OracleResult, minimum_wakeups, optimality_gap
-from .policy import AlignmentPolicy
-from .queue import AlarmQueue
-from .simty import SimtyPolicy
-from .similarity import (
-    HARDWARE_CLASSIFIERS,
-    FourLevelHardware,
-    HardwareSimilarity,
-    HardwareSimilarityClassifier,
-    ThreeLevelHardware,
-    TimeSimilarity,
-    TwoLevelHardware,
-    classify_hardware,
-    classify_time,
-    preference,
-)
-from .units import (
-    MS_PER_HOUR,
-    MS_PER_MINUTE,
-    MS_PER_SECOND,
-    THREE_HOURS_MS,
-    hours,
-    minutes,
-    seconds,
-    to_seconds,
-)
+from .._lazy import lazy_surface
 
-__all__ = [
-    "Alarm",
-    "RepeatKind",
-    "BACKEND_NAMES",
-    "DEFAULT_BACKEND",
-    "QueueBackend",
-    "ListBackend",
-    "IndexedBackend",
-    "make_backend",
-    "DurationAwareSimtyPolicy",
-    "duration_dissimilarity",
-    "QueueEntry",
-    "ExactPolicy",
-    "Component",
-    "ComponentPower",
-    "HardwareSet",
-    "EMPTY_HARDWARE",
-    "WIFI_ONLY",
-    "WPS_ONLY",
-    "ACCELEROMETER_ONLY",
-    "SPEAKER_VIBRATOR_ONLY",
-    "ESSENTIAL_COMPONENTS",
-    "PERCEPTIBLE_COMPONENTS",
-    "ENERGY_HUNGRY_COMPONENTS",
-    "Interval",
-    "intersect_all",
-    "overlap_length",
-    "Violation",
-    "ViolationSummary",
-    "check_delivery",
-    "check_delivery_gap",
-    "check_exactly_once",
-    "check_queue",
-    "NativePolicy",
-    "FixedIntervalPolicy",
-    "OracleResult",
-    "minimum_wakeups",
-    "optimality_gap",
-    "AlignmentPolicy",
-    "AlarmQueue",
-    "HardwareSimilarity",
-    "TimeSimilarity",
-    "HardwareSimilarityClassifier",
-    "ThreeLevelHardware",
-    "TwoLevelHardware",
-    "FourLevelHardware",
-    "HARDWARE_CLASSIFIERS",
-    "classify_hardware",
-    "classify_time",
-    "preference",
-    "MS_PER_SECOND",
-    "MS_PER_MINUTE",
-    "MS_PER_HOUR",
-    "THREE_HOURS_MS",
-    "seconds",
-    "minutes",
-    "hours",
-    "to_seconds",
-    "SimtyPolicy",
-]
+__getattr__, __dir__, __all__ = lazy_surface(
+    __name__,
+    {
+        ".alarm": ("Alarm", "RepeatKind"),
+        ".backend": (
+            "BACKEND_NAMES",
+            "DEFAULT_BACKEND",
+            "IndexedBackend",
+            "ListBackend",
+            "QueueBackend",
+            "make_backend",
+        ),
+        ".bucket": ("FixedIntervalPolicy",),
+        ".duration": ("DurationAwareSimtyPolicy", "duration_dissimilarity"),
+        ".entry": ("QueueEntry",),
+        ".exact": ("ExactPolicy",),
+        ".hardware": (
+            "ACCELEROMETER_ONLY",
+            "EMPTY_HARDWARE",
+            "ENERGY_HUNGRY_COMPONENTS",
+            "ESSENTIAL_COMPONENTS",
+            "PERCEPTIBLE_COMPONENTS",
+            "SPEAKER_VIBRATOR_ONLY",
+            "WIFI_ONLY",
+            "WPS_ONLY",
+            "Component",
+            "ComponentPower",
+            "HardwareSet",
+        ),
+        ".intervals": ("Interval", "intersect_all", "overlap_length"),
+        ".invariants": (
+            "Violation",
+            "ViolationSummary",
+            "check_delivery",
+            "check_delivery_gap",
+            "check_exactly_once",
+            "check_queue",
+        ),
+        ".native": ("NativePolicy",),
+        ".oracle": ("OracleResult", "minimum_wakeups", "optimality_gap"),
+        ".policy": ("AlignmentPolicy",),
+        ".queue": ("AlarmQueue",),
+        ".simty": ("SimtyPolicy",),
+        ".similarity": (
+            "HARDWARE_CLASSIFIERS",
+            "FourLevelHardware",
+            "HardwareSimilarity",
+            "HardwareSimilarityClassifier",
+            "ThreeLevelHardware",
+            "TimeSimilarity",
+            "TwoLevelHardware",
+            "classify_hardware",
+            "classify_time",
+            "preference",
+        ),
+        ".units": (
+            "MS_PER_HOUR",
+            "MS_PER_MINUTE",
+            "MS_PER_SECOND",
+            "THREE_HOURS_MS",
+            "hours",
+            "minutes",
+            "seconds",
+            "to_seconds",
+        ),
+    },
+)

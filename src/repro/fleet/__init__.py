@@ -9,64 +9,43 @@ Entry points:
 * ``simty fleet`` — the CLI front end.
 """
 
-from .chaos import (
-    FLEET_CHAOS_WORKLOAD,
-    FleetChaos,
-    install_chaos_workload,
-    poison_archetype,
-    uninstall_chaos_workload,
-)
-from .executor import (
-    FleetConfig,
-    FleetReport,
-    FleetResumeError,
-    ShardPlan,
-    plan_shards,
-    run_fleet,
-    run_shard,
-    shard_journal_path,
-)
-from .population import (
-    ARCHETYPE_SETS,
-    MICRO_ARCHETYPES,
-    STANDARD_ARCHETYPES,
-    DeviceArchetype,
-    DeviceSpec,
-    PopulationSpec,
-    make_population,
-)
-from .reduce import (
-    DeviceSummary,
-    Hist,
-    QuarantineRecord,
-    ShardSummary,
-    merge_shard_summaries,
-)
+from .._lazy import lazy_surface
 
-__all__ = [
-    "ARCHETYPE_SETS",
-    "DeviceArchetype",
-    "DeviceSpec",
-    "DeviceSummary",
-    "FLEET_CHAOS_WORKLOAD",
-    "FleetChaos",
-    "FleetConfig",
-    "FleetReport",
-    "FleetResumeError",
-    "Hist",
-    "MICRO_ARCHETYPES",
-    "PopulationSpec",
-    "QuarantineRecord",
-    "STANDARD_ARCHETYPES",
-    "ShardPlan",
-    "ShardSummary",
-    "install_chaos_workload",
-    "make_population",
-    "merge_shard_summaries",
-    "plan_shards",
-    "poison_archetype",
-    "uninstall_chaos_workload",
-    "run_fleet",
-    "run_shard",
-    "shard_journal_path",
-]
+__getattr__, __dir__, __all__ = lazy_surface(
+    __name__,
+    {
+        ".chaos": (
+            "FLEET_CHAOS_WORKLOAD",
+            "FleetChaos",
+            "install_chaos_workload",
+            "poison_archetype",
+            "uninstall_chaos_workload",
+        ),
+        ".executor": (
+            "FleetConfig",
+            "FleetReport",
+            "FleetResumeError",
+            "ShardPlan",
+            "plan_shards",
+            "run_fleet",
+            "run_shard",
+            "shard_journal_path",
+        ),
+        ".population": (
+            "ARCHETYPE_SETS",
+            "MICRO_ARCHETYPES",
+            "STANDARD_ARCHETYPES",
+            "DeviceArchetype",
+            "DeviceSpec",
+            "PopulationSpec",
+            "make_population",
+        ),
+        ".reduce": (
+            "DeviceSummary",
+            "Hist",
+            "QuarantineRecord",
+            "ShardSummary",
+            "merge_shard_summaries",
+        ),
+    },
+)

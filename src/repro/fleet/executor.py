@@ -37,7 +37,6 @@ process, built robustness-first:
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -47,7 +46,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from ..analysis.report import format_table
 from ..durable import AppendLog, read_jsonl
 from ..obs.stream import SpoolSink, TelemetryStream
 from ..obs.summary import TelemetrySummary
@@ -579,6 +577,8 @@ class FleetReport:
     # Rendering
     # ------------------------------------------------------------------
     def render(self) -> str:
+        from ..analysis.report import format_table
+
         lines: List[str] = []
         lines.append(
             f"fleet {self.population_name} ({self.population_digest[:12]}): "
@@ -863,6 +863,8 @@ def _run_supervised(
     settle: Callable[..., None],
 ) -> None:
     """Subprocess shard scheduling: kills survived, stragglers reassigned."""
+    import multiprocessing
+
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     )

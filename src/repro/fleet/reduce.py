@@ -216,10 +216,27 @@ class ShardSummary:
         per[status] = per.get(status, 0) + 1
 
     def _admit_reservoir(self, summary: DeviceSummary) -> None:
-        self.reservoir.append(summary)
-        if len(self.reservoir) > self.reservoir_size:
-            self.reservoir.sort(key=lambda entry: (entry.rank, entry.device))
-            del self.reservoir[self.reservoir_size:]
+        """Keep the smallest ``reservoir_size`` by ``(rank, device)``.
+
+        The reservoir stays sorted, so a device at or above the kept
+        maximum is dropped with one comparison and any other is inserted
+        in place (a binary search), with no sort per device.
+        """
+        reservoir = self.reservoir
+        key = (summary.rank, summary.device)
+        if len(reservoir) >= self.reservoir_size:
+            if not reservoir or key >= (reservoir[-1].rank, reservoir[-1].device):
+                return
+            reservoir.pop()
+        lo, hi = 0, len(reservoir)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            entry = reservoir[mid]
+            if (entry.rank, entry.device) < key:
+                lo = mid + 1
+            else:
+                hi = mid
+        reservoir.insert(lo, summary)
 
     # ------------------------------------------------------------------
     # Merging (commutative, associative; used shard -> fleet)
@@ -361,10 +378,13 @@ class ShardSummary:
             energy_mj=Hist.from_dict(payload.get("energy_mj", _EMPTY_HIST)),
             delay_ppm=Hist.from_dict(payload.get("delay_ppm", _EMPTY_HIST)),
             wakeups=Hist.from_dict(payload.get("wakeups", _EMPTY_HIST)),
-            reservoir=[
-                DeviceSummary.from_dict(entry)
-                for entry in payload.get("reservoir", [])
-            ],
+            reservoir=sorted(
+                (
+                    DeviceSummary.from_dict(entry)
+                    for entry in payload.get("reservoir", [])
+                ),
+                key=lambda entry: (entry.rank, entry.device),
+            ),
             reservoir_size=int(payload.get("reservoir_size", 32)),
             telemetry=(
                 TelemetrySummary.from_dict(telemetry)

@@ -19,100 +19,63 @@ Disabled instrumentation uses :data:`NULL_TELEMETRY` — a shared no-op hub
 — so hot paths pay nothing when observability is off.
 """
 
-from .audit import (
-    NULL_AUDIT,
-    DecisionAudit,
-    DecisionRecord,
-    NullDecisionAudit,
-)
-from .exporters import (
-    chrome_trace_payload,
-    jsonl_lines,
-    prometheus_text,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .render import (
-    render_counters,
-    render_decisions,
-    render_phase_table,
-    render_similarity_breakdown,
-    render_telemetry,
-    render_wake_table,
-)
-from .stream import (
-    STREAM_SCHEMA,
-    Collector,
-    CollectorListener,
-    MetricsEndpoint,
-    SocketSink,
-    SourceState,
-    SpoolSink,
-    TelemetryStream,
-    open_sink,
-)
-from .summary import (
-    EMPTY_SUMMARY,
-    GaugeSummary,
-    SpanSummary,
-    TelemetrySummary,
-    diff_summaries,
-    merge_summaries,
-    summarize,
-)
-from .telemetry import (
-    COUNTER_MAX,
-    NULL_TELEMETRY,
-    FakeClock,
-    Hist,
-    NullTelemetry,
-    SpanEvent,
-    SpanMismatchError,
-    Telemetry,
-    metric_key,
-    split_metric,
-)
+from .._lazy import lazy_surface
 
-__all__ = [
-    "COUNTER_MAX",
-    "Collector",
-    "CollectorListener",
-    "DecisionAudit",
-    "DecisionRecord",
-    "EMPTY_SUMMARY",
-    "FakeClock",
-    "GaugeSummary",
-    "Hist",
-    "MetricsEndpoint",
-    "NULL_AUDIT",
-    "NULL_TELEMETRY",
-    "NullDecisionAudit",
-    "NullTelemetry",
-    "STREAM_SCHEMA",
-    "SocketSink",
-    "SourceState",
-    "SpanEvent",
-    "SpanMismatchError",
-    "SpanSummary",
-    "SpoolSink",
-    "Telemetry",
-    "TelemetryStream",
-    "TelemetrySummary",
-    "chrome_trace_payload",
-    "diff_summaries",
-    "jsonl_lines",
-    "merge_summaries",
-    "metric_key",
-    "open_sink",
-    "prometheus_text",
-    "render_counters",
-    "render_decisions",
-    "render_phase_table",
-    "render_similarity_breakdown",
-    "render_telemetry",
-    "render_wake_table",
-    "split_metric",
-    "summarize",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+__getattr__, __dir__, __all__ = lazy_surface(
+    __name__,
+    {
+        ".audit": (
+            "NULL_AUDIT",
+            "DecisionAudit",
+            "DecisionRecord",
+            "NullDecisionAudit",
+        ),
+        ".exporters": (
+            "chrome_trace_payload",
+            "jsonl_lines",
+            "prometheus_text",
+            "write_chrome_trace",
+            "write_jsonl",
+        ),
+        ".render": (
+            "render_counters",
+            "render_decisions",
+            "render_phase_table",
+            "render_similarity_breakdown",
+            "render_telemetry",
+            "render_wake_table",
+        ),
+        ".stream": (
+            "STREAM_SCHEMA",
+            "Collector",
+            "CollectorListener",
+            "MetricsEndpoint",
+            "SocketSink",
+            "SourceState",
+            "SpoolSink",
+            "TelemetryStream",
+            "open_sink",
+        ),
+        ".summary": (
+            "EMPTY_SUMMARY",
+            "GaugeSummary",
+            "SpanSummary",
+            "TelemetrySummary",
+            "diff_summaries",
+            "merge_summaries",
+            "summarize",
+        ),
+        ".telemetry": (
+            "COUNTER_MAX",
+            "NULL_TELEMETRY",
+            "FakeClock",
+            "Hist",
+            "NullTelemetry",
+            "SpanEvent",
+            "SpanMismatchError",
+            "Telemetry",
+            "metric_key",
+            "split_metric",
+        ),
+    },
+)

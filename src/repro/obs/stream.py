@@ -37,7 +37,6 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -534,33 +533,41 @@ class CollectorListener:
 # ----------------------------------------------------------------------
 # HTTP surface
 # ----------------------------------------------------------------------
-class _MetricsHandler(BaseHTTPRequestHandler):
-    server: "_MetricsServer"
+def _metrics_server(
+    address: Tuple[str, int], render: Callable[[], str]
+):
+    """A threading HTTP server answering ``GET /metrics`` with ``render()``.
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        if self.path.split("?", 1)[0] not in ("/metrics", "/"):
-            self.send_error(404, "only /metrics is served here")
-            return
-        try:
-            body = self.server.render().encode("utf-8")
-        except Exception as exc:  # render must never kill the server
-            self.send_response(500)
+    ``http.server`` is imported here, by the one class that serves HTTP,
+    so a process that never opens an endpoint never loads it.
+    """
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    class MetricsHandler(BaseHTTPRequestHandler):
+        def do_GET(self) -> None:  # noqa: N802 (http.server API)
+            if self.path.split("?", 1)[0] not in ("/metrics", "/"):
+                self.send_error(404, "only /metrics is served here")
+                return
+            try:
+                body = render().encode("utf-8")
+            except Exception as exc:  # render must never kill the server
+                self.send_response(500)
+                self.end_headers()
+                self.wfile.write(str(exc).encode("utf-8", "replace"))
+                return
+            self.send_response(200)
+            self.send_header("Content-Type", "text/plain; version=0.0.4")
+            self.send_header("Content-Length", str(len(body)))
             self.end_headers()
-            self.wfile.write(str(exc).encode("utf-8", "replace"))
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+            self.wfile.write(body)
 
-    def log_message(self, format: str, *args) -> None:  # silence stderr
-        pass
+        def log_message(self, format: str, *args) -> None:  # silence stderr
+            pass
 
+    class MetricsServer(ThreadingHTTPServer):
+        daemon_threads = True
 
-class _MetricsServer(ThreadingHTTPServer):
-    daemon_threads = True
-    render: Callable[[], str]
+    return MetricsServer(address, MetricsHandler)
 
 
 class MetricsEndpoint:
@@ -581,8 +588,7 @@ class MetricsEndpoint:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self._server = _MetricsServer((host, port), _MetricsHandler)
-        self._server.render = render
+        self._server = _metrics_server((host, port), render)
         self.host, self.port = self._server.server_address[:2]
         self._closed = False
         self._thread = threading.Thread(

@@ -22,46 +22,33 @@ recorded when one is passed, and per-run summaries ride on
 ``record.telemetry``.
 """
 
-from .cache import CacheStats, ResultCache
-from .executor import execute_spec, run_built, run_many, run_spec
-from .journal import RunJournal
-from .record import (
-    ExperimentResult,
-    RunRecord,
-    RunStatus,
-    failure_table,
-    summary_table,
-)
-from .registry import (
-    DEFAULT_REGISTRY,
-    Registry,
-    UnknownNameError,
-    register_policy,
-    register_workload,
-)
-from .spec import RunSpec
-from .supervision import SpecExecutionError, SpecTimeoutError, backoff_delay
+from .._lazy import lazy_surface
 
-__all__ = [
-    "CacheStats",
-    "ResultCache",
-    "execute_spec",
-    "run_built",
-    "run_many",
-    "run_spec",
-    "ExperimentResult",
-    "RunRecord",
-    "RunStatus",
-    "RunJournal",
-    "summary_table",
-    "failure_table",
-    "DEFAULT_REGISTRY",
-    "Registry",
-    "UnknownNameError",
-    "register_policy",
-    "register_workload",
-    "RunSpec",
-    "SpecExecutionError",
-    "SpecTimeoutError",
-    "backoff_delay",
-]
+__getattr__, __dir__, __all__ = lazy_surface(
+    __name__,
+    {
+        ".cache": ("CacheStats", "ResultCache"),
+        ".executor": ("execute_spec", "run_built", "run_many", "run_spec"),
+        ".journal": ("RunJournal",),
+        ".record": (
+            "ExperimentResult",
+            "RunRecord",
+            "RunStatus",
+            "failure_table",
+            "summary_table",
+        ),
+        ".registry": (
+            "DEFAULT_REGISTRY",
+            "Registry",
+            "UnknownNameError",
+            "register_policy",
+            "register_workload",
+        ),
+        ".spec": ("RunSpec",),
+        ".supervision": (
+            "SpecExecutionError",
+            "SpecTimeoutError",
+            "backoff_delay",
+        ),
+    },
+)

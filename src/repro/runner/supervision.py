@@ -33,8 +33,6 @@ import pickle
 import random
 import time
 import traceback as traceback_module
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -189,11 +187,14 @@ def _outcome_from_payload(payload: Tuple, attempts: int) -> Outcome:
     )
 
 
-def _timeout_outcome(timeout_s: Optional[float], attempts: int) -> Outcome:
+def _timeout_outcome(
+    timeout_s: Optional[float], wall_time_s: float, attempts: int
+) -> Outcome:
+    """A ``TIMEOUT`` whose ``wall_time_s`` is how long the last attempt ran."""
     return Outcome(
         status=RunStatus.TIMEOUT,
         result=None,
-        wall_time_s=timeout_s or 0.0,
+        wall_time_s=wall_time_s,
         attempts=attempts,
         error_type="TimeoutError",
         error_message=f"attempt exceeded timeout_s={timeout_s}",
@@ -221,7 +222,7 @@ def run_supervised_serial(
             return _outcome_from_payload(payload, attempts)
         if attempts > retries:
             if timed_out:
-                return _timeout_outcome(timeout_s, attempts)
+                return _timeout_outcome(timeout_s, payload[-1], attempts)
             return _outcome_from_payload(payload, attempts)
         time.sleep(backoff_delay(attempts, backoff_base_s, backoff_cap_s))
 
@@ -269,8 +270,12 @@ def run_supervised_pool(
     so a spec may in practice get longer than ``timeout_s`` of wall time
     while earlier futures are being awaited — the bound is per-wait, not a
     hard kill.  A timed-out round tears its pool down (terminating the
-    stuck workers) before the next round starts.
+    stuck workers) before the next round starts.  A ``TIMEOUT`` records
+    the time from its round's submission until the wait gave up.
     """
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    from concurrent.futures import TimeoutError as FutureTimeoutError
+
     outcomes: Dict[int, Outcome] = {}
     queue: List[Tuple[int, RunSpec, int]] = [
         (index, spec, 1) for index, spec in pending
@@ -282,6 +287,7 @@ def run_supervised_pool(
         else:
             round_items, queue = queue, []
         pool = ProcessPoolExecutor(max_workers=max_workers)
+        submitted = time.monotonic()
         futures = [
             (
                 pool.submit(_attempt_pool, spec, enable_telemetry),
@@ -302,7 +308,9 @@ def run_supervised_pool(
                 timed_out = True
                 future.cancel()
                 if attempt > retries:
-                    outcomes[index] = _timeout_outcome(timeout_s, attempt)
+                    outcomes[index] = _timeout_outcome(
+                        timeout_s, time.monotonic() - submitted, attempt
+                    )
                 else:
                     queue.append((index, spec, attempt + 1))
                 continue

@@ -25,103 +25,65 @@ See ``docs/service.md`` for the protocol, clock modes and the
 checkpoint/resume contract.
 """
 
-from .chaos import (
-    ChaosSpec,
-    FaultyLog,
-    FaultyTransport,
-    FlakyTransport,
-    SkewedWallClock,
-)
-from .client import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    CircuitBreaker,
-    CircuitOpenError,
-    ClientError,
-    DeadlineExceeded,
-    LocalTransport,
-    PipeTransport,
-    ServerError,
-    ServiceClient,
-    TcpTransport,
-    Transport,
-    TransportError,
-    UnixTransport,
-)
-from .daemon import AlarmService, ServiceConfig
-from .journal import MUTATION_KINDS, SERVICE_JOURNAL_NAME, ServiceJournal
-from .protocol import (
-    ERROR_CODES,
-    IDEMPOTENT_OPS,
-    MUTATION_OPS,
-    OPS,
-    ProtocolError,
-    echo_req_id,
-    error_reply,
-    format_reply,
-    ok_reply,
-    parse_line,
-    validated_alarm_spec,
-    validated_op,
-    validated_req_id,
-    validated_target,
-    validated_time,
-)
-from .transport import (
-    DEFAULT_PER_CONNECTION_QUEUE,
-    SlowRequestWatchdog,
-    SocketServer,
-    Ticker,
-    request_once,
-    serve_stdio,
-)
+from .._lazy import lazy_surface
 
-__all__ = [
-    "AlarmService",
-    "ServiceConfig",
-    "ServiceJournal",
-    "SERVICE_JOURNAL_NAME",
-    "MUTATION_KINDS",
-    "SocketServer",
-    "Ticker",
-    "SlowRequestWatchdog",
-    "DEFAULT_PER_CONNECTION_QUEUE",
-    "serve_stdio",
-    "request_once",
-    "ServiceClient",
-    "CircuitBreaker",
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
-    "Transport",
-    "TcpTransport",
-    "UnixTransport",
-    "PipeTransport",
-    "LocalTransport",
-    "ClientError",
-    "TransportError",
-    "DeadlineExceeded",
-    "CircuitOpenError",
-    "ServerError",
-    "ChaosSpec",
-    "FaultyLog",
-    "FaultyTransport",
-    "FlakyTransport",
-    "SkewedWallClock",
-    "ProtocolError",
-    "OPS",
-    "MUTATION_OPS",
-    "IDEMPOTENT_OPS",
-    "ERROR_CODES",
-    "ok_reply",
-    "error_reply",
-    "format_reply",
-    "parse_line",
-    "echo_req_id",
-    "validated_op",
-    "validated_req_id",
-    "validated_time",
-    "validated_alarm_spec",
-    "validated_target",
-]
+__getattr__, __dir__, __all__ = lazy_surface(
+    __name__,
+    {
+        ".chaos": (
+            "ChaosSpec",
+            "FaultyLog",
+            "FaultyTransport",
+            "FlakyTransport",
+            "SkewedWallClock",
+        ),
+        ".client": (
+            "BREAKER_CLOSED",
+            "BREAKER_HALF_OPEN",
+            "BREAKER_OPEN",
+            "CircuitBreaker",
+            "CircuitOpenError",
+            "ClientError",
+            "DeadlineExceeded",
+            "LocalTransport",
+            "PipeTransport",
+            "ServerError",
+            "ServiceClient",
+            "TcpTransport",
+            "Transport",
+            "TransportError",
+            "UnixTransport",
+        ),
+        ".daemon": ("AlarmService", "ServiceConfig"),
+        ".journal": (
+            "MUTATION_KINDS",
+            "SERVICE_JOURNAL_NAME",
+            "ServiceJournal",
+        ),
+        ".protocol": (
+            "ERROR_CODES",
+            "IDEMPOTENT_OPS",
+            "MUTATION_OPS",
+            "OPS",
+            "ProtocolError",
+            "echo_req_id",
+            "error_reply",
+            "format_reply",
+            "ok_reply",
+            "parse_line",
+            "validated_alarm_spec",
+            "validated_op",
+            "validated_req_id",
+            "validated_target",
+            "validated_time",
+        ),
+        ".transport": (
+            "DEFAULT_PER_CONNECTION_QUEUE",
+            "SlowRequestWatchdog",
+            "SocketServer",
+            "Ticker",
+            "request_once",
+            "serve_stdio",
+        ),
+    },
+)

@@ -5,97 +5,62 @@ Replaces the paper's instrumented Android framework + LG Nexus 5 testbed
 reinsert / deliver semantics of Secs. 2.1 and 3.2.
 """
 
-from .alarm_manager import AlarmManager
-from .android_api import (
-    ANDROID_DEFAULT_ALPHA,
-    DEFAULT_GRACE_FRACTION,
-    AndroidAlarmManagerFacade,
-)
-from .clock import (
-    WALL_CLOCK_MODES,
-    AcceleratedWallClock,
-    ManualWallClock,
-    SystemWallClock,
-    VirtualClock,
-    WallClock,
-    make_wall_clock,
-)
-from .device import DEFAULT_TAIL_MS, Device, WakeReason, WakeSession
-from .engine import (
-    DEFAULT_MAX_STALLED_EVENTS,
-    SimulationStalled,
-    Simulator,
-    SimulatorConfig,
-    simulate,
-)
-from .events import Event, EventKind, event_log
-from .external import ExternalWake, poisson_wakes, schedule
-from .monitor import ON_VIOLATION_MODES, InvariantMonitor, InvariantViolationError
-from .rtc import DEFAULT_WAKE_LATENCY_MS, RealTimeClock
-from .serialize import (
-    alarm_from_dict,
-    alarm_to_dict,
-    load_trace,
-    save_trace,
-    trace_from_dict,
-    trace_to_dict,
-)
-from .tasks import TaskExecution, component_hold_times, schedule_batch_tasks
-from .trace import (
-    AlarmDeliveryRecord,
-    BatchRecord,
-    RegistrationRecord,
-    SimulationTrace,
-    snapshot_delivery,
-)
-from .wakelock import ComponentUsage, WakelockLedger
+from .._lazy import lazy_surface
 
-__all__ = [
-    "AlarmManager",
-    "AndroidAlarmManagerFacade",
-    "ANDROID_DEFAULT_ALPHA",
-    "DEFAULT_GRACE_FRACTION",
-    "VirtualClock",
-    "WallClock",
-    "SystemWallClock",
-    "AcceleratedWallClock",
-    "ManualWallClock",
-    "WALL_CLOCK_MODES",
-    "make_wall_clock",
-    "Device",
-    "WakeReason",
-    "WakeSession",
-    "DEFAULT_TAIL_MS",
-    "Simulator",
-    "SimulatorConfig",
-    "SimulationStalled",
-    "DEFAULT_MAX_STALLED_EVENTS",
-    "simulate",
-    "Event",
-    "EventKind",
-    "event_log",
-    "ExternalWake",
-    "poisson_wakes",
-    "schedule",
-    "InvariantMonitor",
-    "InvariantViolationError",
-    "ON_VIOLATION_MODES",
-    "RealTimeClock",
-    "DEFAULT_WAKE_LATENCY_MS",
-    "alarm_from_dict",
-    "alarm_to_dict",
-    "load_trace",
-    "save_trace",
-    "trace_from_dict",
-    "trace_to_dict",
-    "TaskExecution",
-    "component_hold_times",
-    "schedule_batch_tasks",
-    "AlarmDeliveryRecord",
-    "BatchRecord",
-    "RegistrationRecord",
-    "SimulationTrace",
-    "snapshot_delivery",
-    "ComponentUsage",
-    "WakelockLedger",
-]
+__getattr__, __dir__, __all__ = lazy_surface(
+    __name__,
+    {
+        ".alarm_manager": ("AlarmManager",),
+        ".android_api": (
+            "ANDROID_DEFAULT_ALPHA",
+            "DEFAULT_GRACE_FRACTION",
+            "AndroidAlarmManagerFacade",
+        ),
+        ".clock": (
+            "WALL_CLOCK_MODES",
+            "AcceleratedWallClock",
+            "ManualWallClock",
+            "SystemWallClock",
+            "VirtualClock",
+            "WallClock",
+            "make_wall_clock",
+        ),
+        ".device": ("DEFAULT_TAIL_MS", "Device", "WakeReason", "WakeSession"),
+        ".engine": (
+            "DEFAULT_MAX_STALLED_EVENTS",
+            "SimulationStalled",
+            "Simulator",
+            "SimulatorConfig",
+            "simulate",
+        ),
+        ".events": ("Event", "EventKind", "event_log"),
+        ".external": ("ExternalWake", "poisson_wakes", "schedule"),
+        ".monitor": (
+            "ON_VIOLATION_MODES",
+            "InvariantMonitor",
+            "InvariantViolationError",
+        ),
+        ".rtc": ("DEFAULT_WAKE_LATENCY_MS", "RealTimeClock"),
+        ".serialize": (
+            "alarm_from_dict",
+            "alarm_to_dict",
+            "load_trace",
+            "save_trace",
+            "trace_from_dict",
+            "trace_to_dict",
+        ),
+        ".tasks": (
+            "TaskExecution",
+            "component_hold_times",
+            "schedule_batch_tasks",
+        ),
+        ".trace": (
+            "AlarmDeliveryRecord",
+            "BatchRecord",
+            "RegistrationRecord",
+            "SimulationTrace",
+            "snapshot_delivery",
+        ),
+        ".wakelock": ("ComponentUsage", "WakelockLedger"),
+    },
+)

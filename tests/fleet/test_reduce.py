@@ -8,6 +8,8 @@ reports would silently show zero failure/violation rates.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet import (
     DeviceSummary,
@@ -168,6 +170,21 @@ class TestMergeOrderIndependence:
         # ranks here are just the zero-padded index, so smallest-k = 0..3
         assert sorted(kept) == [0, 1, 2, 3]
         assert len(merged.reservoir) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ranks=st.lists(st.integers(0, 40), max_size=80),
+        size=st.integers(0, 8),
+    )
+    def test_observed_reservoir_is_brute_force_smallest_k(self, ranks, size):
+        # Small rank alphabet, so many devices tie on rank and the device
+        # index has to break the tie.
+        summary = ShardSummary(population=POP, reservoir_size=size)
+        devices = [device(index, rank=f"{rank:04x}") for index, rank in enumerate(ranks)]
+        for entry in devices:
+            summary.observe(entry)
+        expected = sorted(devices, key=lambda e: (e.rank, e.device))[:size]
+        assert [e.device for e in summary.reservoir] == [e.device for e in expected]
 
     def test_quarantine_list_sorted_by_device(self):
         a = ShardSummary(population=POP)

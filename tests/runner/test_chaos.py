@@ -82,6 +82,25 @@ class TestHang:
         assert record.status is RunStatus.TIMEOUT
         assert record.attempts == 2
 
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_timeout_records_how_long_the_attempt_ran(self, max_workers):
+        # Two hangs, so the pool path really takes a pool; there the second
+        # wait starts only after the first gave up.  Serially, the hang
+        # builds for its whole sleep before the deadline is seen.
+        specs = [chaos_spec("hang", sleep_s=0.6, marker=index) for index in range(2)]
+        records = run_many(
+            specs,
+            max_workers=max_workers,
+            timeout_s=0.1,
+            retries=1,
+            on_error="keep_going",
+        )
+        assert statuses(records) == [RunStatus.TIMEOUT, RunStatus.TIMEOUT]
+        for record in records:
+            assert record.wall_time_s > 0.1
+        if max_workers == 1:
+            assert all(record.wall_time_s >= 0.5 for record in records)
+
 
 class TestCorruptCacheEntry:
     def test_garbage_entry_is_quarantined_and_resimulated(self, tmp_path):
