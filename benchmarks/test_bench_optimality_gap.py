@@ -10,8 +10,8 @@ optimality gap on both workloads.
 from repro.analysis.experiments import run_experiment
 from repro.analysis.report import format_table
 from repro.core.oracle import minimum_wakeups, optimality_gap
+from repro.runner import DEFAULT_REGISTRY
 from repro.workloads.scenarios import ScenarioConfig
-from repro.analysis.experiments import WORKLOAD_BUILDERS
 
 
 def compute():
@@ -20,7 +20,7 @@ def compute():
     gaps = {}
     for workload in ("light", "heavy"):
         oracle = minimum_wakeups(
-            WORKLOAD_BUILDERS[workload](config).alarms(), horizon=config.horizon
+            DEFAULT_REGISTRY.build_workload(workload, config).alarms(), horizon=config.horizon
         )
         for policy in ("native", "simty"):
             result = run_experiment(workload, policy, config)

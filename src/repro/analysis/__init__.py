@@ -6,8 +6,6 @@ __getattr__, __dir__, __all__ = lazy_surface(
     __name__,
     {
         ".experiments": (
-            "POLICY_FACTORIES",
-            "WORKLOAD_BUILDERS",
             "ExperimentResult",
             "PairResult",
             "run_experiment",

@@ -4,9 +4,8 @@ Historically this module composed policies, workloads, the simulator and
 the power model by hand; that composition now lives in
 :mod:`repro.runner`.  ``run_experiment`` / ``run_workload`` remain as
 stable entry points — every existing call site and example keeps working —
-and simply delegate to the harness.  ``POLICY_FACTORIES`` and
-``WORKLOAD_BUILDERS`` are live read-only views over the harness's default
-registry; register new entries via
+and simply delegate to the harness.  Policies and workloads resolve
+through the harness's default registry; register new entries via
 :func:`repro.runner.register_policy` / :func:`repro.runner.register_workload`.
 
 Each run builds a *fresh* workload, because alarms are mutable and
@@ -26,24 +25,12 @@ from ..power.model import PowerModel
 from ..power.profiles import NEXUS5
 from ..runner.executor import run_built, run_many
 from ..runner.record import ExperimentResult
-from ..runner.registry import (
-    DEFAULT_REGISTRY,
-    POLICY_FACTORIES_VIEW,
-    WORKLOAD_BUILDERS_VIEW,
-)
+from ..runner.registry import DEFAULT_REGISTRY
 from ..runner.spec import RunSpec
 from ..simulator.engine import SimulatorConfig
 from ..workloads.scenarios import ScenarioConfig, Workload
 
-#: Live view of the default registry's policy factories (back-compat name).
-POLICY_FACTORIES = POLICY_FACTORIES_VIEW
-
-#: Live view of the default registry's workload builders (back-compat name).
-WORKLOAD_BUILDERS = WORKLOAD_BUILDERS_VIEW
-
 __all__ = [
-    "POLICY_FACTORIES",
-    "WORKLOAD_BUILDERS",
     "ExperimentResult",
     "PairResult",
     "run_experiment",

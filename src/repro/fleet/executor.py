@@ -20,9 +20,13 @@ process, built robustness-first:
   error class and reproducer digest, journaled, and written to the
   quarantine directory — never retried forever, and never allowed to
   take its shard down.
+* **One child per shard attempt.**  Shard attempts run under the
+  process supervisor :func:`~repro.runner.supervision.run_forked`, the
+  same one that runs ``run_many``'s parallel attempts.  A killed or
+  crashed child costs its shard one of its ``shard_retries``.
 * **Straggler reassignment.**  The parent tracks shard wall-clock
   against the median of completed shards; a shard exceeding
-  ``straggler_factor`` x median (with a floor) is terminated and
+  ``straggler_factor`` x median (with a floor) is killed and
   reassigned, consuming one of its ``shard_retries``.
 * **Constant memory.**  A shard reduces each device as it completes:
   the supervision outcome folds into the shard summary
@@ -36,11 +40,10 @@ process, built robustness-first:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import sys
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,7 +54,7 @@ from ..obs.stream import SpoolSink, TelemetryStream
 from ..obs.summary import TelemetrySummary
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..runner.spec import encode_value
-from ..runner.supervision import Outcome, run_supervised_serial
+from ..runner.supervision import Outcome, run_forked, run_supervised_serial
 from .chaos import FLEET_CHAOS_WORKLOAD, FleetChaos, install_chaos_workload
 from .population import DeviceSpec, PopulationSpec
 from .reduce import (
@@ -436,17 +439,13 @@ def _write_quarantine_file(
 
 def _shard_worker_main(
     population: PopulationSpec,
-    plan: ShardPlan,
     config: FleetConfig,
     fleet_dir: str,
-    attempt: int,
+    task: Tuple[ShardPlan, int],
 ) -> None:
-    """Worker-process entry: run the shard; result travels via the seal."""
-    try:
-        run_shard(population, plan, config, fleet_dir, attempt)
-    except BaseException:
-        traceback.print_exc(file=sys.stderr)
-        os._exit(1)
+    """Child entry: run one shard attempt; its result travels via the seal."""
+    plan, attempt = task
+    run_shard(population, plan, config, fleet_dir, attempt)
 
 
 # ----------------------------------------------------------------------
@@ -758,7 +757,7 @@ def run_fleet(
                 )
         pending.append((plan, 1))
 
-    run = _run_serial if config.workers == 0 else _run_supervised
+    run = _run_serial if config.workers == 0 else _run_in_children
     run(population, config, fleet_dir, pending, settle)
 
     wall = time.perf_counter() - started
@@ -834,10 +833,6 @@ def _write_stream_final(stream_dir: Path, report: FleetReport) -> None:
         pass
 
 
-#: Seconds between the supervised scheduler's checks on its workers.
-POLL_INTERVAL_S = 0.01
-
-
 def _run_serial(
     population: PopulationSpec,
     config: FleetConfig,
@@ -855,64 +850,43 @@ def _run_serial(
         settle(plan, attempt, summary)
 
 
-def _run_supervised(
+def _run_in_children(
     population: PopulationSpec,
     config: FleetConfig,
     fleet_dir: Path,
     pending: deque,
     settle: Callable[..., None],
 ) -> None:
-    """Subprocess shard scheduling: kills survived, stragglers reassigned."""
-    import multiprocessing
-
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    )
+    """One child per shard attempt (:func:`run_forked`); its result is
+    its seal, read on exit code 0.  Once two shards have finished, a
+    shard past ``max(straggler_min_s, straggler_factor x median)`` is
+    killed and reassigned."""
     digest = population.digest()
-    running: Dict[int, Tuple] = {}  # shard -> (proc, plan, attempt, started)
     durations: List[float] = []
-    try:
-        while pending or running:
-            while pending and len(running) < config.workers:
-                plan, attempt = pending.popleft()
-                proc = ctx.Process(
-                    target=_shard_worker_main,
-                    args=(population, plan, config, str(fleet_dir), attempt),
-                    daemon=True,
-                )
-                proc.start()
-                running[plan.shard] = (proc, plan, attempt, time.monotonic())
-            time.sleep(POLL_INTERVAL_S)
-            deadline = None
-            if len(durations) >= 2:
-                ordered = sorted(durations)
-                median = ordered[len(ordered) // 2]
-                deadline = max(
-                    config.straggler_min_s, config.straggler_factor * median
-                )
-            for shard in list(running):
-                proc, plan, attempt, shard_started = running[shard]
-                elapsed = time.monotonic() - shard_started
-                if proc.is_alive():
-                    if deadline is not None and elapsed > deadline:
-                        # Straggler: shard wall-clock way past the fleet
-                        # median.  Kill and reassign rather than letting
-                        # one wedged worker stall the whole fleet.
-                        proc.terminate()
-                        proc.join(5.0)
-                        del running[shard]
-                        settle(plan, attempt, None, "reassigned")
-                    continue
-                proc.join()
-                del running[shard]
-                summary = None
-                if proc.exitcode == 0:
-                    summary = load_sealed_summary(
-                        shard_journal_path(fleet_dir, plan.shard), digest, plan
-                    )
-                if summary is not None:
-                    durations.append(elapsed)
-                settle(plan, attempt, summary)
-    finally:
-        for proc, _, _, _ in running.values():
-            proc.terminate()
+
+    def straggler_bound() -> Optional[float]:
+        if len(durations) < 2:
+            return None
+        median = sorted(durations)[len(durations) // 2]
+        return max(config.straggler_min_s, config.straggler_factor * median)
+
+    def finish(task, payload, exitcode, wall_s, killed) -> None:
+        plan, attempt = task
+        summary = None
+        if exitcode == 0:
+            summary = load_sealed_summary(
+                shard_journal_path(fleet_dir, plan.shard), digest, plan
+            )
+        if summary is not None:
+            durations.append(wall_s)
+        settle(plan, attempt, summary, "reassigned" if killed else "retried")
+
+    run_forked(
+        pending,
+        config.workers,
+        functools.partial(
+            _shard_worker_main, population, config, str(fleet_dir)
+        ),
+        finish,
+        straggler_bound,
+    )

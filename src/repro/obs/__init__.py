@@ -48,13 +48,10 @@ __getattr__, __dir__, __all__ = lazy_surface(
         ".stream": (
             "STREAM_SCHEMA",
             "Collector",
-            "CollectorListener",
             "MetricsEndpoint",
-            "SocketSink",
             "SourceState",
             "SpoolSink",
             "TelemetryStream",
-            "open_sink",
         ),
         ".summary": (
             "EMPTY_SUMMARY",

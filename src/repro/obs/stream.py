@@ -9,18 +9,16 @@ finishes.  This module makes the hub *streamable*:
   the **delta** since its previous snapshot (via
   :func:`~repro.obs.summary.diff_summaries`) as one JSON line per poll
   — to a spool directory (:class:`SpoolSink`, one append-only
-  ``<source>.jsonl`` per producer) or a TCP/Unix socket
-  (:class:`SocketSink`).  Deltas are mergeable: replaying them through
-  :func:`~repro.obs.summary.merge_summaries` reconstructs the final
-  summary exactly for counters, bucket counts and span totals.
+  ``<source>.jsonl`` per producer).  Deltas are mergeable: replaying
+  them through :func:`~repro.obs.summary.merge_summaries` reconstructs
+  the final summary exactly for counters, bucket counts and span totals.
 * :class:`Collector` incrementally folds deltas from many producers
   (fleet shard workers, pool workers, the service daemon) into a live
   rolling view with per-source seq/liveness/staleness tracking.  A
   ``begin`` marker resets its source, so a retried shard attempt
   re-streaming from zero never double-counts the dead attempt's
   partial deltas.
-* :class:`CollectorListener` accepts socket producers;
-  :class:`MetricsEndpoint` serves any render callable over HTTP for
+* :class:`MetricsEndpoint` serves any render callable over HTTP for
   ``/metrics``-style scraping.  ``simty top`` is a loop over
   :meth:`Collector.scan` + :meth:`Collector.render`.
 
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 import json
 import re
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -51,14 +48,11 @@ from .summary import (
 
 __all__ = [
     "Collector",
-    "CollectorListener",
     "MetricsEndpoint",
-    "SocketSink",
     "SourceState",
     "SpoolSink",
     "STREAM_SCHEMA",
     "TelemetryStream",
-    "open_sink",
 ]
 
 #: Version stamp on every stream line; bump on incompatible change.
@@ -104,77 +98,6 @@ class SpoolSink:
         for log in self._logs.values():
             log.close()
         self._logs.clear()
-
-
-class SocketSink:
-    """Ship stream lines over ``tcp://host:port`` or ``unix://path``.
-
-    Connects lazily, reconnects on the next emit after a failure, and
-    never raises: a collector outage costs dropped deltas (counted in
-    :attr:`dropped`), not a crashed producer.
-    """
-
-    def __init__(self, address: str, timeout_s: float = 2.0) -> None:
-        self.address = address
-        self.timeout_s = timeout_s
-        self.dropped = 0
-        self._sock: Optional[socket.socket] = None
-        if address.startswith("tcp://"):
-            host, _, port = address[len("tcp://"):].rpartition(":")
-            self._target: Tuple = (socket.AF_INET, (host or "127.0.0.1", int(port)))
-        elif address.startswith("unix://"):
-            if not hasattr(socket, "AF_UNIX"):  # pragma: no cover
-                raise ValueError("unix:// sinks unsupported on this platform")
-            self._target = (socket.AF_UNIX, address[len("unix://"):])
-        else:
-            raise ValueError(
-                f"sink address must be tcp://host:port or unix://path: {address}"
-            )
-
-    def _connect(self) -> Optional[socket.socket]:
-        if self._sock is not None:
-            return self._sock
-        family, endpoint = self._target
-        try:
-            sock = socket.socket(family, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout_s)
-            sock.connect(endpoint)
-            self._sock = sock
-        except OSError:
-            self._sock = None
-        return self._sock
-
-    def emit(self, source: str, line: str) -> None:
-        sock = self._connect()
-        if sock is None:
-            self.dropped += 1
-            return
-        try:
-            sock.sendall(line.encode("utf-8") + b"\n")
-        except OSError:
-            self.dropped += 1
-            try:
-                sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-
-def open_sink(target):
-    """``tcp://``/``unix://`` → :class:`SocketSink`; anything else is a
-    spool directory path."""
-    text = str(target)
-    if text.startswith(("tcp://", "unix://")):
-        return SocketSink(text)
-    return SpoolSink(text)
 
 
 # ----------------------------------------------------------------------
@@ -283,9 +206,9 @@ class SourceState:
 class Collector:
     """Incrementally merge stream lines from many producers.
 
-    Feed it lines via :meth:`ingest_line` (socket listener) and/or give
-    it a ``spool_dir`` to tail with :meth:`scan` (incremental: per-file
-    offsets, torn trailing lines left for the next scan).  Thread-safe.
+    Feed it lines via :meth:`ingest_line` and/or give it a ``spool_dir``
+    to tail with :meth:`scan` (incremental: per-file offsets, torn
+    trailing lines left for the next scan).  Thread-safe.
     """
 
     def __init__(
@@ -462,72 +385,6 @@ class Collector:
             ]
         sections += ["", "rolling metrics:", render_counters(rolling)]
         return "\n".join(sections)
-
-
-#: How long the listener's accept loop blocks before re-checking close.
-_ACCEPT_POLL_S = 0.1
-
-
-class CollectorListener:
-    """TCP/Unix socket server feeding a :class:`Collector`.
-
-    One daemon thread per connection, line-framed; binds on construction
-    (``tcp://host:0`` picks an ephemeral port, see :attr:`address`).
-    """
-
-    def __init__(self, collector: Collector, address: str = "tcp://127.0.0.1:0"):
-        self.collector = collector
-        if address.startswith("tcp://"):
-            host, _, port = address[len("tcp://"):].rpartition(":")
-            self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._server.bind((host or "127.0.0.1", int(port)))
-            bound = self._server.getsockname()
-            self.address = f"tcp://{bound[0]}:{bound[1]}"
-        elif address.startswith("unix://"):
-            path = address[len("unix://"):]
-            self._server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._server.bind(path)
-            self.address = address
-        else:
-            raise ValueError(f"listener address must be tcp:// or unix://: {address}")
-        self._server.listen()
-        # Closing a socket does not wake a thread blocked in accept(), so
-        # the loop polls: close() stops it, then releases the socket.
-        self._server.settimeout(_ACCEPT_POLL_S)
-        self._closing = threading.Event()
-        self._thread = threading.Thread(
-            target=self._accept_loop, name="collector-listener", daemon=True
-        )
-        self._thread.start()
-
-    def _accept_loop(self) -> None:
-        while not self._closing.is_set():
-            try:
-                conn, _ = self._server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(
-                target=self._drain, args=(conn,), daemon=True
-            ).start()
-
-    def _drain(self, conn: socket.socket) -> None:
-        try:
-            with conn, conn.makefile("r", encoding="utf-8", newline="\n") as stream:
-                for line in stream:
-                    self.collector.ingest_line(line)
-        except OSError:
-            pass
-
-    def close(self) -> None:
-        """Stop accepting and release the socket; idempotent."""
-        if self._closing.is_set():
-            return
-        self._closing.set()
-        self._thread.join()
-        self._server.close()
 
 
 # ----------------------------------------------------------------------

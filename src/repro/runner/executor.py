@@ -10,9 +10,9 @@ the CLI) is sugar over three entry points:
 * :func:`run_spec` — the cache-aware single-run front end, returning a
   :class:`RunRecord`;
 * :func:`run_many` — the batch front end: deduplicates identical specs,
-  consults the cache, fans the remaining work out over a
-  ``ProcessPoolExecutor`` (serial for ``max_workers=1``), and returns
-  records **in input order** regardless of completion order.
+  consults the cache, fans the remaining work out to one forked child
+  per attempt, ``max_workers`` at a time (serial for ``max_workers=1``),
+  and returns records **in input order** regardless of completion order.
 
 ``run_many`` is *supervised* (see :mod:`repro.runner.supervision`): with
 ``on_error="keep_going"`` a failing or hanging spec is quarantined as a
@@ -263,18 +263,19 @@ def run_many(
 
     The returned list is index-aligned with ``specs``.  Specs sharing a
     digest are simulated once; later occurrences are recorded as cache
-    hits.  ``max_workers=1`` runs serially in-process; larger values use a
-    process pool (custom registries force the serial path, since workers
-    only see the default registry).
+    hits.  ``max_workers=1`` runs serially in-process; larger values run
+    each attempt in its own forked child (custom registries force the
+    serial path, since children only see the default registry).
 
     Supervision:
 
     * ``timeout_s`` bounds each execution attempt: serially by a deadline
-      the engine watchdog enforces, which does not bound the compile; on
-      the pool path by the per-future wait and pool teardown, which do;
+      the engine watchdog enforces, which does not bound the compile; in
+      parallel by killing the attempt's child ``timeout_s`` after it
+      started, which does;
     * ``retries`` re-executes a failed or timed-out attempt up to that
-      many extra times (exponential backoff + jitter serially,
-      resubmission on a fresh pool in parallel); a success after a retry
+      many extra times (exponential backoff + jitter serially, a fresh
+      child with no backoff in parallel); a success after a retry
       is recorded as ``RunStatus.RETRIED_OK``;
     * ``on_error="raise"`` (default) propagates the first failure —
       immediately on the serial path, after the batch drains on the pool
@@ -287,8 +288,8 @@ def run_many(
       re-executed.  Without ``resume`` the journal restarts from scratch.
 
     ``telemetry`` instruments the batch: each serially-executed spec runs
-    on a forked child hub (named after the spec), pool workers build their
-    own per-process hubs whose summaries ride back on the result traces,
+    on a forked child hub (named after the spec), forked attempts build
+    their own per-process hubs whose summaries ride back on the result traces,
     and the parent hub gets the harness view — worker count, utilization,
     per-spec wall-time histogram, retry/timeout/failure counters.
 

@@ -4,10 +4,7 @@ The registry is the single place that maps the *names* appearing in a
 :class:`~repro.runner.spec.RunSpec` to live objects: policy factories (which
 take plain-data kwargs) and workload builders (which take a
 :class:`~repro.workloads.scenarios.ScenarioConfig`, an explicit ``seed`` and
-builder kwargs).  It absorbs and replaces the module-level
-``POLICY_FACTORIES`` / ``WORKLOAD_BUILDERS`` dicts that used to live in
-:mod:`repro.analysis.experiments`; those names remain importable as live
-read-only views over the default registry.
+builder kwargs).
 
 Unknown names raise :class:`UnknownNameError` (a ``KeyError``) with a
 did-you-mean suggestion::
@@ -22,7 +19,7 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import replace
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..core.bucket import FixedIntervalPolicy
 from ..core.duration import DurationAwareSimtyPolicy
@@ -289,36 +286,3 @@ def register_workload(
 ) -> WorkloadBuilder:
     """Register a workload builder on the default registry."""
     return DEFAULT_REGISTRY.register_workload(name, builder, replace=replace)
-
-
-# ----------------------------------------------------------------------
-# Back-compat mapping views
-# ----------------------------------------------------------------------
-class _RegistryView(Mapping):
-    """A live, read-only mapping view over one side of a registry."""
-
-    def __init__(self, registry: Registry, table: str) -> None:
-        self._registry = registry
-        self._table = table
-
-    def _entries(self) -> Dict[str, Callable]:
-        return getattr(self._registry, self._table)
-
-    def __getitem__(self, name: str) -> Callable:
-        return self._entries()[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries())
-
-    def __len__(self) -> int:
-        return len(self._entries())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}({dict(self._entries())!r})"
-
-
-#: Live views that keep the historical ``experiments.POLICY_FACTORIES`` /
-#: ``WORKLOAD_BUILDERS`` module constants working (and reflecting late
-#: registrations).
-POLICY_FACTORIES_VIEW = _RegistryView(DEFAULT_REGISTRY, "_policies")
-WORKLOAD_BUILDERS_VIEW = _RegistryView(DEFAULT_REGISTRY, "_workloads")

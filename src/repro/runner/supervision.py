@@ -16,11 +16,12 @@ gracefully instead:
   ends after its deadline is ``TIMEOUT`` whatever it returned.  Nothing
   bounds a workload compile here: a build that hangs is ``TIMEOUT`` only
   once it returns and the first step runs;
-* :func:`run_supervised_pool` supervises a ``ProcessPoolExecutor``:
-  per-future timeouts, resubmission of failed attempts on a fresh pool,
-  and recovery from a killed worker (``BrokenProcessPool``) by tearing the
-  broken pool down and rescheduling every interrupted spec.  The
-  per-future wait and the pool teardown bound a compile too.
+* :func:`run_forked` is the one process supervisor, shared by
+  :func:`run_supervised_pool` and the fleet's shard scheduler: one forked
+  child per attempt, at most ``workers`` alive, each under a hard
+  deadline from its own start (a child past it is killed, compile
+  included), and a child that exits without a result charged to itself
+  alone.
 
 Outcomes come back as :class:`Outcome` values keyed by input index; the
 executor converts them into :class:`~repro.runner.record.RunRecord`\\ s and
@@ -29,12 +30,14 @@ decides — per its ``on_error`` mode — whether to raise or keep going.
 
 from __future__ import annotations
 
+import functools
 import pickle
 import random
 import time
 import traceback as traceback_module
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from .record import ExperimentResult, RunStatus
 from .spec import RunSpec
@@ -153,17 +156,19 @@ def attempt_spec(
     return ("ok", result, time.perf_counter() - started)
 
 
-def _attempt_pool(spec: RunSpec, enable_telemetry: bool = False) -> Tuple:
-    """Pool worker entry point (default registry only).
+def _attempt_pool(
+    enable_telemetry: bool, task: Tuple[int, RunSpec, int]
+) -> Tuple:
+    """Child entry point of the pool path (default registry only).
 
     Live hubs do not cross process boundaries, so an instrumented batch
-    ships only a *flag*; the worker builds a fresh hub whose summary rides
+    ships only a *flag*; the child builds a fresh hub whose summary rides
     back on ``result.trace.telemetry`` (plain, picklable data).
     """
-    from ..obs.telemetry import Telemetry  # local import: worker side only
+    from ..obs.telemetry import Telemetry  # local import: child side only
 
     telemetry = Telemetry() if enable_telemetry else None
-    payload = attempt_spec(spec, None, telemetry)
+    payload = attempt_spec(task[1], None, telemetry)
     if payload[0] == "error":
         payload = ("error", _portable_exception(payload[1])) + payload[2:]
     return payload
@@ -227,19 +232,91 @@ def run_supervised_serial(
         time.sleep(backoff_delay(attempts, backoff_base_s, backoff_cap_s))
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without waiting for hung or dead workers.
+def _forked_attempt(target: Callable, task, conn) -> None:
+    """Child entry: run ``target(task)`` and send what it returns."""
+    try:
+        conn.send(target(task))
+    finally:
+        conn.close()
 
-    Reaches into ``_processes`` (stable across CPython 3.9–3.13) so a
-    worker stuck in a timed-out simulation cannot block interpreter exit.
+
+def _receive(reader) -> Any:
+    """The child's result, or ``None`` if it sent none (or a torn one)."""
+    try:
+        return reader.recv() if reader.poll() else None
+    except Exception:  # noqa: BLE001 — EOF, a torn message, bad pickle
+        return None
+
+
+def run_forked(
+    tasks: deque,
+    workers: int,
+    target: Callable,
+    finish: Callable[..., None],
+    bound: Callable[[], Optional[float]] = lambda: None,
+) -> None:
+    """Run each task of ``tasks`` in its own forked child, ``workers`` at once.
+
+    The child sends ``target(task)`` back over a pipe.  Each attempt ends
+    in one call ``finish(task, payload, exitcode, wall_s, killed)``
+    (``payload`` is ``None`` if the child sent nothing), which may append
+    retries to ``tasks``.  ``bound()``, read on every wake, is the
+    per-attempt deadline in seconds from the attempt's own start
+    (``None``: none); a child past it is killed.  The parent waits on the
+    pipes and the children's sentinels until the nearest deadline, and
+    reads a result before joining its child, since a pickled trace
+    outgrows the pipe buffer.  No child outlives the call.
     """
-    pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:  # pragma: no cover - already dead
-            pass
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    )
+    running: Dict[Any, Tuple] = {}  # reader -> (process, task, started)
+    try:
+        while tasks or running:
+            while tasks and len(running) < workers:
+                task = tasks.popleft()
+                reader, writer = ctx.Pipe(duplex=False)
+                process = ctx.Process(
+                    target=_forked_attempt,
+                    args=(target, task, writer),
+                    daemon=True,
+                )
+                process.start()
+                writer.close()
+                running[reader] = (process, task, time.monotonic())
+            limit = bound()
+            timeout = None
+            if limit is not None:
+                nearest = min(started for _, _, started in running.values())
+                timeout = max(0.0, nearest + limit - time.monotonic())
+            sentinels = {
+                process.sentinel: reader
+                for reader, (process, _, _) in running.items()
+            }
+            ready = wait(list(running) + list(sentinels), timeout)
+            done = {sentinels.get(handle, handle) for handle in ready}
+            now = time.monotonic()
+            for reader, (process, task, started) in list(running.items()):
+                killed = reader not in done
+                if killed and (limit is None or now - started < limit):
+                    continue
+                del running[reader]
+                if killed:
+                    process.kill()
+                payload = None if killed else _receive(reader)
+                reader.close()
+                process.join()
+                wall_s = time.monotonic() - started
+                finish(task, payload, process.exitcode, wall_s, killed)
+    finally:
+        for process, _, _ in running.values():
+            process.kill()
+        for reader, (process, _, _) in running.items():
+            process.join()
+            reader.close()
 
 
 def run_supervised_pool(
@@ -249,98 +326,42 @@ def run_supervised_pool(
     retries: int = 0,
     enable_telemetry: bool = False,
 ) -> Dict[int, Outcome]:
-    """Supervise a batch over a process pool; outcomes keyed by index.
+    """Supervise a batch over :func:`run_forked`; outcomes keyed by index.
 
-    Each round submits every still-pending spec to one pool.  A future
-    that times out or fails is resubmitted on the next round (on a fresh
-    pool) until its attempts exceed ``retries``.
-
-    A worker death (``BrokenProcessPool`` — e.g. ``os._exit`` or the OOM
-    killer) poisons every future still in flight, and the culprit is
-    indistinguishable from the innocents it took down.  A broken round
-    therefore charges *nobody*: every interrupted spec is requeued with
-    its attempt count unchanged, and the supervisor drops into isolation
-    mode — one spec per pool per round — for the rest of the batch.  In
-    isolation a breakage has exactly one possible culprit, which is then
-    charged the attempt; innocents complete on their own pools.  This
-    converges because isolated rounds always either resolve their spec or
-    grow its attempt count.
-
-    Timeouts are enforced while *collecting* futures in submission order,
-    so a spec may in practice get longer than ``timeout_s`` of wall time
-    while earlier futures are being awaited — the bound is per-wait, not a
-    hard kill.  A timed-out round tears its pool down (terminating the
-    stuck workers) before the next round starts.  A ``TIMEOUT`` records
-    the time from its round's submission until the wait gave up.
+    ``timeout_s`` is a hard deadline from each attempt's start: a killed
+    attempt is a ``TIMEOUT`` of the time it ran.  A child that exits
+    without a result (``os._exit``, the OOM killer) is ``FAILED`` with its
+    exit code.  Failed attempts are retried at once, without backoff.
     """
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-    from concurrent.futures import TimeoutError as FutureTimeoutError
+    # Every attempt forks from this process: import the scenario compiler
+    # the stock builders load on first use here, once, not in each child.
+    from ..workloads.sources import canon  # noqa: F401
 
     outcomes: Dict[int, Outcome] = {}
-    queue: List[Tuple[int, RunSpec, int]] = [
-        (index, spec, 1) for index, spec in pending
-    ]
-    isolate = False
-    while queue:
-        if isolate:
-            round_items, queue = [queue[0]], queue[1:]
+    tasks = deque((index, spec, 1) for index, spec in pending)
+
+    def finish(task, payload, exitcode, wall_s, killed) -> None:
+        index, spec, attempt = task
+        if killed:
+            outcome = _timeout_outcome(timeout_s, wall_s, attempt)
         else:
-            round_items, queue = queue, []
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-        submitted = time.monotonic()
-        futures = [
-            (
-                pool.submit(_attempt_pool, spec, enable_telemetry),
-                index,
-                spec,
-                attempt,
-            )
-            for index, spec, attempt in round_items
-        ]
-        broken = False
-        timed_out = False
-        for future, index, spec, attempt in futures:
-            try:
-                if broken and not future.done():
-                    raise BrokenExecutor("process pool died mid-batch")
-                payload = future.result(timeout=None if broken else timeout_s)
-            except FutureTimeoutError:
-                timed_out = True
-                future.cancel()
-                if attempt > retries:
-                    outcomes[index] = _timeout_outcome(
-                        timeout_s, time.monotonic() - submitted, attempt
-                    )
-                else:
-                    queue.append((index, spec, attempt + 1))
-                continue
-            except BrokenExecutor as exc:
-                broken = True
-                culpable = len(round_items) == 1  # isolated: no one else to blame
-                if culpable and attempt > retries:
-                    outcomes[index] = Outcome(
-                        status=RunStatus.FAILED,
-                        result=None,
-                        wall_time_s=0.0,
-                        attempts=attempt,
-                        error=_portable_exception(exc),
-                        error_type=type(exc).__name__,
-                        error_message=str(exc) or "worker process died",
-                    )
-                else:
-                    queue.append(
-                        (index, spec, attempt + 1 if culpable else attempt)
-                    )
-                continue
+            if payload is None:
+                exc = RuntimeError(
+                    f"worker process exited with code {exitcode} "
+                    "before returning a result"
+                )
+                payload = ("error", exc, type(exc).__name__, None, wall_s)
             outcome = _outcome_from_payload(payload, attempt)
-            if outcome.ok or attempt > retries:
-                outcomes[index] = outcome
-            else:
-                queue.append((index, spec, attempt + 1))
-        if broken:
-            isolate = True
-        if broken or timed_out:
-            _terminate_pool(pool)
+        if outcome.ok or attempt > retries:
+            outcomes[index] = outcome
         else:
-            pool.shutdown()
+            tasks.append((index, spec, attempt + 1))
+
+    run_forked(
+        tasks,
+        max_workers,
+        functools.partial(_attempt_pool, enable_telemetry),
+        finish,
+        lambda: timeout_s,
+    )
     return outcomes

@@ -3,14 +3,13 @@
 import pytest
 
 from repro.analysis.experiments import (
-    POLICY_FACTORIES,
-    WORKLOAD_BUILDERS,
     run_experiment,
     run_pair,
     run_workload,
 )
-from repro.core.simty import SimtyPolicy
 from repro.core.similarity import TwoLevelHardware
+from repro.core.simty import SimtyPolicy
+from repro.runner import DEFAULT_REGISTRY
 from repro.simulator.engine import SimulatorConfig
 from repro.workloads.scenarios import ScenarioConfig
 from repro.workloads.synthetic import SyntheticConfig, generate
@@ -23,14 +22,14 @@ def small_config():
 
 class TestRunExperiment:
     def test_registries_complete(self):
-        assert set(POLICY_FACTORIES) == {
+        assert set(DEFAULT_REGISTRY.policy_names()) == {
             "native",
             "simty",
             "exact",
             "simty+dur",
             "bucket",
         }
-        assert set(WORKLOAD_BUILDERS) == {
+        assert set(DEFAULT_REGISTRY.workload_names()) == {
             "light",
             "heavy",
             "synthetic",
@@ -38,14 +37,12 @@ class TestRunExperiment:
         }
 
     def test_registry_views_are_live(self):
-        from repro.runner import DEFAULT_REGISTRY
-
         DEFAULT_REGISTRY.register_policy("noop-test", lambda: None)
         try:
-            assert "noop-test" in POLICY_FACTORIES
+            assert "noop-test" in DEFAULT_REGISTRY.policy_names()
         finally:
             DEFAULT_REGISTRY.unregister_policy("noop-test")
-        assert "noop-test" not in POLICY_FACTORIES
+        assert "noop-test" not in DEFAULT_REGISTRY.policy_names()
 
     def test_unknown_workload(self):
         with pytest.raises(KeyError):

@@ -8,6 +8,7 @@ to an uninterrupted run — with quarantine and coverage accounting intact.
 
 import dataclasses
 import json
+import multiprocessing
 
 import pytest
 
@@ -143,6 +144,18 @@ class TestStragglers:
         assert report.shard_stats["reassigned"] == 1
         assert report.shard_stats["completed"] == 4
         assert payload(report) == payload(reference)
+
+    def test_no_shard_worker_outlives_the_fleet(self, tmp_path):
+        chaos = FleetChaos(
+            hang_shards={0: 1}, hang_s=30.0, kill_shards={1: 1}
+        )
+        config = dataclasses.replace(
+            BASE, chaos=chaos, straggler_min_s=1.0, straggler_factor=2.0
+        )
+        report = run_fleet(POPULATION, config, fleet_dir=tmp_path)
+        assert multiprocessing.active_children() == []
+        assert report.shard_stats["reassigned"] == 1
+        assert report.shard_stats["retried"] == 1
 
 
 class TestChaosPlanSafety:

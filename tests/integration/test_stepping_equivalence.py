@@ -24,7 +24,7 @@ import re
 
 import pytest
 
-from repro.analysis.experiments import WORKLOAD_BUILDERS, run_experiment
+from repro.analysis.experiments import run_experiment
 from repro.analysis.fuzz import generate_case, run_case
 from repro.core.alarm import Alarm, RepeatKind
 from repro.core.backend import BACKEND_NAMES
@@ -177,7 +177,7 @@ class TestPaperExperiments:
         batch = run_experiment(workload, policy, simulator_config=config)
         assert batch.trace.violations == []
 
-        built = WORKLOAD_BUILDERS[workload](None)
+        built = DEFAULT_REGISTRY.build_workload(workload)
         simulator = Simulator(
             DEFAULT_REGISTRY.create_policy(policy),
             config=SimulatorConfig(

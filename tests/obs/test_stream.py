@@ -1,4 +1,4 @@
-"""Streaming telemetry: delta export, spool/socket transport, and the
+"""Streaming telemetry: delta export, the spool transport, and the
 Collector's convergence guarantee — merged deltas reproduce the final
 summary exactly for counters, bucket counts and span totals, even under
 torn writes, duplicate lines and retried producers.
@@ -10,12 +10,9 @@ import urllib.request
 from repro.obs.stream import (
     STREAM_SCHEMA,
     Collector,
-    CollectorListener,
     MetricsEndpoint,
-    SocketSink,
     SpoolSink,
     TelemetryStream,
-    open_sink,
 )
 from repro.obs.summary import EMPTY_SUMMARY, diff_summaries, merge_summaries
 from repro.obs.telemetry import Telemetry
@@ -242,44 +239,6 @@ def test_spool_resume_defensively_isolates_a_torn_tail(tmp_path):
     assert collector.all_final()
     assert collector.rolling().counter("shard.devices") == 2
     assert collector.malformed == 1
-
-
-# ----------------------------------------------------------------------
-# Socket transport
-# ----------------------------------------------------------------------
-def test_socket_sink_feeds_a_collector_listener():
-    collector = Collector()
-    listener = CollectorListener(collector, "tcp://127.0.0.1:0")
-    try:
-        hub = Telemetry()
-        sink = SocketSink(listener.address)
-        stream, clock = _stream(hub, sink, source="svc")
-        stream.begin()
-        hub.count("service.requests", value=9)
-        stream.flush(final=True)
-        stream.close()
-
-        import time
-
-        deadline = time.time() + 5.0
-        while time.time() < deadline and not collector.all_final():
-            time.sleep(0.01)
-        assert collector.all_final()
-        assert collector.rolling().counter("service.requests") == 9
-    finally:
-        listener.close()
-
-
-def test_socket_sink_drops_instead_of_raising():
-    sink = SocketSink("tcp://127.0.0.1:1")  # nothing listens there
-    sink.emit("w", "line")
-    assert sink.dropped == 1
-    sink.close()
-
-
-def test_open_sink_dispatch(tmp_path):
-    assert isinstance(open_sink(tmp_path / "spool"), SpoolSink)
-    assert isinstance(open_sink("tcp://127.0.0.1:9"), SocketSink)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Chaos harness: fault-injecting workloads that drive the supervisor.
 
 The harness registers one extra workload, ``"chaos"``, on the *default*
-registry so that pool workers (which rebuild specs through the default
+registry so that forked attempts (which rebuild specs through the default
 registry, inherited via fork) see the same faults as the serial path.  The
 builder consults its kwargs to decide how to misbehave:
 
@@ -12,9 +12,9 @@ builder consults its kwargs to decide how to misbehave:
   resubmissions) observe each other, then succeed;
 * ``mode="hang"`` — sleep ``sleep_s`` before building (a stuck run for
   the timeout path to quarantine);
-* ``mode="kill"`` — ``os._exit`` the process, which from a pool worker
-  surfaces as ``BrokenProcessPool`` (the WakeScope-style "worker just
-  died" case).
+* ``mode="kill"`` — ``os._exit`` the process, which on the pool path is
+  a child that exits without a result: ``FAILED``, its exit code named
+  in the error (the WakeScope-style "worker just died" case).
 
 ``corrupt_cache_entry`` truncates/garbles a ``<digest>.pkl`` on disk to
 exercise the cache's quarantine path.
@@ -76,8 +76,8 @@ def build_chaos(
 def install() -> None:
     """Idempotently register the chaos workload on the default registry.
 
-    Registration must live on the *default* registry for pool workers to
-    see it (inherited via fork); tests scope it with the
+    Registration must live on the *default* registry for forked attempts
+    to see it (inherited via fork); tests scope it with the
     ``chaos_workload`` fixture so the pollution never outlives a test —
     the registry listing and CLI ``--workload`` choices stay clean.
     """

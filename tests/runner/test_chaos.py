@@ -3,9 +3,11 @@
 Each test wires one failure mode from :mod:`tests.runner.chaos` through
 ``run_many`` and asserts the batch degrades instead of dying: crashes and
 hangs become quarantined records, corrupt cache entries are re-simulated,
-and a worker that dies mid-batch (``os._exit``) only takes its own spec
+and a child that dies mid-batch (``os._exit``) only takes its own spec
 down.
 """
+
+import multiprocessing
 
 import pytest
 
@@ -84,9 +86,9 @@ class TestHang:
 
     @pytest.mark.parametrize("max_workers", [1, 2])
     def test_timeout_records_how_long_the_attempt_ran(self, max_workers):
-        # Two hangs, so the pool path really takes a pool; there the second
-        # wait starts only after the first gave up.  Serially, the hang
-        # builds for its whole sleep before the deadline is seen.
+        # Two hangs, so the pool path really forks; there each child is
+        # killed at its deadline.  Serially, the hang builds for its whole
+        # sleep before the deadline is seen.
         specs = [chaos_spec("hang", sleep_s=0.6, marker=index) for index in range(2)]
         records = run_many(
             specs,
@@ -100,6 +102,40 @@ class TestHang:
             assert record.wall_time_s > 0.1
         if max_workers == 1:
             assert all(record.wall_time_s >= 0.5 for record in records)
+
+
+class TestHardDeadline:
+    """The pool path's deadline is per attempt, from the attempt's own
+    start, and a killed or dead child is reaped before ``run_many``
+    returns."""
+
+    def test_pool_timeout_is_a_hard_per_attempt_deadline(self):
+        specs = [
+            chaos_spec("hang", sleep_s=0.8),
+            chaos_spec("hang", sleep_s=1.6, marker=1),
+        ]
+        records = run_many(
+            specs, max_workers=2, timeout_s=1.0, on_error="keep_going"
+        )
+        assert statuses(records) == [RunStatus.OK, RunStatus.TIMEOUT]
+        assert records[1].wall_time_s < 1.6
+
+    def test_no_child_outlives_the_batch(self):
+        specs = [
+            chaos_spec("hang", sleep_s=8.0),
+            chaos_spec("kill"),
+            chaos_spec("ok"),
+        ]
+        records = run_many(
+            specs, max_workers=2, timeout_s=0.5, on_error="keep_going"
+        )
+        assert multiprocessing.active_children() == []
+        assert statuses(records) == [
+            RunStatus.TIMEOUT,
+            RunStatus.FAILED,
+            RunStatus.OK,
+        ]
+        assert "exited with code 42" in records[1].error_message
 
 
 class TestCorruptCacheEntry:
@@ -138,9 +174,9 @@ class TestCorruptCacheEntry:
 
 class TestKilledWorker:
     def test_worker_death_fails_only_its_spec(self):
-        # The innocent spec is submitted first so its future resolves
-        # before the kill poisons the pool; the killed spec burns its
-        # retry on a fresh pool and lands as FAILED.
+        # Every attempt has its own child, so the kill is charged to the
+        # killed spec alone: it burns its retry in a second child and
+        # lands as FAILED while the innocent spec completes.
         specs = [chaos_spec("ok"), chaos_spec("kill")]
         records = run_many(
             specs,

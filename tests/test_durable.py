@@ -6,8 +6,8 @@ journal (``ShardJournal``) and the telemetry spool (``SpoolSink``).  These
 tests pin the crash discipline they share — a torn tail is sealed, never
 glued onto — each resumable log's contract under every kind of on-disk
 damage (:func:`repro.durable.damage_log`), the fsyncs each one makes,
-and the start/stop lifecycle of the log and of the two socket servers
-beside it (``MetricsEndpoint``, ``CollectorListener``).
+and the start/stop lifecycle of the log and of the socket server beside
+it (``MetricsEndpoint``).
 
 CI runs this file under ``python -X dev`` with ``ResourceWarning`` as an
 error, so a held handle or socket that is never closed fails here.
@@ -25,15 +25,7 @@ import pytest
 from repro.durable import DAMAGE_MODES, AppendLog, damage_log, read_jsonl
 from repro.fleet.executor import ShardJournal, ShardPlan, load_sealed_summary
 from repro.fleet.reduce import QuarantineRecord, ShardSummary
-from repro.obs.stream import (
-    Collector,
-    CollectorListener,
-    MetricsEndpoint,
-    SocketSink,
-    SpoolSink,
-    TelemetryStream,
-)
-from repro.obs.telemetry import Telemetry
+from repro.obs.stream import MetricsEndpoint, SpoolSink
 from repro.runner import RunJournal, RunStatus
 from repro.service import ChaosSpec, FaultyLog, ServiceJournal
 
@@ -442,28 +434,3 @@ class TestMetricsEndpointLifecycle:
             assert err.value.code == 404
 
 
-class TestCollectorListenerLifecycle:
-    def _host_port(self, listener):
-        host, _, port = listener.address[len("tcp://"):].rpartition(":")
-        return host, int(port)
-
-    def test_start_stop(self):
-        collector = Collector()
-        listener = CollectorListener(collector, "tcp://127.0.0.1:0")
-        sink = SocketSink(listener.address)
-        stream = TelemetryStream(Telemetry(), source="svc", sink=sink)
-        stream.begin()
-        stream.flush(final=True)
-        stream.close()
-        listener.close()
-        assert _refused(*self._host_port(listener))
-
-    def test_stop_without_a_connection(self):
-        listener = CollectorListener(Collector(), "tcp://127.0.0.1:0")
-        listener.close()  # should not raise
-        assert _refused(*self._host_port(listener))
-
-    def test_double_close_is_a_noop(self):
-        listener = CollectorListener(Collector(), "tcp://127.0.0.1:0")
-        listener.close()
-        listener.close()
