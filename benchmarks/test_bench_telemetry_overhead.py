@@ -11,13 +11,15 @@ shipping no-op path stays within 5% of it.  A failure here means the
 null-hub calls (or some other instrumentation) cost real time on the hot
 path.
 
-An enabled run is also timed and emitted for eyeballing — instrumentation
-that is *on* is allowed to cost real time (spans allocate), it just has to
-be opt-in.  Per policy, the median paired no-op overhead and the ratio of
-the enabled run to the baseline (minima over the reps) are written to
-``BENCH_telemetry_overhead.json`` at the repo root; the report keeps the
-readings it replaces in its ``history``, so a drift towards the bound
-shows before a flake does.
+An enabled run is also timed.  Instrumentation that is *on* is allowed
+to cost real time (spans allocate), but not more than it did when the
+ceiling was set: the ratio of the enabled run to the baseline (minima over
+the reps) must stay under a per-policy ceiling, the recorded ratio plus a
+margin, so a regression of the observed path fails here rather than in a
+served advance.  Per policy, the median paired no-op overhead and the
+enabled ratio are written to ``BENCH_telemetry_overhead.json`` at the repo
+root; the report keeps the readings it replaces in its ``history``, so a
+drift towards either bound shows before a flake does.
 
 Each run builds a fresh workload (alarms are single-use) and starts from a
 collected heap.  Each rep times the baseline and the no-op path back to
@@ -48,6 +50,11 @@ REPORT_PATH = (
 #: CI-enforced maximum median paired no-op overhead.
 NOOP_BOUND = 0.05
 
+#: CI-enforced maximum enabled / baseline ratio per policy: the ratio
+#: recorded on a 2-vCPU VM (SIMTY 2.05, NATIVE 1.54) plus a margin for
+#: noisier runners.
+ENABLED_CEILING = {"simty": 2.5, "native": 1.85}
+
 REPS = 25
 
 
@@ -77,13 +84,17 @@ class UninstrumentedSimulator(Simulator):
     Do not route it through ``_dispatch``: it exists to measure that.
     """
 
-    def step(self) -> Optional[int]:
+    def step(self, until: Optional[int] = None) -> Optional[int]:
         if not self._started:
             raise RuntimeError("call start() before step()")
         if self._finished:
             raise RuntimeError("the run already finished; build a new Simulator")
         instant = self._next_event_time()
-        if instant is None or instant >= self.config.horizon:
+        if (
+            instant is None
+            or instant >= self.config.horizon
+            or (until is not None and instant > until)
+        ):
             return None
         self._watchdog_tick(instant)
         self.clock.advance_to(instant)
@@ -123,6 +134,7 @@ def report(write_report):
         ),
         "workload": "heavy",
         "noop_bound": NOOP_BOUND,
+        "enabled_ceiling": ENABLED_CEILING,
         "policies": results,
     }
     write_report(REPORT_PATH, payload)
@@ -179,4 +191,9 @@ def test_bench_telemetry_noop_overhead(emit, report, policy):
     assert noop_overhead < NOOP_BOUND, (
         f"disabled telemetry costs {noop_overhead:.1%} over the ungated "
         f"step under {policy}; the no-op path must stay under 5%"
+    )
+    ceiling = ENABLED_CEILING[policy]
+    assert enabled / baseline < ceiling, (
+        f"enabled telemetry runs {enabled / baseline:.2f}x the ungated "
+        f"step under {policy}; the ceiling is {ceiling}x"
     )

@@ -23,7 +23,7 @@ from typing import List, Optional
 from .alarm import Alarm
 from .entry import QueueEntry
 from .queue import AlarmQueue
-from .simty import Probe, SimtyPolicy, applicability
+from .simty import Probe, SimtyPolicy, Verdict, applicability
 
 
 def duration_dissimilarity(alarm: Alarm, entry: QueueEntry) -> float:
@@ -51,10 +51,11 @@ class DurationAwareSimtyPolicy(SimtyPolicy):
         alarm: Alarm,
         now: int,
         candidates: Optional[List[QueueEntry]] = None,
+        verdicts: Optional[List[Verdict]] = None,
     ) -> Optional[QueueEntry]:
         """SIMTY's search with ``(preference, duration dissimilarity)``
-        as the selection key; telemetry and the audit come from the
-        inherited explain pass."""
+        as the selection key; it keeps the same ``verdicts`` as SIMTY's,
+        so telemetry and the audit come from the inherited explain pass."""
         best_entry: Optional[QueueEntry] = None
         best_key = (math.inf, math.inf)
         probe = Probe.of(alarm)
@@ -68,8 +69,11 @@ class DurationAwareSimtyPolicy(SimtyPolicy):
             level = applicability(probe, entry)
             if level is None:
                 continue
+            hardware_rank = rank(hardware, entry.hardware)
+            if verdicts is not None:
+                verdicts.append((entry, level, hardware_rank))
             key = (
-                2 * rank(hardware, entry.hardware) + level + 1,
+                2 * hardware_rank + level + 1,
                 duration_dissimilarity(alarm, entry),
             )
             if key < best_key:

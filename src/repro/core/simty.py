@@ -65,6 +65,13 @@ class Probe(NamedTuple):
 _HIGH = int(TimeSimilarity.HIGH)
 _MEDIUM = int(TimeSimilarity.MEDIUM)
 
+#: The ``time`` label of each applicable level.
+_TIME_LABELS = {_HIGH: "high", _MEDIUM: "medium"}
+
+#: One applicable candidate as the search saw it: the entry, its
+#: time-similarity level and its hardware-similarity rank.
+Verdict = Tuple[QueueEntry, int, int]
+
 
 def applicability(probe: Probe, entry: QueueEntry) -> Optional[int]:
     """Search-phase rule (Sec. 3.2.1), on integer bounds.
@@ -107,14 +114,17 @@ class SimtyPolicy(AlignmentPolicy):
         queue.remove_alarm(alarm)
         # Observed or not, the decision is the same search; only the span
         # is kept off the unobserved path (a null span per insert costs
-        # about 1% of a heavy run).  The observed path queries the
-        # candidates once, for the search and its explain pass.
+        # about 1% of a heavy run).  The observed path has the search keep
+        # its verdicts, and the explain pass reads them.
         decision = None
         if self.telemetry.enabled or self.audit.enabled:
+            verdicts: List[Verdict] = []
             with self.telemetry.span("simty.search", alarm=alarm.label):
                 candidates = queue.grace_candidates(alarm.grace_interval())
-                best = self._search_and_select(queue, alarm, now, candidates)
-            decision = self._explain(queue, alarm, now, best, candidates)
+                best = self._search_and_select(
+                    queue, alarm, now, candidates, verdicts
+                )
+            decision = self._explain(queue, alarm, best, candidates, verdicts)
         else:
             best = self._search_and_select(queue, alarm, now)
         if best is not None:
@@ -135,13 +145,16 @@ class SimtyPolicy(AlignmentPolicy):
         alarm: Alarm,
         now: int,
         candidates: Optional[List[QueueEntry]] = None,
+        verdicts: Optional[List[Verdict]] = None,
     ) -> Optional[QueueEntry]:
         """Run both phases and return the winning entry, if any.
 
         The scan keeps the best (lowest) preferability seen so far; because
         entries are examined in queue order, ties resolve to the first-found
         entry as the paper specifies.  ``candidates`` is the alarm's grace
-        candidate list when the caller already queried it.
+        candidate list when the caller already queried it.  With
+        ``verdicts`` given, the search appends one :data:`Verdict` per
+        applicable candidate, in candidate order, for the explain pass.
         """
         best_entry: Optional[QueueEntry] = None
         best_score = math.inf
@@ -157,8 +170,11 @@ class SimtyPolicy(AlignmentPolicy):
             level = applicability(probe, entry)
             if level is None:
                 continue
+            hardware_rank = rank(hardware, entry.hardware)
+            if verdicts is not None:
+                verdicts.append((entry, level, hardware_rank))
             # Table 1 preferability, as :func:`preference` computes it.
-            score = 2 * rank(hardware, entry.hardware) + level + 1
+            score = 2 * hardware_rank + level + 1
             if score < best_score:
                 best_score = score
                 best_entry = entry
@@ -168,65 +184,50 @@ class SimtyPolicy(AlignmentPolicy):
         self,
         queue: AlarmQueue,
         alarm: Alarm,
-        now: int,
         best: Optional[QueueEntry],
         candidates: List[QueueEntry],
+        verdicts: List[Verdict],
     ) -> Optional[Tuple[int, dict]]:
         """Telemetry and decision audit for one finished search.
 
         Runs only when either is enabled, after the search and before the
-        alarm is placed, so it re-derives from the same queue state and
-        the search's ``candidates`` what the fused loop does not keep: how
-        many candidates were scanned, the applicable ones per
-        hardware×time similarity cell (the Table 1 breakdown), rejections
-        by reason, and the winner's labels and Table 1 rank.  Which
+        alarm is placed.  It reads the search's own ``verdicts`` (the
+        applicable candidates with their time-similarity level and
+        hardware rank): the applicable ones per hardware×time similarity
+        cell (the Table 1 breakdown), tallied here and counted once per
+        non-empty cell, and the winner's labels and Table 1 rank.  Which
         candidate won comes from the search, so subclasses that select
         differently (SIMTY+DUR) share this pass.  Returns the sampled
         decision's ``seq`` and fields, or None; :meth:`insert` seals it
         once the alarm is placed.  Only that record reads the rejection
-        reasons, so an unsampled decision skips them.
+        reasons, taken from the candidates the search found not
+        applicable, so an unsampled decision skips them.
         """
         tel = self.telemetry
         seq = self._sampled_seq()
-        sampled = seq is not None
-        probe = Probe.of(alarm)
-        if sampled:
-            window, grace = alarm.window_interval(), alarm.grace_interval()
-        hardware = alarm.hardware
-        rank = self.hardware_classifier.rank
         rank_names = self.hardware_classifier.rank_names
         tel.count("simty.searches")
-        scanned = 0
-        applicable = 0
-        rejections: dict = {}
+        cells: dict = {}
         winner: dict = {"new_entry": True}
-        for entry in candidates:
-            scanned += 1
-            level = applicability(probe, entry)
-            if level is None:
-                if not sampled:
-                    continue
-                if probe.perceptible or entry.perceptible:
-                    time_sim = classify_time(
-                        window, grace, entry.window, entry.grace
-                    )
-                    reason = f"perceptible-time-{time_sim.name.lower()}"
-                else:
-                    reason = "time-low"
-                rejections[reason] = rejections.get(reason, 0) + 1
-                continue
-            applicable += 1
-            hardware_rank = rank(hardware, entry.hardware)
-            time_sim = TimeSimilarity(level)
-            hw, time_label = rank_names[hardware_rank], time_sim.name.lower()
-            tel.count("simty.applicable", hw=hw, time=time_label)
+        for entry, level, hardware_rank in verdicts:
+            cell = (hardware_rank, level)
+            cells[cell] = cells.get(cell, 0) + 1
             if entry is best:
+                time_sim = TimeSimilarity(level)
                 winner = {
                     "chosen_entry": entry.entry_id,
-                    "hw": hw,
-                    "time_sim": time_label,
+                    "hw": rank_names[hardware_rank],
+                    "time_sim": time_sim.name.lower(),
                     "table1_rank": int(preference(hardware_rank, time_sim)),
                 }
+        for (hardware_rank, level), count in cells.items():
+            tel.count(
+                "simty.applicable",
+                count,
+                hw=rank_names[hardware_rank],
+                time=_TIME_LABELS[level],
+            )
+        scanned = len(candidates)
         tel.observe("simty.candidates_scanned", scanned)
         tel.observe("simty.candidates_pruned", len(queue) - scanned)
         if best is None:
@@ -235,11 +236,24 @@ class SimtyPolicy(AlignmentPolicy):
             tel.count(
                 "simty.selected", hw=winner["hw"], time=winner["time_sim"]
             )
-        if not sampled:
+        if seq is None:
             return None
+        window, grace = alarm.window_interval(), alarm.grace_interval()
+        perceptible = alarm.is_perceptible()
+        applicable = {id(entry) for entry, _, _ in verdicts}
+        rejections: dict = {}
+        for entry in candidates:
+            if id(entry) in applicable:
+                continue
+            if perceptible or entry.perceptible:
+                time_sim = classify_time(window, grace, entry.window, entry.grace)
+                reason = f"perceptible-time-{time_sim.name.lower()}"
+            else:
+                reason = "time-low"
+            rejections[reason] = rejections.get(reason, 0) + 1
         return seq, dict(
             scanned=scanned,
-            applicable=applicable,
+            applicable=len(verdicts),
             rejections=tuple(sorted(rejections.items())),
             **winner,
         )

@@ -383,12 +383,13 @@ class Simulator:
         self._stalled = 0
         self._last_instant = -1
 
-    def step(self) -> Optional[int]:
+    def step(self, until: Optional[int] = None) -> Optional[int]:
         """Execute one dispatch iteration: advance to the next event
         instant and process every phase due there.
 
         Returns the instant processed, or ``None`` when no event remains
-        before the horizon (the run is drained; call :meth:`finish`).
+        before the horizon (the run is drained; call :meth:`finish`) or,
+        with ``until`` given, none is due at or before it (nothing runs).
         :meth:`run`, :meth:`drain` and :meth:`advance_to` send every step
         through this method, so perfbench's step layer and its ``advance``
         latency probe, which patch it, see them all.
@@ -398,7 +399,11 @@ class Simulator:
         if self._finished:
             raise RuntimeError("the run already finished; build a new Simulator")
         instant = self._next_event_time()
-        if instant is None or instant >= self.config.horizon:
+        if (
+            instant is None
+            or instant >= self.config.horizon
+            or (until is not None and instant > until)
+        ):
             return None
         if not self._driving and self.monitor is not None:
             # A public call: the queues may have changed since the last step.
@@ -488,27 +493,19 @@ class Simulator:
         """Step while an event is due before the horizon (and at or before
         ``until``, when given); returns the number of steps.
 
-        Every step goes through :meth:`step`.  The call is one entry from
-        outside the engine, so the monitor drops its clean audit once;
-        between the steps it drives only engine code runs, so a clean
-        audit may carry from one step end to the next.
+        Every step goes through :meth:`step`, which finds the next event
+        instant once and checks it against ``until`` itself.  The call is
+        one entry from outside the engine, so the monitor drops its clean
+        audit once; between the steps it drives only engine code runs, so
+        a clean audit may carry from one step end to the next.
         """
         if self.monitor is not None:
             self.monitor.on_entry()
         self._driving = True
         processed = 0
         try:
-            if until is None:
-                while self.step() is not None:
-                    processed += 1
-            else:
-                horizon = self.config.horizon
-                while True:
-                    due = self._next_event_time()
-                    if due is None or due > until or due >= horizon:
-                        break
-                    self.step()
-                    processed += 1
+            while self.step(until) is not None:
+                processed += 1
         finally:
             self._driving = False
         return processed

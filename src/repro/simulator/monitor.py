@@ -29,16 +29,24 @@ engine and policy code runs; every policy call (registration,
 cancellation, reinsert) is followed by an audit, and everything else the
 engine does to that state between two audits is a delivery: a pop, the
 members' delivery bookkeeping and reschedule, and :meth:`InvariantMonitor.
-on_delivery`.  So a *clean* audit (no violation) with no delivery after
-it still describes the queues at a later step end, in the same step or a
-later one, and :meth:`~InvariantMonitor.on_step_end` runs only the
-overdue check on top of it, which a clean audit's queue order lets stop
-at the first entry not yet due.  An unclean audit and any delivery drop
-the reuse, and so does every entry from outside the engine
-(:meth:`~InvariantMonitor.on_entry`: a public ``step()`` call and the
-start of each ``run``, ``drain`` or ``advance_to`` call), so a change
-made by outside code between steps is always seen by the next step end.
-The end-of-run audit is always full.
+on_delivery`.  A pop removes a whole entry, and a sorted, duplicate-free
+queue minus one entry is still sorted and duplicate-free; the bookkeeping
+mutates only the delivered alarms (a delivered one-shot also leaves the
+registered set).  So once no delivered alarm is queued in either queue,
+no entry's algebra, registration or perceptibility verdict has changed,
+and a *clean* audit (no violation) still describes the queues at a later
+step end, in the same step or a later one.  :meth:`~InvariantMonitor.
+on_delivery` records the delivered ids and keeps the reuse;
+:meth:`~InvariantMonitor.on_step_end` then makes one pass over the queued
+member ids, with no entry algebra, and when none of them was delivered
+runs only the overdue check on top of the clean audit, which a clean
+audit's queue order lets stop at the first entry not yet due.  A
+delivered id still queued means a full audit, and so does an unclean
+audit or any entry from outside the engine (:meth:`~InvariantMonitor.
+on_entry`: a public ``step()`` call and the start of each ``run``,
+``drain`` or ``advance_to`` call), so a change made by outside code
+between steps is always seen by the next step end.  The end-of-run audit
+is always full.
 """
 
 from __future__ import annotations
@@ -59,6 +67,21 @@ from ..core.invariants import (
 
 #: Accepted escalation modes.
 ON_VIOLATION_MODES = ("raise", "record", "warn")
+
+
+def _any_queued(manager, alarm_ids: Set[int]) -> bool:
+    """Whether any of ``alarm_ids`` is a member of an entry in either queue.
+
+    One pass over the members, read from the entries themselves rather
+    than the queues' membership index, so an alarm an entry holds that the
+    index forgot is still found.
+    """
+    for queue in (manager.wakeup_queue, manager.nonwakeup_queue):
+        for entry in queue.entries():
+            for alarm in entry.alarms:
+                if alarm.alarm_id in alarm_ids:
+                    return True
+    return False
 
 
 class InvariantViolationError(AssertionError):
@@ -98,10 +121,11 @@ class InvariantMonitor:
         #: cancel keeps it, so a delivery after the cancel is still checked.
         self._last_delivery: Dict[int, object] = {}
         self._checks = 0
-        #: True while the last structural audit was clean and neither a
-        #: delivery nor an entry from outside followed it (see the module
-        #: docstring).
+        #: True while the last structural audit was clean and no entry from
+        #: outside followed it (see the module docstring).
         self._clean = False
+        #: Ids delivered since the last structural audit.
+        self._delivered: List[int] = []
 
     # ------------------------------------------------------------------
     # Engine binding
@@ -140,8 +164,9 @@ class InvariantMonitor:
     def on_delivery(self, record, now: int) -> None:
         """Check one sealed delivery record against Sec. 3.2.2."""
         self._checks += 1
-        # The delivery popped an entry and moved its members on.
-        self._clean = False
+        # The delivery popped an entry and moved its members on; the step
+        # end checks that none of them is still queued.
+        self._delivered.append(record.alarm_id)
         registered_at = self._registered_at.get(record.alarm_id, 0)
         for violation in check_delivery(
             record,
@@ -183,12 +208,19 @@ class InvariantMonitor:
         registration or mid-delivery the queue legally holds entries that
         are about to be popped in the same iteration.
 
-        After a clean audit with no delivery and no entry from outside
-        since, the queues are as that audit saw them, and only the
-        overdue check runs; otherwise the audit is full.  A clean result
-        stays reusable at the next step end.
+        After a clean audit with no entry from outside since, and with no
+        alarm delivered since still queued, the queues are as that audit
+        saw them less the popped entries, and only the overdue check runs;
+        otherwise the audit is full.  A clean result stays reusable at the
+        next step end.
         """
         if self._clean:
+            delivered = self._delivered
+            if delivered:
+                if _any_queued(self._manager, set(delivered)):
+                    self._audit(now, overdue_tolerance_ms=0)
+                    return
+                delivered.clear()
             # Cleared first, so a check that raises is never taken for a
             # clean one.
             self._clean = False
@@ -228,6 +260,8 @@ class InvariantMonitor:
         # Cleared first, so an audit that raises (``"raise"`` mode) is
         # never taken for a clean one.
         self._clean = False
+        # The audit reads every queued alarm, delivered or not.
+        self._delivered.clear()
         wakeup = check_queue(
             self._manager.wakeup_queue,
             now,

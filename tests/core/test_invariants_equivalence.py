@@ -15,7 +15,9 @@ corruptions made between two steps with no queue call (between public
 runs of every workload and policy pair, driven by ``run`` and by
 ``advance_to`` in the daemon's 60 s stride, the violations and the check
 count must be the same.  The reuse must also really carry a clean audit
-from one step to a later one.
+from one step to a later one, and across deliveries that reinsert nothing
+(a push-heavy handset), where in-place corruptions made between a pop and
+its step end must still be seen at that step end.
 """
 
 import itertools
@@ -50,12 +52,14 @@ from repro.core.invariants import (
 from repro.core.native import NativePolicy
 from repro.core.queue import AlarmQueue
 from repro.core.simty import SimtyPolicy
+from repro.core.units import THREE_HOURS_MS
 from repro.runner.registry import DEFAULT_REGISTRY
 from repro.simulator import monitor as monitor_module
 from repro.simulator.engine import Simulator, SimulatorConfig
 from repro.simulator.monitor import InvariantMonitor
 from repro.workloads.churn import app_update_wave, cancellation_storm
 from repro.workloads.scenarios import build_light
+from repro.workloads.sources.spec import ScenarioSpec, SourceUse, compile_scenario
 
 from ..conftest import make_alarm
 
@@ -864,6 +868,162 @@ def test_advance_entry_sees_a_corruption_made_between_advances(
     # Both report it at the end of the corrupted (sleep-only) step.
     for found in (expected, actual):
         assert min(v[1] for v in found if v[0] == ENTRY_ALGEBRA) == at
+    assert checks == expected_checks
+    assert len(actual) == len(expected)
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got == want, f"violation {index} differs"
+
+
+# ---------------------------------------------------------------------------
+# (d, continued) The clean audit across deliveries that reinsert nothing
+# ---------------------------------------------------------------------------
+
+#: The shipping member-id pass, before any test wraps it.
+ANY_QUEUED = monitor_module._any_queued
+
+
+def push_phone():
+    """A busy, push-heavy handset over 3 h: the Table 3 heavy apps,
+    background load, ~600 one-shot pushes an hour and an app-update wave,
+    so most deliveries are one-shots that reinsert nothing."""
+    spec = ScenarioSpec(
+        name="push-phone",
+        horizon=THREE_HOURS_MS,
+        seed=1,
+        sources=(
+            SourceUse("table3-apps", kwargs={"set": "heavy", "phase_seed": 1}),
+            SourceUse("background", kwargs={"seed": 1}),
+            SourceUse("push-storm", kwargs={"rate_per_hour": 600, "seed": 1}),
+            SourceUse(
+                "churn",
+                kwargs={
+                    "at_ms": 5_400_000,
+                    "pattern": "app-update-wave",
+                    "spacing_ms": 30_000,
+                },
+            ),
+        ),
+    )
+    return compile_scenario(spec)
+
+
+def push_replay(monkeypatch, monitor_cls, policy, place=None):
+    """Drive :func:`push_phone` monitored in :data:`STRIDE_MS` advances.
+
+    With ``place``, once past :data:`CORRUPT_AFTER_MS` and right after the
+    pop of an all-one-shot entry made while the last audit was clean,
+    ``place(simulator, alarm)`` queues one of its delivered alarms again
+    in place (it returns False when it cannot).  Returns (violations, check
+    count, the member-id pass's results in order, instant of the
+    corrupted step or None).
+    """
+    _fresh_ids(monkeypatch)
+    found: List[bool] = []
+
+    def passing(manager, alarm_ids):
+        result = ANY_QUEUED(manager, alarm_ids)
+        found.append(result)
+        return result
+
+    monkeypatch.setattr(monitor_module, "_any_queued", passing)
+    monitor = monitor_cls(on_violation="record")
+    simulator = Simulator(
+        DEFAULT_REGISTRY.create_policy(policy), monitor=monitor
+    )
+    push_phone().apply(simulator)
+    corrupted_at = []
+    if place is not None:
+        deliver = simulator._deliver_entry
+
+        def delivering(entry, scheduled):
+            deliver(entry, scheduled)
+            if (
+                not corrupted_at
+                and simulator.now >= CORRUPT_AFTER_MS
+                and monitor._clean
+                and all(
+                    alarm.repeat_kind is alarm_module.RepeatKind.ONE_SHOT
+                    for alarm in entry.alarms
+                )
+                and place(simulator, entry.alarms[0])
+            ):
+                corrupted_at.append(simulator.now)
+
+        simulator._deliver_entry = delivering
+    advance_through(simulator)
+    at = corrupted_at[0] if corrupted_at else None
+    return fields(monitor.violations), monitor.check_count, found, at
+
+
+def _requeue_in(queue, alarm) -> bool:
+    """Append ``alarm`` to ``queue``'s latest entry, bypassing the queue."""
+    entries = list(queue.entries())
+    if not entries:
+        return False
+    entries[-1].alarms.append(alarm)
+    return True
+
+
+def leave_queued(simulator, alarm) -> bool:
+    """A delivered alarm left queued in the queue it was popped from."""
+    manager = simulator.manager
+    return _requeue_in(
+        manager.wakeup_queue if alarm.wakeup else manager.nonwakeup_queue, alarm
+    )
+
+
+def queue_in_other_queue(simulator, alarm) -> bool:
+    """A delivered alarm also queued in the other queue."""
+    manager = simulator.manager
+    return _requeue_in(
+        manager.nonwakeup_queue if alarm.wakeup else manager.wakeup_queue, alarm
+    )
+
+
+@pytest.mark.parametrize("policy", ["simty", "native", "bucket"])
+def test_clean_audit_across_deliveries_replays_like_the_full_audit(
+    monkeypatch, policy
+):
+    expected, expected_checks, _, _ = push_replay(
+        monkeypatch, FullStepEndMonitor, policy
+    )
+    actual, checks, found, _ = push_replay(
+        monkeypatch, InvariantMonitor, policy
+    )
+    assert checks == expected_checks
+    assert len(actual) == len(expected)
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got == want, f"violation {index} differs"
+    carries = found.count(False)
+    if policy == "bucket":
+        # Never clean, so never a member-id pass.
+        assert not found and expected
+    else:
+        # The carry really fires: over a thousand step ends follow a
+        # delivery that reinserted nothing and reuse the clean audit.
+        assert not expected
+        assert carries > 1_000
+
+
+@pytest.mark.parametrize(
+    "place", [leave_queued, queue_in_other_queue], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize("policy", ["simty", "native"])
+def test_clean_audit_sees_a_delivered_alarm_still_queued(
+    monkeypatch, policy, place
+):
+    expected, expected_checks, _, at = push_replay(
+        monkeypatch, FullStepEndMonitor, policy, place
+    )
+    actual, checks, found, actual_at = push_replay(
+        monkeypatch, InvariantMonitor, policy, place
+    )
+    assert at is not None and actual_at == at
+    # Both flag it at the end of the step that popped it; the member-id
+    # pass is what found it there.
+    for got in (expected, actual):
+        assert got and min(violation[1] for violation in got) == at
+    assert True in found
     assert checks == expected_checks
     assert len(actual) == len(expected)
     for index, (got, want) in enumerate(zip(actual, expected)):

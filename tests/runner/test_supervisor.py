@@ -229,23 +229,40 @@ class TestRetries:
 
 
 class TestCheckpointResume:
-    def test_journal_records_completions(self, tmp_path):
+    @pytest.fixture
+    def opened(self):
+        """Register a journal the test opens; it is closed at teardown.
+
+        A journal holds its append handle once it records, so one left
+        open leaks a file handle.
+        """
+        journals = []
+
+        def register(journal):
+            journals.append(journal)
+            return journal
+
+        yield register
+        for journal in journals:
+            journal.close()
+
+    def test_journal_records_completions(self, tmp_path, opened):
         cache = ResultCache(disk_dir=tmp_path)
-        journal = RunJournal.at(tmp_path)
+        journal = opened(RunJournal.at(tmp_path))
         run_many([OK, OK2], cache=cache, checkpoint=journal)
         assert OK.digest() in journal and OK2.digest() in journal
         assert len(journal) == 2
 
-    def test_resume_runs_only_unjournaled_digests(self, tmp_path):
+    def test_resume_runs_only_unjournaled_digests(self, tmp_path, opened):
         cache = ResultCache(disk_dir=tmp_path)
-        journal = RunJournal.at(tmp_path)
+        journal = opened(RunJournal.at(tmp_path))
         run_many([OK, OK2], cache=cache, checkpoint=journal)
 
         # A fresh invocation (new cache object, same dir) resumes: the two
         # journaled digests come from disk, only the third simulates.
         third = RunSpec(workload="heavy", policy="native", scenario=SHORT)
         cache2 = ResultCache(disk_dir=tmp_path)
-        journal2 = RunJournal.at(tmp_path)
+        journal2 = opened(RunJournal.at(tmp_path))
         records = run_many(
             [OK, OK2, third], cache=cache2, checkpoint=journal2, resume=True
         )
@@ -253,11 +270,11 @@ class TestCheckpointResume:
         assert statuses(records) == [RunStatus.OK] * 3
         assert third.digest() in journal2
 
-    def test_resume_distrusts_unjournaled_cache_entries(self, tmp_path):
+    def test_resume_distrusts_unjournaled_cache_entries(self, tmp_path, opened):
         """A cache entry whose completion was never journaled (the run died
         between the cache write and the journal append) is re-executed."""
         cache = ResultCache(disk_dir=tmp_path)
-        journal = RunJournal.at(tmp_path)
+        journal = opened(RunJournal.at(tmp_path))
         run_many([OK], cache=cache, checkpoint=journal)
         # Simulate the interrupted half-commit: OK2's pickle lands on disk
         # but its completion was never journaled.
@@ -269,29 +286,29 @@ class TestCheckpointResume:
         records = run_many(
             [OK, OK2],
             cache=cache2,
-            checkpoint=RunJournal.at(tmp_path),
+            checkpoint=opened(RunJournal.at(tmp_path)),
             resume=True,
         )
         assert cache2.stats.hits == 1  # OK, trusted via the journal
         assert cache2.stats.misses == 1  # OK2 re-executed despite its pkl
         assert statuses(records) == [RunStatus.OK, RunStatus.OK]
 
-    def test_nonresume_invocation_restarts_journal(self, tmp_path):
-        journal = RunJournal.at(tmp_path)
+    def test_nonresume_invocation_restarts_journal(self, tmp_path, opened):
+        journal = opened(RunJournal.at(tmp_path))
         run_many([OK], checkpoint=journal)
         assert OK.digest() in journal
         run_many([OK2], checkpoint=journal)  # fresh journal, not resume
         assert OK.digest() not in journal
         assert OK2.digest() in journal
 
-    def test_failures_journaled_but_not_completed(self, tmp_path):
-        journal = RunJournal.at(tmp_path)
+    def test_failures_journaled_but_not_completed(self, tmp_path, opened):
+        journal = opened(RunJournal.at(tmp_path))
         run_many([BAD], checkpoint=journal, on_error="keep_going")
         assert BAD.digest() not in journal  # not completed...
         reloaded = RunJournal(journal.path)
         assert BAD.digest() not in reloaded  # ...and stays re-runnable
 
-    def test_record_after_torn_tail_survives_reload(self, tmp_path):
+    def test_record_after_torn_tail_survives_reload(self, tmp_path, opened):
         """A record appended after a torn tail starts its own line: it must
         not be glued onto the fragment and forgotten on the next resume."""
         journal = RunJournal.at(tmp_path)
@@ -299,7 +316,7 @@ class TestCheckpointResume:
         journal.record("bbb")
         journal.close()
         damage_log(journal.path, "tear")
-        reopened = RunJournal(journal.path)
+        reopened = opened(RunJournal(journal.path))
         reopened.record("ccc")
         assert RunJournal(journal.path).completed() == {"aaa", "bbb", "ccc"}
 
