@@ -78,13 +78,10 @@ class ServiceConfig:
     checkpoint_dir: Optional[str] = None
     checkpoint_every_ms: Optional[int] = 60_000
     #: Overload protection: at most this many requests admitted at once
-    #: (in flight + queued on the service lock); the rest are shed with a
-    #: structured ``overloaded`` error.  ``None`` disables admission
+    #: (in flight + queued on the service lock); the rest are shed at once
+    #: with a structured ``overloaded`` error.  ``None`` disables admission
     #: control entirely.
     max_inflight: Optional[int] = None
-    #: How long a request may wait for an admission slot before being
-    #: shed (0.0 = shed immediately when the service is saturated).
-    admission_timeout_s: float = 0.0
     #: The ``retry_after_ms`` hint carried by ``overloaded`` errors.
     retry_after_ms: int = 50
     #: Requests slower than this (wall ms, lock wait included) count into
@@ -119,8 +116,6 @@ class ServiceConfig:
             raise ValueError("checkpoint_every_ms must be positive (or None)")
         if self.max_inflight is not None and self.max_inflight <= 0:
             raise ValueError("max_inflight must be positive (or None)")
-        if self.admission_timeout_s < 0:
-            raise ValueError("admission_timeout_s must be non-negative")
         if self.retry_after_ms <= 0:
             raise ValueError("retry_after_ms must be positive")
         if self.slow_request_ms is not None and self.slow_request_ms <= 0:
@@ -251,10 +246,10 @@ class AlarmService:
         return cls(config, telemetry, _journal=journal, _resume=True)
 
     def _replay(self) -> None:
-        """Re-apply the journal **in entry order** — mutations at their
-        recorded times, advancing at each watermark — so the
-        deterministic engine reproduces the crashed daemon's state (and
-        its whole trace) exactly.
+        """Re-apply the journal **in entry order** — mutations through
+        :meth:`_apply`, the live path's own apply, advancing at each
+        watermark — so the deterministic engine reproduces the crashed
+        daemon's state (and its whole trace) exactly.
 
         Order matters, not just timestamps.  A mutation journaled
         *after* a watermark at the same ``t`` was applied by the live
@@ -272,14 +267,11 @@ class AlarmService:
         * a **duplicated** line (torn-then-retried write, or the chaos
           layer's injected double write) is recognised by its ``seq``
           number and applied once;
-        * a **phantom** entry — journaled but never applied, because the
-          engine rejected the op after the WAL append, or the process
-          died between append and apply with the reply never sent — is
-          skipped if the engine rejects it again (the engine is
+        * a **phantom** entry — journaled, then rejected by the engine —
+          is skipped when the engine rejects it again (the engine is
           deterministic, so it rejects the same entry the original
-          process failed to apply).  A skipped register still consumes
-          its alarm id, keeping id assignment identical to the crashed
-          process's.
+          process did) and counted in ``service.replay_skipped{kind}``.
+          A skipped register still consumes its alarm id, as it did live.
         """
         assert self.journal is not None
         if self.journal.skipped:
@@ -295,58 +287,53 @@ class AlarmService:
                     continue
                 seen_seq.add(seq)
             kind = entry.get("kind")
-            req_id = entry.get("req_id")
             if kind == "watermark":
                 if entry["t"] > self.simulator.now:
                     self.simulator.advance_to(entry["t"])
-            elif kind == "register":
-                alarm = alarm_from_dict(entry["alarm"])
-                self._next_alarm_id = max(self._next_alarm_id, alarm.alarm_id + 1)
+            elif kind in MUTATION_OPS:
                 try:
-                    self.simulator.add_alarm(alarm, entry["t"])
+                    self._apply(entry)
                 except Exception:  # noqa: BLE001 - phantom entry, see docstring
                     self.telemetry.count("service.replay_skipped", kind=kind)
-                    continue
-                self._alarms[alarm.alarm_id] = alarm
-                self._labels[alarm.label] = alarm.alarm_id
-                if isinstance(req_id, str) and req_id:
-                    self._remember_reply(
-                        req_id,
-                        {"alarm_id": alarm.alarm_id, "label": alarm.label,
-                         "at": entry["t"]},
-                    )
-            elif kind == "cancel":
-                try:
-                    self.simulator.cancel_alarm(
-                        self._alarms[entry["alarm_id"]], entry["t"]
-                    )
-                except Exception:  # noqa: BLE001 - phantom entry
-                    self.telemetry.count("service.replay_skipped", kind=kind)
-                    continue
-                if isinstance(req_id, str) and req_id:
-                    self._remember_reply(
-                        req_id, {"alarm_id": entry["alarm_id"], "at": entry["t"]}
-                    )
-            elif kind == "reanchor":
-                try:
-                    self.simulator.reregister_alarm(
-                        self._alarms[entry["alarm_id"]],
-                        entry["t"],
-                        nominal_offset=entry.get("nominal_offset"),
-                    )
-                except Exception:  # noqa: BLE001 - phantom entry
-                    self.telemetry.count("service.replay_skipped", kind=kind)
-                    continue
-                if isinstance(req_id, str) and req_id:
-                    self._remember_reply(
-                        req_id,
-                        {"alarm_id": entry["alarm_id"], "at": entry["t"],
-                         "nominal_offset": entry.get("nominal_offset")},
-                    )
         self._last_watermark = self.journal.last_watermark()
         if self._last_watermark > self.simulator.now:
             self.simulator.advance_to(self._last_watermark)
         self.telemetry.count("service.resumes")
+
+    def _apply(self, entry: Dict) -> Dict:
+        """Apply one journaled mutation to the engine at its effective
+        time ``t`` and return its reply — the one apply path, shared by
+        live mutations (right after their entry is journaled) and replay.
+
+        A register consumes its alarm id before the engine sees it, so an
+        id stays consumed even if the engine rejects the alarm.  The reply
+        is remembered under the entry's ``req_id`` here, so a retried
+        mutation gets the same reply whether or not the daemon was
+        resumed in between.
+        """
+        t = entry["t"]
+        kind = entry["kind"]
+        if kind == "register":
+            alarm = alarm_from_dict(entry["alarm"])
+            self._next_alarm_id = max(self._next_alarm_id, alarm.alarm_id + 1)
+            self.simulator.add_alarm(alarm, t)
+            self._alarms[alarm.alarm_id] = alarm
+            self._labels[alarm.label] = alarm.alarm_id
+            reply = {"alarm_id": alarm.alarm_id, "label": alarm.label, "at": t}
+        elif kind == "cancel":
+            self.simulator.cancel_alarm(self._alarms[entry["alarm_id"]], t)
+            reply = {"alarm_id": entry["alarm_id"], "at": t}
+        else:
+            offset = entry.get("nominal_offset")
+            self.simulator.reregister_alarm(
+                self._alarms[entry["alarm_id"]], t, nominal_offset=offset
+            )
+            reply = {"alarm_id": entry["alarm_id"], "at": t,
+                     "nominal_offset": offset}
+        req_id = entry.get("req_id")
+        if isinstance(req_id, str) and req_id:
+            self._remember_reply(req_id, reply)
+        return reply
 
     # ------------------------------------------------------------------
     # Clock
@@ -425,18 +412,27 @@ class AlarmService:
                 "query/advance are still served",
             )
 
-    def _journal_mutation(self, entry: Dict) -> None:
-        """WAL discipline: the mutation is durable *before* it is applied
+    def _mutate(self, payload: Dict, entry: Dict) -> Dict:
+        """Journal a validated mutation, then apply it; returns the reply.
+
+        WAL discipline: the mutation is durable *before* it is applied
         (and before the reply is sent).  A failed append degrades to
         read-only and rejects the mutation — the engine is untouched, so
-        the journal and the engine cannot disagree."""
-        if self.journal is None:
-            return
-        try:
-            self.journal.append(entry)
-        except OSError as error:
-            self._enter_degraded(error)
-            self._require_writable()
+        the journal and the engine cannot disagree.
+        """
+        self._require_writable()
+        req_id = validated_req_id(payload)
+        if req_id is not None:
+            entry["req_id"] = req_id
+        if self.journal is not None:
+            try:
+                self.journal.append(entry)
+            except OSError as error:
+                self._enter_degraded(error)
+                self._require_writable()
+        reply = self._apply(entry)
+        self._observe_depth()
+        return reply
 
     def _observe_depth(self) -> None:
         self.telemetry.gauge(
@@ -501,8 +497,6 @@ class AlarmService:
                             )
                     with self.telemetry.span("service.request", op=op):
                         result = self._dispatch(op, payload)
-                    if req_id is not None and op in MUTATION_OPS:
-                        self._remember_reply(req_id, result)
             except ProtocolError as error:
                 self._count_request(op, "rejected", error.code)
                 return echo_req_id(
@@ -531,7 +525,7 @@ class AlarmService:
     def _admit(self) -> bool:
         if self._admission is None:
             return True
-        return self._admission.acquire(timeout=self.config.admission_timeout_s)
+        return self._admission.acquire(blocking=False)
 
     def _release(self) -> None:
         if self._admission is not None:
@@ -583,66 +577,44 @@ class AlarmService:
         return handler(payload)
 
     def _effective_time(self, payload: Dict) -> int:
-        """The sim time an op takes effect: ``at`` or "now", never past.
+        """The sim time a mutation takes effect: ``max(at, engine now)``.
 
-        "Past" is judged against the *wall* clock, not the engine clock:
-        dispatching an instant legitimately drags the engine a few ms
-        beyond it (wake latency, task execution), and an op at the wall
-        position is still current — the engine catches it up at the next
-        step exactly as batch mode handles a pre-declared op behind a
-        drifted clock.
+        ``at`` (default: now) may not be in the past.  "Past" is judged
+        against the *wall* clock, not the engine clock: dispatching an
+        instant legitimately drags the engine a few ms beyond it (wake
+        latency, task execution), and an op at the wall position is
+        still current.  The engine takes such an op at its own ``now``,
+        so that is the time journaled, applied and replied — replay then
+        applies it exactly as the live daemon did.  An effective time at
+        or past the horizon would never take effect, so it is refused
+        (ahead of any ``bad-time``) before anything is journaled.
         """
-        now = min(self.wall.now_ms(), self.config.horizon)
+        horizon = self.config.horizon
+        now = min(self.wall.now_ms(), horizon)
         at = validated_time(
-            payload, "at", horizon=self.config.horizon, default=min(
-                now, self.config.horizon - 1
-            )
+            payload, "at", horizon=horizon, default=min(now, horizon - 1)
         )
+        t = max(at, self.simulator.now)
+        if t >= horizon:
+            raise ProtocolError(
+                "past-horizon",
+                f"the engine is at {self.simulator.now}, at or beyond the "
+                f"service horizon ({horizon}); the op would never take effect",
+            )
         if at < now:
             raise ProtocolError(
                 "bad-time",
                 f"at={at} is in the past; the service clock is at {now}",
             )
-        return at
-
-    def _journal_time(self, at: int) -> int:
-        """The time a mutation will actually take effect in the engine.
-
-        Dispatching an ``advance`` can drag the engine a little past the
-        wall clock (wake latency, task execution); a mutation submitted
-        at wall time ``at`` is then applied by the engine at its own
-        ``now``.  The journal must record *that* time — replaying the
-        requested time would queue the op before the overshoot and land
-        it earlier than the live run did, breaking byte-identical
-        resume.  (A recorded time at/past the horizon replays as a
-        rejected phantom, which matches the live op never dispatching.)
-        """
-        return max(at, self.simulator.now)
+        return t
 
     def _op_register(self, payload: Dict) -> Dict:
         spec = validated_alarm_spec(payload, self.config.horizon)
-        at = self._effective_time(payload)
-        self._require_writable()
-        alarm_id = self._next_alarm_id
-        alarm = alarm_from_dict(dict(spec, alarm_id=alarm_id))
-        entry = {
-            "kind": "register",
-            "t": self._journal_time(at),
-            "alarm": alarm_to_dict(alarm),
-        }
-        req_id = validated_req_id(payload)
-        if req_id is not None:
-            entry["req_id"] = req_id
-        self._journal_mutation(entry)
-        # The id is consumed once the entry is durable, even if the
-        # engine rejects the alarm below — replay does the same, so a
-        # resumed daemon assigns the exact same ids.
-        self._next_alarm_id += 1
-        self.simulator.add_alarm(alarm, at)
-        self._alarms[alarm_id] = alarm
-        self._labels[alarm.label] = alarm_id
-        self._observe_depth()
-        return {"alarm_id": alarm_id, "label": alarm.label, "at": at}
+        t = self._effective_time(payload)
+        alarm = alarm_from_dict(dict(spec, alarm_id=self._next_alarm_id))
+        return self._mutate(
+            payload, {"kind": "register", "t": t, "alarm": alarm_to_dict(alarm)}
+        )
 
     def _resolve_target(self, payload: Dict) -> int:
         target = validated_target(payload)
@@ -660,36 +632,19 @@ class AlarmService:
 
     def _op_cancel(self, payload: Dict) -> Dict:
         alarm_id = self._resolve_target(payload)
-        at = self._effective_time(payload)
-        self._require_writable()
-        entry = {"kind": "cancel", "t": self._journal_time(at),
-                 "alarm_id": alarm_id}
-        req_id = validated_req_id(payload)
-        if req_id is not None:
-            entry["req_id"] = req_id
-        self._journal_mutation(entry)
-        self.simulator.cancel_alarm(self._alarms[alarm_id], at)
-        self._observe_depth()
-        return {"alarm_id": alarm_id, "at": at}
+        t = self._effective_time(payload)
+        return self._mutate(
+            payload, {"kind": "cancel", "t": t, "alarm_id": alarm_id}
+        )
 
     def _op_reanchor(self, payload: Dict) -> Dict:
         alarm_id = self._resolve_target(payload)
-        at = self._effective_time(payload)
+        t = self._effective_time(payload)
         offset = validated_time(payload, "nominal_offset", default=None)
-        self._require_writable()
-        entry = {"kind": "reanchor", "t": self._journal_time(at),
-                 "alarm_id": alarm_id}
+        entry = {"kind": "reanchor", "t": t, "alarm_id": alarm_id}
         if offset is not None:
             entry["nominal_offset"] = offset
-        req_id = validated_req_id(payload)
-        if req_id is not None:
-            entry["req_id"] = req_id
-        self._journal_mutation(entry)
-        self.simulator.reregister_alarm(
-            self._alarms[alarm_id], at, nominal_offset=offset
-        )
-        self._observe_depth()
-        return {"alarm_id": alarm_id, "at": at, "nominal_offset": offset}
+        return self._mutate(payload, entry)
 
     def _op_query(self, payload: Dict) -> Dict:
         simulator = self.simulator

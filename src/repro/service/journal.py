@@ -7,9 +7,10 @@ sealed on open, and the parent directory fsync'd when the file is created
 or reset — an fsync'd file whose directory entry was never made durable
 is as lost as an unwritten one.  Because
 the engine is deterministic, the journal does not need to snapshot queue
-internals: replaying the accepted mutations at their recorded simulation
-times through a fresh engine reproduces the exact engine + queue + policy
-state — and the exact trace — of the crashed process.
+internals: the daemon applies every mutation entry through one apply
+path, right after journaling it live and again on replay, so replaying
+the entries through a fresh engine reproduces the exact engine + queue +
+policy state — and the exact trace — of the crashed process.
 
 Entry kinds (one JSON object per line):
 
@@ -18,9 +19,13 @@ Entry kinds (one JSON object per line):
     monitor mode.  Resume refuses a journal whose config does not match —
     replaying SIMTY requests through NATIVE would "succeed" into garbage.
 ``register`` / ``cancel`` / ``reanchor``
-    One accepted mutation, with its *effective* simulation time ``t`` and
-    (for register) the full registration-time alarm attributes from
-    :func:`repro.simulator.serialize.alarm_to_dict`.
+    One accepted mutation, with its *effective* simulation time
+    ``t = max(at, engine now)`` (the ``at`` its reply carries), its
+    ``req_id`` when the request had one, and (for register) the full
+    registration-time alarm attributes from
+    :func:`repro.simulator.serialize.alarm_to_dict`.  A mutation whose
+    effective time is at or past the horizon is refused
+    (``past-horizon``) and never written.
 ``watermark``
     "The engine had advanced to ``t``": written by checkpoints, by
     ``advance`` ops and periodically by the ticker.  Resume replays the
@@ -40,12 +45,14 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..durable import AppendLog, read_jsonl
+from .protocol import MUTATION_OPS
 
 #: File name used when a journal is derived from a checkpoint directory.
 SERVICE_JOURNAL_NAME = "service.journal.jsonl"
 
-#: Entry kinds that mutate engine state and are replayed on resume.
-MUTATION_KINDS = ("register", "cancel", "reanchor")
+#: Entry kinds that mutate engine state and are replayed on resume: the
+#: protocol's mutation ops, one entry kind per op.
+MUTATION_KINDS = MUTATION_OPS
 
 
 class ServiceJournal:

@@ -45,16 +45,12 @@ from typing import Any, Dict, Optional
 from ..core.alarm import RepeatKind
 from ..core.hardware import Component
 
+#: Ops that mutate engine state: journaled (as the journal's
+#: ``MUTATION_KINDS``, the same tuple), applied and deduped via ``req_id``.
+MUTATION_OPS = ("register", "cancel", "reanchor")
+
 #: Every op the service understands.
-OPS = (
-    "register",
-    "cancel",
-    "reanchor",
-    "query",
-    "advance",
-    "checkpoint",
-    "shutdown",
-)
+OPS = MUTATION_OPS + ("query", "advance", "checkpoint", "shutdown")
 
 #: Error codes a rejection reply may carry.
 ERROR_CODES = (
@@ -71,9 +67,6 @@ ERROR_CODES = (
     "overloaded",    # load shed: queue full; error carries retry_after_ms
     "read-only",     # journal unwritable: mutations disabled, reads served
 )
-
-#: Ops that mutate engine state (journaled, deduped via ``req_id``).
-MUTATION_OPS = ("register", "cancel", "reanchor")
 
 #: Ops safe to blindly retry: re-running an applied one changes nothing.
 #: (``advance`` is idempotent because re-advancing to a reached wall

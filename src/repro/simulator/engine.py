@@ -399,11 +399,7 @@ class Simulator:
         if self._finished:
             raise RuntimeError("the run already finished; build a new Simulator")
         instant = self._next_event_time()
-        if (
-            instant is None
-            or instant >= self.config.horizon
-            or (until is not None and instant > until)
-        ):
+        if instant is None or (until is not None and instant > until):
             return None
         if not self._driving and self.monitor is not None:
             # A public call: the queues may have changed since the last step.
@@ -609,7 +605,8 @@ class Simulator:
     # Event scheduling
     # ------------------------------------------------------------------
     def _next_event_time(self) -> Optional[int]:
-        """The earliest due time over every cursor, floored at ``now``.
+        """The earliest due time over every cursor, floored at ``now``, or
+        ``None`` when it is at or past the horizon (nothing runs there).
 
         The floor is taken once, on the minimum: ``min(max(now, t) for t)``
         is ``max(now, min(t))``.  The awake device's sleep deadline is the
@@ -633,10 +630,12 @@ class Simulator:
             next_nonwakeup = self.manager.next_nonwakeup_time()
             if next_nonwakeup is not None and next_nonwakeup < due:
                 due = next_nonwakeup
-            return min(max(self.clock.now, due), self.device.sleep_at)
-        if due is math.inf:
+            instant = min(max(self.clock.now, due), self.device.sleep_at)
+        elif due is math.inf:
             return None
-        return max(self.clock.now, due)
+        else:
+            instant = max(self.clock.now, due)
+        return instant if instant < self.config.horizon else None
 
     # ------------------------------------------------------------------
     # Event processing

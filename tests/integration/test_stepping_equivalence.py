@@ -266,6 +266,49 @@ class TestSteppingContract:
         assert simulator.now == 500_000
         assert simulator.next_event_time() is None
 
+    def overshoot(self) -> Simulator:
+        # A wake 10 ms before the horizon runs its task past it.
+        simulator = build("simty", "list")
+        simulator.add_alarm(
+            Alarm(app="edge", nominal_time=HORIZON - 10, grace_length=0,
+                  task_duration=100),
+            0,
+        )
+        simulator.start()
+        simulator.advance_to(HORIZON - 5)
+        assert simulator.now > HORIZON
+        return simulator
+
+    def drained(self) -> Simulator:
+        simulator = self.make()
+        simulator.start()
+        while simulator.step() is not None:
+            pass
+        return simulator
+
+    def parked(self) -> Simulator:
+        simulator = self.make()
+        simulator.start()
+        simulator.advance_to(HORIZON)
+        return simulator
+
+    def mid_run(self) -> Simulator:
+        simulator = self.make()
+        simulator.start()
+        simulator.advance_to(HORIZON // 2)
+        return simulator
+
+    @pytest.mark.parametrize(
+        "setup, expect_none",
+        [("drained", True), ("parked", True), ("overshoot", True),
+         ("mid_run", False)],
+    )
+    def test_next_event_time_agrees_with_step(self, setup, expect_none):
+        simulator = getattr(self, setup)()
+        upcoming = simulator.next_event_time()
+        assert (upcoming is None) is expect_none
+        assert simulator.step() == upcoming
+
     def test_batch_mode_rejects_mid_run_scheduling(self):
         simulator = self.make()
         simulator.start()

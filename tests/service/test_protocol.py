@@ -12,6 +12,8 @@ import pytest
 
 from repro.service import (
     ERROR_CODES,
+    MUTATION_KINDS,
+    MUTATION_OPS,
     AlarmService,
     ProtocolError,
     ServiceConfig,
@@ -243,6 +245,10 @@ class TestReqIdEcho:
         echoed = echo_req_id({"ok": True}, {"req_id": "abc"})
         assert echoed["req_id"] == "abc"
         assert "req_id" not in echo_req_id({"ok": True}, {})
+
+
+def test_journal_kinds_are_the_protocol_mutation_ops():
+    assert MUTATION_KINDS is MUTATION_OPS
 
 
 class TestMutationDedupe:

@@ -5,6 +5,8 @@ replay: the merged trace of (run to t, crash, resume, run to horizon)
 must equal the uninterrupted run *byte for byte* — not approximately.
 Covered at two levels: in-process (drop the service object, no goodbye)
 and out-of-process (SIGKILL a real ``simty serve`` daemon mid-stream).
+The in-process tests close every journal they open, so they also run
+under ``-X dev`` with unclosed files as errors.
 """
 
 import json
@@ -44,6 +46,30 @@ REQUESTS = [
 ]
 
 
+#: An advance to 1,000 wakes for ``lead``, which drags the engine to 1,350
+#: (wake latency plus its task); the three registers that follow are all
+#: at or after the wall clock but behind the engine, out of ``at`` order.
+GAP_REQUESTS = [
+    dict(op="register", alarm={"app": "lead", "label": "lead",
+                               "nominal": 1_000, "task_ms": 100}),
+    dict(op="advance", to=1_000),
+    *(
+        dict(op="register", at=at,
+             alarm={"app": f"gap{at}", "label": f"gap{at}",
+                    "nominal": 60_000, "interval": 300_000,
+                    "grace": 120_000})
+        for at in (1_200, 1_100, 1_050)
+    ),
+    dict(op="advance", to=900_000),
+]
+
+
+def kill(service):
+    """SIGKILL in miniature: no shutdown, no flush.  Only the journal's
+    handle is closed, as the kernel closes a killed process's files."""
+    service.journal.close()
+
+
 def drive(service, requests):
     for payload in requests:
         reply = service.handle_request(dict(payload))
@@ -69,7 +95,7 @@ class TestInProcessResume:
             ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
         )
         drive(victim, REQUESTS[:crash_after])
-        del victim  # SIGKILL in miniature: no shutdown, no flush
+        kill(victim)
 
         survivor = AlarmService.resume(
             ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
@@ -82,7 +108,7 @@ class TestInProcessResume:
             ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
         )
         drive(victim, REQUESTS[:4])
-        del victim
+        kill(victim)
 
         survivor = AlarmService.resume(
             ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
@@ -96,13 +122,14 @@ class TestInProcessResume:
         assert survivor.handle_request(
             {"op": "cancel", "label": "sync", "at": 700_000}
         )["ok"]
+        kill(survivor)
 
     def test_resume_refuses_a_mismatched_config(self, tmp_path):
         victim = AlarmService(
             ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
         )
         drive(victim, REQUESTS[:2])
-        del victim
+        kill(victim)
         with pytest.raises(ValueError, match="policy"):
             AlarmService.resume(
                 ServiceConfig(
@@ -122,27 +149,95 @@ class TestInProcessResume:
             ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
         )
         drive(victim, REQUESTS[:5])
-        del victim
+        kill(victim)
         damage_log(ServiceJournal.at(tmp_path).path, "tear")
         survivor = AlarmService.resume(
             ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
         )
         drive(survivor, REQUESTS[5:])
         assert survivor.simulator.now >= 2_400_000
+        kill(survivor)
 
     def test_one_tear_reads_as_one_skipped_line(self, tmp_path):
         config = ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
         victim = AlarmService(config)
         drive(victim, REQUESTS[:5])
-        del victim
+        kill(victim)
         clean = AlarmService.resume(config)
         assert clean.journal.skipped == 0
         assert "service.replay_skipped{kind=line}" not in clean.telemetry.counters
-        del clean
+        kill(clean)
         damage_log(ServiceJournal.at(tmp_path).path, "tear")
         survivor = AlarmService.resume(config)
         assert survivor.journal.skipped == 1
         assert survivor.telemetry.counters["service.replay_skipped{kind=line}"] == 1
+        kill(survivor)
+
+    def test_gap_registers_resume_into_the_same_trace(self, tmp_path):
+        baseline = AlarmService(ServiceConfig(**SPEC))
+        drive(baseline, GAP_REQUESTS)
+        reference = sealed(baseline)
+
+        config = ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
+        victim = AlarmService(config)
+        drive(victim, GAP_REQUESTS[:5])
+        assert victim.simulator.now == 1_350  # the three were behind it
+        kill(victim)
+        survivor = AlarmService.resume(config)
+        drive(survivor, GAP_REQUESTS[5:])
+        assert sealed(survivor) == reference
+
+    def test_retry_after_resume_gets_the_original_reply(self, tmp_path):
+        config = ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
+        victim = AlarmService(config)
+        drive(victim, GAP_REQUESTS[:2])
+        retried = dict(GAP_REQUESTS[2], id=7, req_id="gap-1")
+        original = victim.handle_request(dict(retried))
+        assert original["ok"], original
+        kill(victim)  # the reply never reached the client
+
+        survivor = AlarmService.resume(config)
+        replay = survivor.handle_request(dict(retried))
+        assert replay == dict(
+            original, result=dict(original["result"], duplicate=True)
+        )
+        kill(survivor)
+
+    def test_mutation_past_the_horizon_is_refused_unjournaled(self, tmp_path):
+        # The wake at 3,599,990 drags the engine to 3,600,340: past the
+        # horizon, while the wall clock is still 5 ms short of it.
+        config = ServiceConfig(checkpoint_dir=str(tmp_path), **SPEC)
+        service = AlarmService(config)
+        drive(service, [
+            dict(op="register", alarm={"app": "edge", "label": "edge",
+                                       "nominal": HORIZON - 10,
+                                       "task_ms": 100}),
+            dict(op="advance", to=HORIZON - 5),
+        ])
+        assert service.simulator.now > HORIZON
+        entries = len(service.journal)
+        late = {"app": "late", "nominal": HORIZON - 1}
+        for request in (
+            {"op": "register", "alarm": late, "req_id": "edge-1"},
+            {"op": "cancel", "label": "edge"},
+            {"op": "reanchor", "label": "edge"},
+        ):
+            reply = service.handle_request(request)
+            assert reply["error"]["code"] == "past-horizon", reply
+        assert len(service.journal) == entries
+        assert service._next_alarm_id == 2  # the refusal consumed no id
+        assert service.handle_request({"op": "query"})["result"][
+            "next_event_ms"] is None
+        kill(service)
+
+        survivor = AlarmService.resume(config)
+        assert "service.replay_skipped{kind=register}" not in (
+            survivor.telemetry.counters
+        )
+        assert survivor.handle_request(
+            {"op": "register", "alarm": late, "req_id": "edge-1"}
+        )["error"]["code"] == "past-horizon"
+        kill(survivor)
 
 
 class TestSubprocessCrash:
